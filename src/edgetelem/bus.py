@@ -39,6 +39,7 @@ MAX_PAYLOAD = 1 << 20        # 1 MiB
 MAX_TOPIC_BYTES = 256
 MAX_CLIENT_ID_BYTES = 256
 MAX_BODY = MAX_PAYLOAD + MAX_TOPIC_BYTES + 2
+SERVE_POLL_S = 0.05          # HTTP servers' shutdown poll interval
 
 TOPIC_RE = re.compile(r"[A-Za-z0-9_/+-]+")
 
@@ -175,18 +176,23 @@ def _parse_body(kind: FrameKind, body: bytes) -> Frame:
     return Frame(kind=kind)
 
 
+def _parse_header(header: bytes) -> tuple:
+    """``(kind, body_len)`` of a 5-byte frame header."""
+    try:
+        kind = FrameKind(header[0])
+    except ValueError:
+        raise FrameError(f"unknown frame kind {header[0]}") from None
+    (body_len,) = struct.unpack(">I", header[1:5])
+    if body_len > MAX_BODY:
+        raise FrameError(f"body length {body_len} exceeds limit")
+    return kind, body_len
+
+
 def decode_frame(data: bytes) -> Frame:
     """Parse exactly one frame; inverse of :func:`encode_frame`."""
     if len(data) < 5:
         raise FrameError("truncated header")
-    kind_byte = data[0]
-    try:
-        kind = FrameKind(kind_byte)
-    except ValueError:
-        raise FrameError(f"unknown frame kind {kind_byte}") from None
-    (body_len,) = struct.unpack(">I", data[1:5])
-    if body_len > MAX_BODY:
-        raise FrameError(f"body length {body_len} exceeds limit")
+    kind, body_len = _parse_header(data[:5])
     if len(data) != 5 + body_len:
         raise FrameError("frame length mismatch")
     return _parse_body(kind, data[5:])
@@ -207,14 +213,7 @@ def _read_frame(sock: socket.socket):
     header = _read_exact(sock, 5)
     if header is None:
         return None
-    kind_byte = header[0]
-    try:
-        kind = FrameKind(kind_byte)
-    except ValueError:
-        raise FrameError(f"unknown frame kind {kind_byte}") from None
-    (body_len,) = struct.unpack(">I", header[1:5])
-    if body_len > MAX_BODY:
-        raise FrameError(f"body length {body_len} exceeds limit")
+    kind, body_len = _parse_header(header)
     body = _read_exact(sock, body_len) if body_len else b""
     if body is None:
         raise FrameError("connection closed mid-frame")
@@ -657,12 +656,51 @@ class BackendUnavailable(Exception):
     """The ingest backend could not take the message (503-equivalent)."""
 
 
-class IngestHttpServer:
+class HttpServer:
+    """A ``ThreadingHTTPServer`` served from a daemon thread.
+
+    ``serve_forever`` polls for shutdown every ``SERVE_POLL_S`` seconds, which
+    bounds how long :meth:`stop` waits.
+    """
+
+    def __init__(self, handler_class, host: str, port: int, name: str):
+        self._httpd = ThreadingHTTPServer((host, port), handler_class)
+        self._httpd.daemon_threads = True
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, args=(SERVE_POLL_S,), name=name, daemon=True
+        )
+
+    def start(self) -> "HttpServer":
+        self._thread.start()
+        return self
+
+    @property
+    def address(self) -> tuple:
+        return self._httpd.server_address[:2]
+
+    def stop(self) -> None:
+        self._httpd.shutdown()
+        self._httpd.server_close()
+
+
+class QuietHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 request handler that logs at debug level, never to stdout."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, fmt, *args):  # stdout stays machine-parseable
+        log.debug("http %s", fmt % args)
+
+
+class IngestHttpServer(HttpServer):
     """Request/response ingest endpoint: one snapshot per POST to /ingest.
 
     ``backend(payload) -> ack dict`` should raise :class:`RequestRejected`
     for invalid payloads; any other exception maps to 503.  /probe answers
-    latency probes, applying the optional injected-delay shim.
+    latency probes, applying the optional injected-delay shim.  A POST body
+    is read only when its Content-Length is a decimal integer of at most
+    ``MAX_PAYLOAD`` bytes: a larger one is answered 413, a missing or
+    malformed one 400.
     """
 
     def __init__(self, backend, host: str = "127.0.0.1", port: int = 0, probe_delay_fn=None):
@@ -671,22 +709,26 @@ class IngestHttpServer:
         self._probe_count = 0
         outer = self
 
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def log_message(self, fmt, *args):  # quiet; stdout stays machine-parseable
-                log.debug("http %s", fmt % args)
-
-            def _reply(self, status: int, doc: dict) -> None:
+        class Handler(QuietHandler):
+            def _reply(self, status: int, doc: dict, close: bool = False) -> None:
                 raw = json.dumps(doc).encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(raw)))
+                if close:  # an unread body must not be parsed as the next request
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(raw)
 
             def do_POST(self):
-                length = int(self.headers.get("Content-Length", "0"))
+                header = self.headers.get("Content-Length", "")
+                if not (header.isascii() and header.isdigit()):
+                    self._reply(400, {"error": "Content-Length must be a non-negative integer"}, close=True)
+                    return
+                length = int(header)
+                if length > MAX_PAYLOAD:
+                    self._reply(413, {"error": f"body exceeds {MAX_PAYLOAD} bytes"}, close=True)
+                    return
                 body = self.rfile.read(length)
                 if self.path == "/ingest":
                     try:
@@ -708,21 +750,7 @@ class IngestHttpServer:
                 else:
                     self._reply(404, {"error": "unknown path"})
 
-        self._httpd = ThreadingHTTPServer((host, port), Handler)
-        self._httpd.daemon_threads = True
-        self._thread = threading.Thread(target=self._httpd.serve_forever, name="ingest-http", daemon=True)
-
-    def start(self) -> "IngestHttpServer":
-        self._thread.start()
-        return self
-
-    @property
-    def address(self) -> tuple:
-        return self._httpd.server_address[:2]
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        super().__init__(Handler, host, port, "ingest-http")
 
 
 def http_post_snapshot(address: tuple, payload: bytes, timeout: float = 5.0) -> dict:

@@ -14,6 +14,8 @@ import logging
 import os
 import sys
 import time
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 from . import agent as agent_mod
@@ -31,7 +33,7 @@ from .cloud import (
 )
 from .scenario import ScenarioError, load_scenario, run_scenario
 from .simulator import ConfigError, Platform, builtin_profiles, config_from_dict, make_model_blob
-from .telemetry import DeviceIdentity, snapshot_to_wire
+from .telemetry import WIRE_PATHS, DeviceIdentity, snapshot_to_wire
 
 log = logging.getLogger("edgetelem")
 
@@ -39,31 +41,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NETWORK = 2
 
-LAKE_CSV_COLUMNS = (
-    "device_id",
-    "platform_kind",
-    "seq",
-    "device_time_ms",
-    "app.ee_latency_ms",
-    "app.fps",
-    "model.accel_utilization",
-    "model.mem_throughput_gbps",
-    "model.cpu_utilization",
-    "model.mem_utilization",
-    "model.model_efficiency",
-    "model.model_id",
-    "energy.power_w",
-    "energy.temp_c",
-    "energy.fps_per_watt",
-    "network.rssi_dbm",
-    "network.rsrq_db",
-    "network.rsrp_dbm",
-    "network.modem_temp_c",
-    "network.dl_mbps",
-    "network.ul_mbps",
-    "ingest_time_ms",
-    "transport",
-)
+LAKE_CSV_COLUMNS = (*(".".join(path) for path in WIRE_PATHS), "ingest_time_ms", "transport")
+
+
+def _lake_csv_row(rec) -> list:
+    wire = snapshot_to_wire(rec.snapshot)
+    return [*(reduce(getitem, path, wire) for path in WIRE_PATHS), rec.ingest_time_ms, rec.transport.value]
 
 
 def _setup_logging() -> None:
@@ -243,8 +226,8 @@ def cmd_scenario(args) -> int:
 def cmd_bench_latency(parser, args) -> int:
     if args.n < 1:
         parser.error("-n must be >= 1")
-    if args.payload < 8:
-        parser.error("--payload must be >= 8")
+    if not 8 <= args.payload <= bus.MAX_PAYLOAD:
+        parser.error(f"--payload must be between 8 and {bus.MAX_PAYLOAD}")
     delay_fn = None
     if args.delay:
         try:
@@ -291,13 +274,7 @@ def cmd_lake_export(parser, args) -> int:
     except Exception as e:
         log.error("lake error: %s", e)
         return EXIT_CONFIG
-    for rec in records:
-        wire = snapshot_to_wire(rec.snapshot)
-        row = [wire["device_id"], wire["platform_kind"], wire["seq"], wire["device_time_ms"]]
-        for group in ("app", "model", "energy", "network"):
-            row.extend(wire[group].values())
-        row.extend([rec.ingest_time_ms, rec.transport.value])
-        writer.writerow(row)
+    writer.writerows(_lake_csv_row(rec) for rec in records)
     return EXIT_OK
 
 

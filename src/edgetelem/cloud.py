@@ -21,12 +21,11 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from .agent import ActionKind, ActionMessage, ModelNotFound
 from .bandwidth import BandwidthPredictor, Placement, PredictorConfig, decide_placement
-from .bus import RequestRejected
+from .bus import HttpServer, QuietHandler, RequestRejected
 from .telemetry import (
     NUMERIC_PATHS,
     TelemetryError,
@@ -173,9 +172,6 @@ class Lake:
     def query(self, device_id: str, from_ms: int, to_ms: int) -> list:
         """Records with from_ms <= ingest_time_ms < to_ms, in record_id order."""
         return [r for r in self.scan(device_id) if from_ms <= r.ingest_time_ms < to_ms]
-
-    def device_ids(self) -> list:
-        return sorted(p.name for p in self.root.iterdir() if p.is_dir())
 
 
 # --- feedback rules -----------------------------------------------------------
@@ -440,18 +436,13 @@ class ModelStore:
         return path.read_bytes(), digest
 
 
-class ModelStoreHttpServer:
+class ModelStoreHttpServer(HttpServer):
     """Serves ``GET /models/<model_id>`` with the manifest digest in a header."""
 
     def __init__(self, store: ModelStore, host: str = "127.0.0.1", port: int = 0):
         outer_store = store
 
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def log_message(self, fmt, *args):
-                log.debug("model-store %s", fmt % args)
-
+        class Handler(QuietHandler):
             def do_GET(self):
                 if not self.path.startswith("/models/"):
                     self.send_response(404)
@@ -473,21 +464,7 @@ class ModelStoreHttpServer:
                 self.end_headers()
                 self.wfile.write(blob)
 
-        self._httpd = ThreadingHTTPServer((host, port), Handler)
-        self._httpd.daemon_threads = True
-        self._thread = threading.Thread(target=self._httpd.serve_forever, name="model-store", daemon=True)
-
-    def start(self) -> "ModelStoreHttpServer":
-        self._thread.start()
-        return self
-
-    @property
-    def address(self) -> tuple:
-        return self._httpd.server_address[:2]
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        super().__init__(Handler, host, port, "model-store")
 
 
 # --- the service ------------------------------------------------------------------
@@ -526,14 +503,12 @@ class CloudService:
         dispatcher=None,
         store: ModelStore | None = None,
         clock_ms=None,
-        ingest_delay_fn=None,
     ):
         self.lake = lake
         self.rules = rules if rules is not None else RuleSet()
         self.store = store
         self._dispatcher = dispatcher
         self._clock_ms = clock_ms if clock_ms is not None else (lambda: int(time.time() * 1000))
-        self._ingest_delay_fn = ingest_delay_fn
         self._lock = threading.Lock()
         self._devices: dict = {}
         self._record_id = 0
@@ -557,8 +532,6 @@ class CloudService:
         """Persist one snapshot and run the feedback loop for its device."""
         with self._lock:
             now = int(self._clock_ms())
-            if self._ingest_delay_fn is not None:
-                now += int(self._ingest_delay_fn())
             try:
                 snapshot = decode_snapshot(payload)
             except TelemetryError as e:

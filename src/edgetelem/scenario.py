@@ -184,23 +184,24 @@ def run_scenario(spec: ScenarioSpec, out_dir) -> dict:
         if device_id == spec.device_id:
             agent_holder["agent"].enqueue_action(message)
 
-    ingest_delay_fn = None
+    cloud_clock = clock
     if faults.delay is not None:
         sampler = faults.delay.dist.sampler(spec.seed + 2)
         delay_from = faults.delay.at_tick
 
-        def ingest_delay_fn():
+        def cloud_clock() -> int:
+            # The cloud reads its clock once per ingest, so each ingest draws one delay.
+            now = clock()
             if state["tick"] < delay_from:
-                return 0
-            return int(round(sampler(state["tick"]) * 1000.0))
+                return now
+            return now + int(round(sampler(state["tick"]) * 1000.0))
 
     cloud = CloudService(
         lake=Lake(out / "lake"),
         rules=rules,
         dispatcher=dispatcher,
         store=store,
-        clock_ms=clock,
-        ingest_delay_fn=ingest_delay_fn,
+        clock_ms=cloud_clock,
     )
 
     publisher = DirectPublisher(lambda _topic, payload: cloud.ingest(payload, Transport.PUBSUB))

@@ -38,7 +38,6 @@ __all__ = [
     "Platform",
     "builtin_profiles",
     "make_model_blob",
-    "profile_from_dict",
     "config_from_dict",
 ]
 
@@ -156,20 +155,6 @@ def builtin_profiles() -> dict:
                 accel_utilization=duty,
             )
     return dict(_profile_cache)
-
-
-def profile_from_dict(d: dict) -> ModelProfile:
-    try:
-        return ModelProfile(
-            model_id=d["model_id"],
-            workload_gops=d["workload_gops"],
-            base_latency_ms=d["base_latency_ms"],
-            artifact_digest=d["artifact_digest"],
-            artifact_size_bytes=d["artifact_size_bytes"],
-            accel_utilization=d.get("accel_utilization", 1.0),
-        )
-    except KeyError as e:
-        raise ConfigError(str(e.args[0]), "missing profile field") from None
 
 
 def config_from_dict(d: dict) -> PlatformConfig:

@@ -5,7 +5,8 @@ by :func:`encode_snapshot`: UTF-8 JSON with a fixed key order and shortest
 round-trip float form, so encodings are byte-stable across processes and can
 be digested, diffed, or replayed.
 
-Wire schema (exact key names, in order)::
+Wire schema (exact key names, in order).  The order is the field order of
+the dataclasses below, which are the only statement of it::
 
     device_id, platform_kind, seq, device_time_ms,
     app     {ee_latency_ms, fps},
@@ -20,8 +21,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter, itemgetter
+from typing import get_type_hints
 
 __all__ = [
     "TelemetryError",
@@ -78,7 +81,7 @@ class ParseError(TelemetryError):
         self.offset = offset
 
 
-def _as_float(field: str, value, *, ge=None, gt=None, le=None, lt=None) -> float:
+def _as_float(field: str, value, ge=None, gt=None, le=None, lt=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(field, "must be a real number")
     v = float(value)
@@ -111,8 +114,13 @@ def _as_str(field: str, value) -> str:
     return value
 
 
-def _set(obj, name, value) -> None:
-    object.__setattr__(obj, name, value)
+def _as_nonempty_str(field: str, value) -> str:
+    if not _as_str(field, value):
+        raise ValidationError(field, "must be non-empty")
+    return value
+
+
+_set = object.__setattr__  # assigns a field of a frozen dataclass
 
 
 class PlatformKind(str, Enum):
@@ -143,16 +151,41 @@ class DeviceIdentity:
             _set(self, "platform_kind", kind)
 
 
-@dataclass(frozen=True)
-class AppMetrics:
-    """Application-level metrics: per-frame latency and throughput."""
+def _real(*, ge=None, gt=None, le=None, lt=None):
+    """A float field of a metric group; its bounds are checked on construction."""
+    return field(metadata={"bounds": (ge, gt, le, lt)})
 
-    ee_latency_ms: float  # end-to-end latency per frame, milliseconds
-    fps: float
+
+class _Metrics:
+    """Base of the snapshot's metric groups.
+
+    ``_floats`` holds ``(name, ge, gt, le, lt)`` for each :func:`_real` field;
+    :func:`_metric_group` builds it once per class.
+    """
+
+    _floats = ()
 
     def __post_init__(self):
-        _set(self, "ee_latency_ms", _as_float("ee_latency_ms", self.ee_latency_ms, gt=0.0))
-        _set(self, "fps", _as_float("fps", self.fps, ge=0.0))
+        for name, ge, gt, le, lt in self._floats:
+            _set(self, name, _as_float(name, getattr(self, name), ge, gt, le, lt))
+
+
+def _metric_group(cls):
+    """Class decorator: a frozen dataclass with its ``_floats`` table."""
+    cls = dataclass(frozen=True)(cls)
+    cls._floats = tuple((f.name, *f.metadata["bounds"]) for f in fields(cls) if "bounds" in f.metadata)
+    return cls
+
+
+@_metric_group
+class AppMetrics(_Metrics):
+    """Application-level metrics: per-frame latency and throughput."""
+
+    ee_latency_ms: float = _real(gt=0.0)  # end-to-end latency per frame, milliseconds
+    fps: float = _real(ge=0.0)
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.fps > 0:
             derived = 1000.0 / self.ee_latency_ms
             if abs(self.fps - derived) / self.fps > FPS_COHERENCE_SLACK:
@@ -163,63 +196,45 @@ class AppMetrics:
                 )
 
 
-@dataclass(frozen=True)
-class ModelMetrics:
+@_metric_group
+class ModelMetrics(_Metrics):
     """Accelerator and memory utilization of the active AI model.
 
     ``model_efficiency`` is carried as reported by the producer; it can only
     be cross-checked where the active model profile is known.
     """
 
-    accel_utilization: float
-    mem_throughput_gbps: float
-    cpu_utilization: float
-    mem_utilization: float
-    model_efficiency: float
+    accel_utilization: float = _real(ge=0.0, le=1.0)
+    mem_throughput_gbps: float = _real(ge=0.0)
+    cpu_utilization: float = _real(ge=0.0, le=1.0)
+    mem_utilization: float = _real(ge=0.0, le=1.0)
+    model_efficiency: float = _real(ge=0.0)
     model_id: str
 
     def __post_init__(self):
-        _set(self, "accel_utilization", _as_float("accel_utilization", self.accel_utilization, ge=0.0, le=1.0))
-        _set(self, "mem_throughput_gbps", _as_float("mem_throughput_gbps", self.mem_throughput_gbps, ge=0.0))
-        _set(self, "cpu_utilization", _as_float("cpu_utilization", self.cpu_utilization, ge=0.0, le=1.0))
-        _set(self, "mem_utilization", _as_float("mem_utilization", self.mem_utilization, ge=0.0, le=1.0))
-        _set(self, "model_efficiency", _as_float("model_efficiency", self.model_efficiency, ge=0.0))
-        if not _as_str("model_id", self.model_id):
-            raise ValidationError("model_id", "must be non-empty")
+        super().__post_init__()
+        _as_nonempty_str("model_id", self.model_id)
 
 
-@dataclass(frozen=True)
-class EnergyMetrics:
+@_metric_group
+class EnergyMetrics(_Metrics):
     """Whole-platform power draw and derived energy efficiency."""
 
-    power_w: float
-    temp_c: float
-    fps_per_watt: float
-
-    def __post_init__(self):
-        _set(self, "power_w", _as_float("power_w", self.power_w, gt=0.0))
-        _set(self, "temp_c", _as_float("temp_c", self.temp_c))
-        _set(self, "fps_per_watt", _as_float("fps_per_watt", self.fps_per_watt, ge=0.0))
+    power_w: float = _real(gt=0.0)
+    temp_c: float = _real()
+    fps_per_watt: float = _real(ge=0.0)
 
 
-@dataclass(frozen=True)
-class NetworkMetrics:
+@_metric_group
+class NetworkMetrics(_Metrics):
     """Cellular modem measurements, constrained to standard LTE reporting ranges."""
 
-    rssi_dbm: float
-    rsrq_db: float
-    rsrp_dbm: float
-    modem_temp_c: float
-    dl_mbps: float
-    ul_mbps: float
-
-    def __post_init__(self):
-        _set(self, "rssi_dbm", _as_float("rssi_dbm", self.rssi_dbm, ge=-120.0, le=0.0))
-        _set(self, "rsrq_db", _as_float("rsrq_db", self.rsrq_db, ge=-25.0, le=0.0))
-        _set(self, "rsrp_dbm", _as_float("rsrp_dbm", self.rsrp_dbm, ge=-140.0, le=-40.0))
-        _set(self, "modem_temp_c", _as_float("modem_temp_c", self.modem_temp_c))
-        _set(self, "dl_mbps", _as_float("dl_mbps", self.dl_mbps, ge=0.0))
-        _set(self, "ul_mbps", _as_float("ul_mbps", self.ul_mbps, ge=0.0))
+    rssi_dbm: float = _real(ge=-120.0, le=0.0)
+    rsrq_db: float = _real(ge=-25.0, le=0.0)
+    rsrp_dbm: float = _real(ge=-140.0, le=-40.0)
+    modem_temp_c: float = _real()
+    dl_mbps: float = _real(ge=0.0)
+    ul_mbps: float = _real(ge=0.0)
 
 
 @dataclass(frozen=True)
@@ -240,8 +255,7 @@ class ModelProfile:
     accel_utilization: float = 1.0
 
     def __post_init__(self):
-        if not _as_str("model_id", self.model_id):
-            raise ValidationError("model_id", "must be non-empty")
+        _as_nonempty_str("model_id", self.model_id)
         _set(self, "workload_gops", _as_float("workload_gops", self.workload_gops, gt=0.0))
         _set(self, "base_latency_ms", _as_float("base_latency_ms", self.base_latency_ms, gt=0.0))
         digest = _as_str("artifact_digest", self.artifact_digest)
@@ -275,12 +289,7 @@ class TelemetrySnapshot:
             raise ValidationError("device", "must be a DeviceIdentity")
         _as_int("seq", self.seq, ge=0)
         _as_int("device_time_ms", self.device_time_ms, ge=0)
-        for name, typ in (
-            ("app", AppMetrics),
-            ("model", ModelMetrics),
-            ("energy", EnergyMetrics),
-            ("network", NetworkMetrics),
-        ):
+        for name, typ, _ in _GROUPS:
             if not isinstance(getattr(self, name), typ):
                 raise ValidationError(name, f"must be a {typ.__name__}")
         expected = self.app.fps / self.energy.power_w
@@ -317,53 +326,65 @@ def fps_per_watt(fps: float, power_w: float) -> float:
 
 # --- canonical JSON encoding -------------------------------------------------
 
-TOP_KEYS = ("device_id", "platform_kind", "seq", "device_time_ms", "app", "model", "energy", "network")
-APP_KEYS = ("ee_latency_ms", "fps")
-MODEL_KEYS = ("accel_utilization", "mem_throughput_gbps", "cpu_utilization", "mem_utilization", "model_efficiency", "model_id")
-ENERGY_KEYS = ("power_w", "temp_c", "fps_per_watt")
-NETWORK_KEYS = ("rssi_dbm", "rsrq_db", "rsrp_dbm", "modem_temp_c", "dl_mbps", "ul_mbps")
+def _typed_fields(cls) -> tuple:
+    """``(name, type)`` of each dataclass field, in declaration order."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
+_SNAPSHOT_FIELDS = _typed_fields(TelemetrySnapshot)
+
+
+def _wire_layout():
+    """``(key, getter, member keys or None)`` per top-level wire key, in order.
+
+    The order is the dataclass field order: the device identity's fields sit
+    at the top level, each metric group is a nested object.
+    """
+    for name, hint in _SNAPSHOT_FIELDS:
+        if hint is DeviceIdentity:
+            for key, typ in _typed_fields(hint):
+                path = f"{name}.{key}.value" if issubclass(typ, Enum) else f"{name}.{key}"
+                yield key, attrgetter(path), None
+        elif issubclass(hint, _Metrics):
+            yield name, attrgetter(name), tuple(f.name for f in fields(hint))
+        else:
+            yield name, attrgetter(name), None
+
+
+_WIRE_LAYOUT = tuple(_wire_layout())
+_device_values = itemgetter(*(f.name for f in fields(DeviceIdentity)))
+_INT_KEYS = tuple(name for name, hint in _SNAPSHOT_FIELDS if hint is int)
+#: ``(key, dataclass, member keys)`` per metric group, in wire order.
+_GROUPS = tuple(
+    (name, hint, tuple(f.name for f in fields(hint)))
+    for name, hint in _SNAPSHOT_FIELDS
+    if issubclass(hint, _Metrics)
+)
+TOP_KEYS = tuple(key for key, _, _ in _WIRE_LAYOUT)
+
+#: Every leaf of the wire document as a key path, in wire order.
+WIRE_PATHS = tuple(
+    path
+    for key, _, members in _WIRE_LAYOUT
+    for path in ([(key,)] if members is None else [(key, m) for m in members])
+)
 
 #: All dotted numeric paths a feedback rule may reference.
 NUMERIC_PATHS = (
-    ("seq",),
-    ("device_time_ms",),
-    *(("app", k) for k in APP_KEYS),
-    *(("model", k) for k in MODEL_KEYS if k != "model_id"),
-    *(("energy", k) for k in ENERGY_KEYS),
-    *(("network", k) for k in NETWORK_KEYS),
+    *((key,) for key in _INT_KEYS),
+    *((key, name) for key, cls, _ in _GROUPS for name, *_bounds in cls._floats),
 )
 
 
 def snapshot_to_wire(s: TelemetrySnapshot) -> dict:
     """Build the wire dict with keys in the documented order."""
-    return {
-        "device_id": s.device.device_id,
-        "platform_kind": s.device.platform_kind.value,
-        "seq": s.seq,
-        "device_time_ms": s.device_time_ms,
-        "app": {"ee_latency_ms": s.app.ee_latency_ms, "fps": s.app.fps},
-        "model": {
-            "accel_utilization": s.model.accel_utilization,
-            "mem_throughput_gbps": s.model.mem_throughput_gbps,
-            "cpu_utilization": s.model.cpu_utilization,
-            "mem_utilization": s.model.mem_utilization,
-            "model_efficiency": s.model.model_efficiency,
-            "model_id": s.model.model_id,
-        },
-        "energy": {
-            "power_w": s.energy.power_w,
-            "temp_c": s.energy.temp_c,
-            "fps_per_watt": s.energy.fps_per_watt,
-        },
-        "network": {
-            "rssi_dbm": s.network.rssi_dbm,
-            "rsrq_db": s.network.rsrq_db,
-            "rsrp_dbm": s.network.rsrp_dbm,
-            "modem_temp_c": s.network.modem_temp_c,
-            "dl_mbps": s.network.dl_mbps,
-            "ul_mbps": s.network.ul_mbps,
-        },
-    }
+    # A metric group's instance dict holds exactly its fields, in field
+    # order: the generated __init__ sets them so, and the group is frozen.
+    return {key: get(s) if members is None else vars(get(s)).copy() for key, get, members in _WIRE_LAYOUT}
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 
 
 def encode_snapshot(s: TelemetrySnapshot) -> bytes:
@@ -374,7 +395,7 @@ def encode_snapshot(s: TelemetrySnapshot) -> bytes:
     mutated through non-public means is caught here.
     """
     s.validate()
-    return json.dumps(snapshot_to_wire(s), separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return _ENCODER.encode(snapshot_to_wire(s)).encode("utf-8")
 
 
 def _check_keys(obj: dict, expected: tuple, where: str) -> None:
@@ -417,21 +438,11 @@ def snapshot_from_wire(obj) -> TelemetrySnapshot:
     """Validate an already-parsed wire document against the snapshot schema."""
     top = _as_object(obj, "$")
     _check_keys(top, TOP_KEYS, "")
-    app = _as_object(top["app"], "app")
-    _check_keys(app, APP_KEYS, "app.")
-    model = _as_object(top["model"], "model")
-    _check_keys(model, MODEL_KEYS, "model.")
-    energy = _as_object(top["energy"], "energy")
-    _check_keys(energy, ENERGY_KEYS, "energy.")
-    network = _as_object(top["network"], "network")
-    _check_keys(network, NETWORK_KEYS, "network.")
-
-    return TelemetrySnapshot(
-        device=DeviceIdentity(device_id=top["device_id"], platform_kind=top["platform_kind"]),
-        seq=top["seq"],
-        device_time_ms=top["device_time_ms"],
-        app=AppMetrics(**app),
-        model=ModelMetrics(**model),
-        energy=EnergyMetrics(**energy),
-        network=NetworkMetrics(**network),
-    )
+    for key, _, members in _GROUPS:
+        _check_keys(_as_object(top[key], key), members, key + ".")
+    args = {"device": DeviceIdentity(*_device_values(top))}
+    for key in _INT_KEYS:
+        args[key] = top[key]
+    for key, cls, _ in _GROUPS:
+        args[key] = cls(**top[key])
+    return TelemetrySnapshot(**args)

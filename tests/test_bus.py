@@ -310,6 +310,31 @@ class TestHttpIngest:
         finally:
             server.stop()
 
+    @pytest.mark.parametrize(
+        "length_header, status",
+        [
+            (f"Content-Length: {bus.MAX_PAYLOAD + 1}\r\n", 413),
+            ("", 400),
+            ("Content-Length: -1\r\n", 400),
+            ("Content-Length: 12abc\r\n", 400),
+        ],
+        ids=["oversized", "missing", "negative", "non_integer"],
+    )
+    def test_content_length_checked_before_reading_body(self, length_header, status):
+        calls = []
+        server = IngestHttpServer(lambda payload: calls.append(payload) or {}).start()
+        try:
+            with socket.create_connection(server.address, timeout=2.0) as sock:
+                sock.sendall(f"POST /ingest HTTP/1.1\r\nHost: test\r\n{length_header}\r\n".encode())
+                reply = b""
+                while chunk := sock.recv(4096):  # the server closes after refusing
+                    reply += chunk
+        finally:
+            server.stop()
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"Connection: close" in reply
+        assert calls == []
+
 
 class TestLatencyProbe:
     def test_pubsub_loopback(self, broker):

@@ -6,10 +6,21 @@ import subprocess
 import sys
 from pathlib import Path
 
-from edgetelem.bus import Broker
+from edgetelem.bus import MAX_PAYLOAD, Broker
 from edgetelem.cloud import Lake
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "src" / "edgetelem" / "scenarios"
+
+LAKE_CSV_HEADER = [
+    "device_id", "platform_kind", "seq", "device_time_ms",
+    "app.ee_latency_ms", "app.fps",
+    "model.accel_utilization", "model.mem_throughput_gbps", "model.cpu_utilization",
+    "model.mem_utilization", "model.model_efficiency", "model.model_id",
+    "energy.power_w", "energy.temp_c", "energy.fps_per_watt",
+    "network.rssi_dbm", "network.rsrq_db", "network.rsrp_dbm", "network.modem_temp_c",
+    "network.dl_mbps", "network.ul_mbps",
+    "ingest_time_ms", "transport",
+]
 
 
 def run_cli(*args, timeout=60):
@@ -66,6 +77,10 @@ class TestBenchLatency:
         result = run_cli("bench-latency", "--transport", "pubsub", "-n", "0")
         assert result.returncode == 2
 
+    def test_payload_above_max_is_usage_error(self):
+        result = run_cli("bench-latency", "--transport", "http", "-n", "1", "--payload", str(MAX_PAYLOAD + 1))
+        assert result.returncode == 2
+
     def test_bad_delay_spec_is_usage_error(self):
         result = run_cli("bench-latency", "--transport", "http", "-n", "1", "--delay", "weird:1:2:3")
         assert result.returncode == 2
@@ -81,16 +96,30 @@ class TestLakeExport:
         assert result.returncode == 0, result.stderr
         rows = list(csv.reader(io.StringIO(result.stdout)))
         header, data = rows[0], rows[1:]
-        assert header[0] == "device_id"
-        assert header[-2:] == ["ingest_time_ms", "transport"]
+        assert header == LAKE_CSV_HEADER
         assert len(data) == expected == 60
         assert all(r[0] == "dev0" for r in data)
+        rec = Lake(lake_dir).scan("dev0")[0]
+        s = rec.snapshot
+        assert data[0] == [
+            str(v)
+            for v in (
+                s.device.device_id, s.device.platform_kind.value, s.seq, s.device_time_ms,
+                s.app.ee_latency_ms, s.app.fps,
+                s.model.accel_utilization, s.model.mem_throughput_gbps, s.model.cpu_utilization,
+                s.model.mem_utilization, s.model.model_efficiency, s.model.model_id,
+                s.energy.power_w, s.energy.temp_c, s.energy.fps_per_watt,
+                s.network.rssi_dbm, s.network.rsrq_db, s.network.rsrp_dbm, s.network.modem_temp_c,
+                s.network.dl_mbps, s.network.ul_mbps,
+                rec.ingest_time_ms, rec.transport.value,
+            )
+        ]
 
     def test_empty_lake_prints_header_only(self, tmp_path):
         result = run_cli("lake", "export", "--lake", str(tmp_path / "empty"), "--device", "dev0")
         assert result.returncode == 0
         rows = list(csv.reader(io.StringIO(result.stdout)))
-        assert len(rows) == 1
+        assert rows == [LAKE_CSV_HEADER]
 
     def test_bad_range_is_usage_error(self, tmp_path):
         result = run_cli(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -145,3 +146,52 @@ class TestBundledScenarios:
         assert bad["final_model_id"] == "yolov3"
         rejected = [a for a in bad["actions"] if a["status"] == "rejected"]
         assert rejected and rejected[0]["reason"] == "integrity"
+
+
+# sha256 of each scenario output file except the model store, recorded from the
+# code before the snapshot schema was derived from its dataclasses.  These pin
+# the lake and report formats: a change here must be deliberate.
+GOLDEN_DIGESTS = {
+    "scenario_fps_cap": {
+        "lake/dev0/19700101.jsonl": "c1557095a2cb3e0a44a83253bfe686c5d3682186f67ad538e53a049cb0816d8c",
+        "report.json": "028ab50df6043d71576fd014bdc7fa0fe3504dddb9d9333aa6c8148799e3675e",
+    },
+    "scenario_model_swap": {
+        "lake/dev0/19700101.jsonl": "201e960d3cab2a3bee43b4f8b34255014fd26c87fdd415dbf0c4a21efcba2c5b",
+        "report.json": "62bf10b59213375bbc44e15c799b0f4254b396e2d9688dc9dd0bc1638ed21ba3",
+    },
+    "scenario_model_swap_corrupt": {
+        "lake/dev0/19700101.jsonl": "10cdb91189d6a0ac9ada50330d665abeb7175db4f24e00b8cdf7ae7295459892",
+        "report.json": "1fb3f12a4cd946b88a650b47f77b60053a46a6f3fe44b78004dd18e62ba927d5",
+    },
+    "scenario_offload": {
+        "lake/dev0/19700101.jsonl": "e461c588a69abec529f0d6a853da9ee2f7e035b76f392432add8aecc4e36db98",
+        "report.json": "a9891e2a2567496a9160f8f819553014db4dbd27f8b8281c7692250dbb6c0dcb",
+    },
+    "fps_cap_delay_shim": {
+        "lake/dev0/19700101.jsonl": "f3b38a0d74143333f37253fc12f6370f6ed5f4b5f42965eddf0fddb859ab4727",
+        "report.json": "028ab50df6043d71576fd014bdc7fa0fe3504dddb9d9333aa6c8148799e3675e",
+    },
+}
+
+
+def golden_spec(name: str) -> ScenarioSpec:
+    if name == "fps_cap_delay_shim":
+        doc = json.loads((SCENARIO_DIR / "scenario_fps_cap.json").read_text())
+        doc["faults"] = [{"at_tick": 5, "kind": "DelayShim", "dist": "normal:50:5"}]
+        return scenario_from_dict(doc, SCENARIO_DIR)
+    return load_scenario(SCENARIO_DIR / f"{name}.json")
+
+
+def output_digests(out: Path) -> dict:
+    return {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.relative_to(out).parts[0] != "models"
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_outputs_match_golden_digests(tmp_path, name):
+    run_scenario(golden_spec(name), tmp_path)
+    assert output_digests(tmp_path) == GOLDEN_DIGESTS[name]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import make_snapshot, random_snapshot
 from edgetelem.telemetry import (
+    NUMERIC_PATHS,
     AppMetrics,
     DeviceIdentity,
     ParseError,
@@ -167,6 +168,17 @@ class TestEncoding:
     def test_deterministic(self):
         assert encode_snapshot(GOLDEN) == encode_snapshot(GOLDEN)
 
+    def test_numeric_paths(self):
+        assert NUMERIC_PATHS == (
+            ("seq",), ("device_time_ms",),
+            ("app", "ee_latency_ms"), ("app", "fps"),
+            ("model", "accel_utilization"), ("model", "mem_throughput_gbps"), ("model", "cpu_utilization"),
+            ("model", "mem_utilization"), ("model", "model_efficiency"),
+            ("energy", "power_w"), ("energy", "temp_c"), ("energy", "fps_per_watt"),
+            ("network", "rssi_dbm"), ("network", "rsrq_db"), ("network", "rsrp_dbm"),
+            ("network", "modem_temp_c"), ("network", "dl_mbps"), ("network", "ul_mbps"),
+        )
+
 
 class TestDecoding:
     def test_inverse_of_encode(self):
@@ -187,6 +199,38 @@ class TestDecoding:
         doc["app"]["bogus"] = 1
         with pytest.raises(SchemaError, match="app.bogus"):
             decode_snapshot(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize(
+        "group, key, value, message",
+        [
+            ("app", "ee_latency_ms", 0.0, "must be > 0.0, got 0.0"),
+            ("app", "fps", -1.0, "must be >= 0.0, got -1.0"),
+            ("model", "accel_utilization", 1.5, "must be <= 1.0, got 1.5"),
+            ("model", "mem_throughput_gbps", -1.0, "must be >= 0.0, got -1.0"),
+            ("model", "cpu_utilization", -0.5, "must be >= 0.0, got -0.5"),
+            ("model", "mem_utilization", 2.0, "must be <= 1.0, got 2.0"),
+            ("model", "model_efficiency", -1.0, "must be >= 0.0, got -1.0"),
+            ("model", "model_id", "", "must be non-empty"),
+            ("model", "model_id", 7, "must be a string"),
+            ("energy", "power_w", 0.0, "must be > 0.0, got 0.0"),
+            ("energy", "temp_c", "hot", "must be a real number"),
+            ("energy", "fps_per_watt", -1.0, "must be >= 0.0, got -1.0"),
+            ("network", "rssi_dbm", -121.0, "must be >= -120.0, got -121.0"),
+            ("network", "rsrq_db", 0.5, "must be <= 0.0, got 0.5"),
+            ("network", "rsrp_dbm", -39.0, "must be <= -40.0, got -39.0"),
+            ("network", "rsrp_dbm", -141.0, "must be >= -140.0, got -141.0"),
+            ("network", "modem_temp_c", True, "must be a real number"),
+            ("network", "dl_mbps", -1.0, "must be >= 0.0, got -1.0"),
+            ("network", "ul_mbps", -1.0, "must be >= 0.0, got -1.0"),
+        ],
+    )
+    def test_field_bounds_messages(self, group, key, value, message):
+        doc = json.loads(GOLDEN_BYTES)
+        doc[group][key] = value
+        with pytest.raises(ValidationError) as exc:
+            decode_snapshot(json.dumps(doc).encode())
+        assert exc.value.field == key
+        assert str(exc.value) == f"{key}: {message}"
 
     def test_rssi_out_of_range(self):
         doc = json.loads(GOLDEN_BYTES)
