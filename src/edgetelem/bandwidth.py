@@ -4,7 +4,9 @@ The trace generator draws modem metrics per regime and derives the downlink
 rate from a linear model over standardized radio features plus a throughput
 EWMA.  The predictor fits the same 5-feature linear form by ridge-regularized
 least squares over a sliding window, so on clean traces it can recover the
-generating coefficients exactly.
+generating coefficients exactly.  It keeps the window's normal equations up
+to date one row at a time (sliding-window recursive least squares) and
+solves the 5x5 system in plain Python.
 
 Radio features are standardized with fixed affine normalizers (module
 constants below) rather than per-window statistics: the fit must be stable
@@ -15,11 +17,10 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
 
 from .telemetry import NetworkMetrics
 
@@ -79,8 +80,8 @@ class LinearCoeffs:
     b_rssi: float = 0.0
     b_hist: float = 0.0
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.b0, self.b_rsrp, self.b_rsrq, self.b_rssi, self.b_hist])
+    def as_tuple(self) -> tuple:
+        return (self.b0, self.b_rsrp, self.b_rsrq, self.b_rssi, self.b_hist)
 
 
 @dataclass(frozen=True)
@@ -220,6 +221,16 @@ class PredictorConfig:
             raise ValueError("ewma_alpha must be in (0, 1]")
 
 
+#: Feature count, and the (i, j) index pairs of the normal matrix's upper
+#: triangle in row-major order: the layout of ``BandwidthPredictor._xtx``.
+_N = 5
+_UPPER = tuple((i, j) for i in range(_N) for j in range(i, _N))
+#: With ridge_lambda == 0 a pivot at or below this multiple of max|XᵀX|
+#: counts as zero (the SVD rank test's ``max(M, N) * eps`` tolerance).
+_PIVOT_TOL = _N * sys.float_info.epsilon
+_RANK_DEFICIENT = "normal matrix is rank-deficient and ridge_lambda is 0"
+
+
 class BandwidthPredictor:
     """Sliding-window ridge regression over radio features + throughput EWMA.
 
@@ -227,45 +238,111 @@ class BandwidthPredictor:
     the value *before* the paired observation, matching what is available at
     prediction time.  Until ``min_window`` pairs have been seen, predictions
     fall back to the EWMA itself.
+
+    The window's sufficient statistics XᵀX (upper triangle) and Xᵀy are kept
+    as running sums: each update adds the new row and subtracts the evicted
+    one, and every ``window`` updates they are rebuilt exactly from the
+    window to bound floating-point drift.  The ridge system XᵀX + λI is
+    symmetric positive definite for λ > 0, so Gaussian elimination needs no
+    pivoting.
     """
 
     def __init__(self, config: PredictorConfig | None = None):
         self.config = config if config is not None else PredictorConfig()
-        self.coefficients = np.zeros(5)
+        self.coefficients = (0.0,) * _N
         self.ewma_throughput = 0.0
         self._rows: deque = deque(maxlen=self.config.window)
+        self._xtx = [0.0] * len(_UPPER)
+        self._xty = [0.0] * _N
+        self._since_rebuild = 0
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def _feature_row(self, net: NetworkMetrics) -> np.ndarray:
+    def _feature_row(self, net: NetworkMetrics) -> tuple:
         z1, z2, z3 = self.config.scaler.standardize(net)
-        return np.array([1.0, z1, z2, z3, self.ewma_throughput])
+        return (1.0, z1, z2, z3, self.ewma_throughput)
 
     def update(self, net: NetworkMetrics, observed_dl_mbps: float) -> None:
         if not math.isfinite(observed_dl_mbps) or observed_dl_mbps < 0:
             raise ValueError(f"observed_dl_mbps must be finite and >= 0, got {observed_dl_mbps}")
-        self._rows.append((self._feature_row(net), observed_dl_mbps))
+        row = self._feature_row(net)
+        rows = self._rows
+        evicted = rows[0] if len(rows) == rows.maxlen else None
+        rows.append((row, observed_dl_mbps))
         alpha = self.config.ewma_alpha
         self.ewma_throughput = alpha * observed_dl_mbps + (1.0 - alpha) * self.ewma_throughput
+        self._since_rebuild += 1
+        if self._since_rebuild >= self.config.window:
+            self._rebuild()
+        else:
+            if evicted is not None:
+                self._accumulate(evicted[0], evicted[1], -1.0)
+            self._accumulate(row, observed_dl_mbps, 1.0)
         self._refit()
 
+    def _accumulate(self, row: tuple, y: float, sign: float) -> None:
+        xtx = self._xtx
+        for k, (i, j) in enumerate(_UPPER):
+            xtx[k] += sign * row[i] * row[j]
+        xty = self._xty
+        for i in range(_N):
+            xty[i] += sign * row[i] * y
+
+    def _rebuild(self) -> None:
+        self._xtx = [0.0] * len(_UPPER)
+        self._xty = [0.0] * _N
+        for row, y in self._rows:
+            self._accumulate(row, y, 1.0)
+        self._since_rebuild = 0
+
     def _refit(self) -> None:
-        x = np.stack([row for row, _ in self._rows])
-        y = np.array([obs for _, obs in self._rows])
         lam = self.config.ridge_lambda
-        gram = x.T @ x + lam * np.eye(5)
-        if lam == 0.0 and np.linalg.matrix_rank(gram) < 5:
-            raise FitError("normal matrix is rank-deficient and ridge_lambda is 0")
-        self.coefficients = np.linalg.solve(gram, x.T @ y)
-        if not np.all(np.isfinite(self.coefficients)):
+        xtx = self._xtx
+        # Elimination keeps the trailing block symmetric, so only the upper
+        # triangle of each row is read or written.
+        a = [[0.0] * _N for _ in range(_N)]
+        for k, (i, j) in enumerate(_UPPER):
+            a[i][j] = xtx[k]
+        for i in range(_N):
+            a[i][i] += lam
+        b = list(self._xty)
+        tol = 0.0
+        if lam == 0.0:
+            # XᵀX has rank at most the row count; with fewer rows than
+            # features the last pivots are rounding noise, not a rank signal.
+            if len(self._rows) < _N:
+                raise FitError(_RANK_DEFICIENT)
+            tol = _PIVOT_TOL * max(map(abs, xtx))
+        for k in range(_N):
+            row_k = a[k]
+            pivot = row_k[k]
+            if not pivot > tol:
+                raise FitError(_RANK_DEFICIENT if lam == 0.0 else "normal matrix lost positive definiteness")
+            for i in range(k + 1, _N):
+                f = row_k[i] / pivot
+                row_i = a[i]
+                for j in range(i, _N):
+                    row_i[j] -= f * row_k[j]
+                b[i] -= f * b[k]
+        coeffs = [0.0] * _N
+        for i in range(_N - 1, -1, -1):
+            row_i = a[i]
+            acc = b[i]
+            for j in range(i + 1, _N):
+                acc -= row_i[j] * coeffs[j]
+            coeffs[i] = acc / row_i[i]
+        if not all(map(math.isfinite, coeffs)):
             raise FitError("fit produced non-finite coefficients")
+        self.coefficients = tuple(coeffs)
 
     def predict(self, net: NetworkMetrics) -> float:
         """Predicted downlink rate in Mbps, clamped to be non-negative."""
         if len(self._rows) < self.config.min_window:
             return max(0.0, self.ewma_throughput)
-        return max(0.0, float(self.coefficients @ self._feature_row(net)))
+        b0, b1, b2, b3, b4 = self.coefficients
+        z1, z2, z3 = self.config.scaler.standardize(net)
+        return max(0.0, b0 + b1 * z1 + b2 * z2 + b3 * z3 + b4 * self.ewma_throughput)
 
 
 def decide_placement(

@@ -7,15 +7,18 @@ Payloads that fail validation are preserved in a dead-letter file instead of
 being persisted or silently dropped.
 
 The lake is newline-delimited JSON partitioned as
-``<root>/<device_id>/<yyyymmdd>.jsonl`` -- append-only, greppable, and
-byte-reproducible when driven from a logical clock.
+``<root>/<device_id>/<yyyymmdd>.jsonl`` (UTC day of the ingest time) --
+append-only, greppable, and byte-reproducible when driven from a logical
+clock.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import logging
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -27,6 +30,7 @@ from .agent import ActionKind, ActionMessage, ModelNotFound
 from .bandwidth import BandwidthPredictor, Placement, PredictorConfig, decide_placement
 from .bus import HttpServer, QuietHandler, RequestRejected
 from .telemetry import (
+    _ENCODER,
     NUMERIC_PATHS,
     TelemetryError,
     TelemetrySnapshot,
@@ -77,16 +81,14 @@ class LakeRecord:
 
 
 RECORD_KEYS = ("record_id", "ingest_time_ms", "transport", "snapshot")
+# A JSON object's compact encoding is the concatenation of its members'
+# encodings, so the enrichment members are a literal prefix.
+_RECORD_PREFIX = '{"record_id":%d,"ingest_time_ms":%d,"transport":"%s","snapshot":'
 
 
 def encode_record(rec: LakeRecord) -> bytes:
-    doc = {
-        "record_id": rec.record_id,
-        "ingest_time_ms": rec.ingest_time_ms,
-        "transport": rec.transport.value,
-        "snapshot": snapshot_to_wire(rec.snapshot),
-    }
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    head = _RECORD_PREFIX % (rec.record_id, rec.ingest_time_ms, rec.transport.value)
+    return (head + _ENCODER.encode(snapshot_to_wire(rec.snapshot)) + "}").encode("utf-8")
 
 
 def decode_record(line: bytes) -> LakeRecord:
@@ -109,8 +111,32 @@ class LakeError(Exception):
         self.path = str(path)
 
 
+_DAY_MS = 86_400_000
+_APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+
+
+def _append_line(path: str, line: bytes) -> None:
+    # One write per record keeps appends line-atomic on POSIX.
+    fd = os.open(path, _APPEND_FLAGS, 0o644)
+    try:
+        written = os.write(fd, line)
+    finally:
+        os.close(fd)
+    if written != len(line):
+        raise OSError(errno.EIO, f"short write: {written} of {len(line)} bytes", path)
+
+
+def _day_start_ms(name: str) -> int | None:
+    """Start of the UTC day a partition file stem names, or None if it names none."""
+    try:
+        day = datetime.strptime(name, "%Y%m%d").replace(tzinfo=timezone.utc)
+    except ValueError:
+        return None
+    return int(day.timestamp()) * 1000
+
+
 class Lake:
-    """Append-only telemetry record store partitioned per device and day."""
+    """Append-only telemetry record store partitioned per device and UTC day."""
 
     DEAD_LETTER_FILE = "dead_letter.jsonl"
 
@@ -119,20 +145,29 @@ class Lake:
         self.root.mkdir(parents=True, exist_ok=True)
         self.torn_lines = 0
         self.dead_letters = 0
+        self._days: dict = {}  # device_id -> (day start ms, day end ms, partition path)
 
-    def _partition(self, device_id: str, ingest_time_ms: int) -> Path:
-        day = datetime.fromtimestamp(ingest_time_ms / 1000.0, tz=timezone.utc).strftime("%Y%m%d")
+    def _partition(self, device_id: str, ingest_time_ms: int) -> str:
+        day = self._days.get(device_id)
+        if day is not None and day[0] <= ingest_time_ms < day[1]:
+            return day[2]
+        start = ingest_time_ms - ingest_time_ms % _DAY_MS
+        name = datetime.fromtimestamp(start / 1000, tz=timezone.utc).strftime("%Y%m%d")
         directory = self.root / device_id
         directory.mkdir(parents=True, exist_ok=True)
-        return directory / f"{day}.jsonl"
+        path = str(directory / f"{name}.jsonl")
+        self._days[device_id] = (start, start + _DAY_MS, path)
+        return path
 
     def append(self, rec: LakeRecord) -> None:
-        # One write per record keeps appends line-atomic on POSIX.
         line = encode_record(rec) + b"\n"
-        path = self._partition(rec.snapshot.device.device_id, rec.ingest_time_ms)
-        with open(path, "ab") as fh:
-            fh.write(line)
-            fh.flush()
+        device_id = rec.snapshot.device.device_id
+        try:
+            _append_line(self._partition(device_id, rec.ingest_time_ms), line)
+        except FileNotFoundError:
+            # The device directory was removed behind the cache: recreate it, once.
+            self._days.pop(device_id, None)
+            _append_line(self._partition(device_id, rec.ingest_time_ms), line)
 
     def dead_letter(self, ingest_time_ms: int, transport: Transport, error: str, payload: bytes) -> None:
         entry = {
@@ -146,32 +181,48 @@ class Lake:
             fh.flush()
         self.dead_letters += 1
 
-    def scan(self, device_id: str) -> list:
-        """All records for a device in record_id (write) order."""
+    def _partitions(self, device_id: str) -> list:
         directory = self.root / device_id
         if not directory.exists():
             return []
+        return sorted(directory.glob("*.jsonl"))
+
+    def _read(self, path: Path) -> list:
+        try:
+            data = path.read_bytes()
+        except OSError as e:
+            raise LakeError(path, f"unreadable: {e}") from e
+        lines = data.split(b"\n")
+        tail = lines.pop()
+        if tail:
+            self.torn_lines += 1
+            log.warning("tolerating torn trailing record in %s", path)
         records = []
-        for path in sorted(directory.glob("*.jsonl")):
+        for lineno, line in enumerate(lines, start=1):
             try:
-                data = path.read_bytes()
-            except OSError as e:
-                raise LakeError(path, f"unreadable: {e}") from e
-            lines = data.split(b"\n")
-            tail = lines.pop()
-            if tail:
-                self.torn_lines += 1
-                log.warning("tolerating torn trailing record in %s", path)
-            for lineno, line in enumerate(lines, start=1):
-                try:
-                    records.append(decode_record(line))
-                except (ValueError, TelemetryError) as e:
-                    raise LakeError(path, f"corrupt record at line {lineno}: {e}") from e
+                records.append(decode_record(line))
+            except (ValueError, TelemetryError) as e:
+                raise LakeError(path, f"corrupt record at line {lineno}: {e}") from e
         return records
 
+    def scan(self, device_id: str) -> list:
+        """All records for a device in record_id (write) order."""
+        return [r for path in self._partitions(device_id) for r in self._read(path)]
+
     def query(self, device_id: str, from_ms: int, to_ms: int) -> list:
-        """Records with from_ms <= ingest_time_ms < to_ms, in record_id order."""
-        return [r for r in self.scan(device_id) if from_ms <= r.ingest_time_ms < to_ms]
+        """Records with from_ms <= ingest_time_ms < to_ms, in record_id order.
+
+        Reads only the day partitions that overlap the window (and any file
+        whose name is not a day), so a corrupt partition outside the window
+        does not make the query fail.
+        """
+        records = []
+        for path in self._partitions(device_id):
+            start = _day_start_ms(path.stem)
+            if start is not None and max(start, from_ms) >= min(start + _DAY_MS, to_ms):
+                continue
+            records.extend(r for r in self._read(path) if from_ms <= r.ingest_time_ms < to_ms)
+        return records
 
 
 # --- feedback rules -----------------------------------------------------------
@@ -539,15 +590,16 @@ class CloudService:
                 raise IngestRejected(str(e)) from None
             device = self._device(snapshot.device.device_id)
             ingest_time = max(now, device.last_ingest_ms)  # per-device non-decreasing
-            device.last_ingest_ms = ingest_time
             record = LakeRecord(
                 snapshot=snapshot,
                 ingest_time_ms=ingest_time,
                 transport=transport,
                 record_id=self._record_id,
             )
-            self._record_id += 1
             self.lake.append(record)
+            # Committed only once the record is stored: a failed write leaves no id gap.
+            self._record_id += 1
+            device.last_ingest_ms = ingest_time
             self._feedback(snapshot, device, ingest_time)
             return record
 

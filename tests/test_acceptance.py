@@ -274,7 +274,7 @@ def test_8_predictor_recovery():
         predictor = BandwidthPredictor(PredictorConfig(window=60, ridge_lambda=1e-9))
         for net, _ in gen_trace(NetTraceConfig(seed=31, regimes=(regime(0.0),)), 80):
             predictor.update(net, net.dl_mbps)
-        assert np.allclose(predictor.coefficients, coeffs.as_array(), atol=1e-4)
+        assert np.allclose(predictor.coefficients, coeffs.as_tuple(), atol=1e-4)
 
         predictor = BandwidthPredictor(PredictorConfig(window=30))
         trace = gen_trace(NetTraceConfig(seed=32, regimes=(regime(2.0),)), 200)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from edgetelem.bandwidth import (
+    DEFAULT_SCALER,
     BandwidthPredictor,
     FitError,
     LinearCoeffs,
@@ -104,7 +105,7 @@ class TestPredictorFit:
         predictor = BandwidthPredictor(PredictorConfig(window=60, ridge_lambda=1e-9))
         for net, _ in gen_trace(cfg, 80):
             predictor.update(net, net.dl_mbps)
-        expected = ALIGNED_COEFFS.as_array()
+        expected = ALIGNED_COEFFS.as_tuple()
         assert np.allclose(predictor.coefficients, expected, atol=1e-4)
 
     def test_noiseless_in_regime_prediction_error(self):
@@ -179,6 +180,115 @@ class TestPredictorFit:
             return out
 
         assert run() == run()
+
+
+def switching_regimes() -> tuple:
+    """Three link regimes with different levels, spreads and coefficients."""
+    return (
+        RegimeSpec(
+            duration_ticks=45, rsrp_mean_dbm=-85.0, rsrp_std=4.0, rsrq_mean_db=-8.0, rsrq_std=1.5,
+            rssi_offset_db=17.0, true_coeffs=LinearCoeffs(b0=30.0, b_rsrp=2.0, b_rsrq=1.0, b_rssi=0.5, b_hist=0.2),
+            noise_std_mbps=1.0,
+        ),
+        RegimeSpec(
+            duration_ticks=35, rsrp_mean_dbm=-115.0, rsrp_std=3.0, rsrq_mean_db=-16.0, rsrq_std=2.0,
+            rssi_offset_db=12.0, true_coeffs=LinearCoeffs(b0=3.0, b_rsrp=0.5, b_rsrq=0.2, b_rssi=0.1, b_hist=0.1),
+            noise_std_mbps=0.5,
+        ),
+        RegimeSpec(
+            duration_ticks=25, rsrp_mean_dbm=-100.0, rsrp_std=8.0, rsrq_mean_db=-12.0, rsrq_std=3.0,
+            rssi_offset_db=20.0, true_coeffs=LinearCoeffs(b0=15.0, b_rsrp=3.0, b_rsrq=1.0, b_rssi=1.0, b_hist=0.3),
+            noise_std_mbps=2.0,
+        ),
+    )
+
+
+def worst_batch_error(trace, config: PredictorConfig) -> float:
+    """Largest relative distance, over every update, between the predictor's
+    coefficients and a batch ridge fit of the same window."""
+    predictor = BandwidthPredictor(config)
+    rows, ys, ewma, worst = [], [], 0.0, 0.0
+    for net, _ in trace:
+        predictor.update(net, net.dl_mbps)
+        rows.append((1.0, *DEFAULT_SCALER.standardize(net), ewma))
+        ys.append(net.dl_mbps)
+        ewma = config.ewma_alpha * net.dl_mbps + (1.0 - config.ewma_alpha) * ewma
+        x, y = np.array(rows[-config.window :]), np.array(ys[-config.window :])
+        expected = np.linalg.solve(x.T @ x + config.ridge_lambda * np.eye(5), x.T @ y)
+        error = np.linalg.norm(np.array(predictor.coefficients) - expected) / np.linalg.norm(expected)
+        worst = max(worst, error)
+    return worst
+
+
+class TestIncrementalFit:
+    @pytest.mark.parametrize("window", [1, 5, 30])
+    def test_matches_batch_refit_after_every_update(self, window):
+        # 8 regime switches and at least 10 full windows of evictions and rebuilds.
+        trace = gen_trace(NetTraceConfig(seed=41 + window, regimes=switching_regimes() * 3), 300)
+        assert worst_batch_error(trace, PredictorConfig(window=window)) <= 1e-9
+
+    def test_periodic_rebuild_bounds_drift(self):
+        # Alternating 2000 Mbps and 0.5 Mbps links: each eviction of a large row
+        # leaves rounding error in the running sums that the next rebuild clears.
+        big = RegimeSpec(
+            duration_ticks=50, rsrp_mean_dbm=-60.0, rsrp_std=10.0, rsrq_mean_db=-5.0, rsrq_std=3.0,
+            rssi_offset_db=10.0, true_coeffs=LinearCoeffs(b0=2000.0, b_rsrp=300.0), noise_std_mbps=50.0,
+        )
+        small = RegimeSpec(
+            duration_ticks=50, rsrp_mean_dbm=-120.0, rsrp_std=1.0, rsrq_mean_db=-20.0, rsrq_std=0.3,
+            rssi_offset_db=5.0, true_coeffs=LinearCoeffs(b0=0.5, b_rsrp=0.01, b_rsrq=0.01, b_rssi=0.01),
+            noise_std_mbps=0.01,
+        )
+        trace = gen_trace(NetTraceConfig(seed=1, regimes=(big, small) * 20), 2000)
+        # Without the rebuild the error grows past 3e-7 on this trace.
+        assert worst_batch_error(trace, PredictorConfig(window=30)) <= 1e-7
+
+    def test_prediction_is_the_fitted_linear_form(self):
+        cfg = NetTraceConfig(seed=43, regimes=switching_regimes())
+        predictor = BandwidthPredictor()
+        for net, _ in gen_trace(cfg, 40):
+            predictor.update(net, net.dl_mbps)
+        net = flat_net(5.0)
+        row = (1.0, *DEFAULT_SCALER.standardize(net), predictor.ewma_throughput)
+        assert isinstance(predictor.coefficients, tuple)
+        expected = sum(c * x for c, x in zip(predictor.coefficients, row))
+        assert predictor.predict(net) == pytest.approx(max(0.0, expected), rel=1e-12)
+
+    def test_lambda_zero_fewer_rows_than_features_errors(self):
+        # Four distinct rows span at most rank 4, whatever rounding leaves in the last pivot.
+        cfg = NetTraceConfig(seed=8, regimes=switching_regimes())
+        predictor = BandwidthPredictor(PredictorConfig(ridge_lambda=0.0))
+        for net, _ in gen_trace(cfg, 4):
+            with pytest.raises(FitError):
+                predictor.update(net, net.dl_mbps)
+
+    def test_lambda_zero_collinear_full_window_errors(self):
+        predictor = BandwidthPredictor(PredictorConfig(window=8, ridge_lambda=0.0))
+        for _ in range(8):
+            with pytest.raises(FitError):
+                predictor.update(flat_net(10.0), 10.0)
+
+    def test_lambda_zero_full_rank_window_fits(self):
+        cfg = NetTraceConfig(seed=19, regimes=(aligned_regime(noise_std=1.0),))
+        predictor = BandwidthPredictor(PredictorConfig(window=20, ridge_lambda=0.0))
+        trace = gen_trace(cfg, 30)
+        for net, _ in trace[:4]:
+            with pytest.raises(FitError):
+                predictor.update(net, net.dl_mbps)
+        for net, _ in trace[4:]:
+            predictor.update(net, net.dl_mbps)
+        assert all(math.isfinite(c) for c in predictor.coefficients)
+
+    def test_ewma_fallback_below_min_window(self):
+        cfg = NetTraceConfig(seed=44, regimes=switching_regimes())
+        config = PredictorConfig(min_window=7)
+        predictor = BandwidthPredictor(config)
+        ewma = 0.0
+        for net, _ in gen_trace(cfg, 6):
+            assert predictor.predict(net) == ewma
+            predictor.update(net, net.dl_mbps)
+            ewma = config.ewma_alpha * net.dl_mbps + (1.0 - config.ewma_alpha) * ewma
+        assert predictor.predict(flat_net()) == ewma
 
 
 class TestPlacementDecision:

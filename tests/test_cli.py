@@ -176,3 +176,9 @@ class TestDeployedRoles:
                                                 "threshold": 1, "action": {"action": "StepFrequencyDown"}}]}))
         result = run_cli("cloud", "--broker", "127.0.0.1:1", "--rules", str(rules), "--lake", str(tmp_path / "lake"))
         assert result.returncode == 1
+
+
+def test_runtime_imports_need_no_numpy():
+    code = "import edgetelem.cli, edgetelem.scenario, sys; assert 'numpy' not in sys.modules"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

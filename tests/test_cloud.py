@@ -1,5 +1,8 @@
+import errno
 import json
 import random
+import shutil
+from datetime import datetime, timezone
 
 import pytest
 
@@ -7,6 +10,7 @@ from conftest import make_snapshot, random_snapshot
 from oracle_rules import naive_fire_sequence
 from edgetelem.agent import ActionKind
 from edgetelem.bandwidth import Placement
+from edgetelem import cloud
 from edgetelem.bus import IngestHttpServer, http_post_snapshot
 from edgetelem.cloud import (
     ActionTemplate,
@@ -136,6 +140,32 @@ class TestIngest:
         assert len(service.lake.scan("dev0")) == 1
 
 
+    def test_failed_append_consumes_no_record_id_or_ingest_time(self, tmp_path, monkeypatch):
+        clock = LogicalClock(start=2_000)
+        service = make_service(tmp_path, clock_ms=clock)
+        service.ingest(encode_snapshot(make_snapshot(seq=0)), Transport.PUBSUB)
+        real_append = Lake.append
+        failures = []
+
+        def append_failing_once(lake, rec):
+            if not failures:
+                failures.append(rec.record_id)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_append(lake, rec)
+
+        monkeypatch.setattr(Lake, "append", append_failing_once)
+        clock.now = 5_000
+        with pytest.raises(OSError):
+            service.ingest(encode_snapshot(make_snapshot(seq=1)), Transport.PUBSUB)
+        clock.now = 3_000
+        rec = service.ingest(encode_snapshot(make_snapshot(seq=2)), Transport.PUBSUB)
+        assert failures == [1]
+        records = service.lake.scan("dev0")
+        assert [r.record_id for r in records] == [0, 1]
+        assert [r.snapshot.seq for r in records] == [0, 2]
+        assert rec.ingest_time_ms == 3_000  # the failed record's time was not committed
+
+
 class TestRecordCodec:
     def test_roundtrip(self):
         rec = LakeRecord(snapshot=make_snapshot(), ingest_time_ms=123456, transport=Transport.HTTP, record_id=7)
@@ -147,6 +177,25 @@ class TestRecordCodec:
         doc["extra"] = 1
         with pytest.raises(ValueError):
             decode_record(json.dumps(doc).encode())
+
+
+    def test_bytes_match_generic_json_encoding(self):
+        rng = random.Random(5)
+        for i in range(50):
+            rec = LakeRecord(
+                snapshot=random_snapshot(rng, seq=i),
+                ingest_time_ms=rng.randrange(1 << 45),
+                transport=rng.choice(list(Transport)),
+                record_id=i * 977,
+            )
+            doc = {
+                "record_id": rec.record_id,
+                "ingest_time_ms": rec.ingest_time_ms,
+                "transport": rec.transport.value,
+                "snapshot": json.loads(encode_snapshot(rec.snapshot)),
+            }
+            expected = json.dumps(doc, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+            assert encode_record(rec) == expected
 
 
 class TestRuleValidation:
@@ -390,6 +439,124 @@ class TestLakeQuery:
     def test_unknown_device_is_empty(self, tmp_path):
         lake = self._populate(tmp_path)
         assert lake.query("phantom", 0, 1 << 60) == []
+
+
+DAY_MS = 86_400_000
+DAY0_MS = int(datetime(2024, 3, 9, tzinfo=timezone.utc).timestamp()) * 1000  # 2024-03-09T00:00Z
+
+
+def lake_record(record_id, ingest_time_ms, device_id="dev0"):
+    return LakeRecord(
+        snapshot=make_snapshot(device_id=device_id, seq=record_id),
+        ingest_time_ms=ingest_time_ms,
+        transport=Transport.PUBSUB,
+        record_id=record_id,
+    )
+
+
+def lake_line(rec):
+    return encode_record(rec) + b"\n"
+
+
+class TestLakeQueryByDay:
+    # Two records per day on three UTC days, the first of each day at 00:00:00.000.
+    TIMES = [DAY0_MS + d * DAY_MS + off for d in range(3) for off in (0, DAY_MS - 1)]
+
+    def _lake(self, tmp_path):
+        lake = Lake(tmp_path / "lake")
+        for i, t in enumerate(self.TIMES):
+            lake.append(lake_record(i, t))
+        return lake
+
+    def _count_decodes(self, monkeypatch):
+        calls = []
+        real = cloud.decode_record
+        monkeypatch.setattr(cloud, "decode_record", lambda line: calls.append(line) or real(line))
+        return calls
+
+    @pytest.mark.parametrize(
+        "lo, hi, ids, decoded",
+        [
+            (DAY0_MS + DAY_MS, DAY0_MS + 2 * DAY_MS, [2, 3], 2),  # exactly one day
+            (DAY0_MS + DAY_MS - 1, DAY0_MS + DAY_MS + 1, [1, 2], 4),  # both edges of a midnight
+            (DAY0_MS + DAY_MS, DAY0_MS + DAY_MS + 1, [2], 2),  # `from` at midnight included
+            (DAY0_MS, DAY0_MS + DAY_MS, [0, 1], 2),  # `to` at midnight excluded
+            (DAY0_MS - DAY_MS, DAY0_MS + 3 * DAY_MS, [0, 1, 2, 3, 4, 5], 6),
+            (DAY0_MS + 5, DAY0_MS + 5, [], 0),  # empty window
+            (DAY0_MS + 2 * DAY_MS, DAY0_MS, [], 0),  # inverted window
+            (DAY0_MS + 3 * DAY_MS, DAY0_MS + 9 * DAY_MS, [], 0),  # after the last day
+        ],
+    )
+    def test_reads_only_overlapping_days(self, tmp_path, monkeypatch, lo, hi, ids, decoded):
+        lake = self._lake(tmp_path)
+        oracle = [r for r in lake.scan("dev0") if lo <= r.ingest_time_ms < hi]
+        calls = self._count_decodes(monkeypatch)
+        result = lake.query("dev0", lo, hi)
+        assert result == oracle
+        assert [r.record_id for r in result] == ids
+        assert len(calls) == decoded
+
+    def test_corrupt_partition_outside_window_is_not_read(self, tmp_path):
+        lake = self._lake(tmp_path)
+        day0 = tmp_path / "lake" / "dev0" / "20240309.jsonl"
+        day0.write_bytes(b"not json\n" + day0.read_bytes())
+        assert [r.record_id for r in lake.query("dev0", DAY0_MS + DAY_MS, DAY0_MS + 3 * DAY_MS)] == [2, 3, 4, 5]
+        with pytest.raises(LakeError):
+            lake.query("dev0", DAY0_MS, DAY0_MS + 2 * DAY_MS)
+        with pytest.raises(LakeError):
+            lake.scan("dev0")
+
+    def test_file_not_named_by_day_is_always_read(self, tmp_path):
+        lake = self._lake(tmp_path)
+        stray = lake_record(9, DAY0_MS + 5)
+        (tmp_path / "lake" / "dev0" / "imported.jsonl").write_bytes(lake_line(stray))
+        window = (DAY0_MS + 2 * DAY_MS, DAY0_MS + 3 * DAY_MS)
+        assert [r.record_id for r in lake.query("dev0", *window)] == [4, 5]
+        assert lake.query("dev0", DAY0_MS, DAY0_MS + 10) == [r for r in lake.scan("dev0") if r.ingest_time_ms < DAY0_MS + 10]
+
+
+class TestLakePartitionCache:
+    def _files(self, lake, device_id):
+        return {p.name: p.read_bytes() for p in sorted((lake.root / device_id).glob("*.jsonl"))}
+
+    def test_two_devices_alternating_across_midnight(self, tmp_path):
+        lake = Lake(tmp_path / "lake")
+        midnight = DAY0_MS + DAY_MS
+        times = [midnight - 2, midnight - 1, midnight, midnight, midnight + 1, midnight + 7]
+        records = [lake_record(i, t, device_id=("a", "b")[i % 2]) for i, t in enumerate(times)]
+        for rec in records:
+            lake.append(rec)
+        assert self._files(lake, "a") == {
+            "20240309.jsonl": lake_line(records[0]),
+            "20240310.jsonl": lake_line(records[2]) + lake_line(records[4]),
+        }
+        assert self._files(lake, "b") == {
+            "20240309.jsonl": lake_line(records[1]),
+            "20240310.jsonl": lake_line(records[3]) + lake_line(records[5]),
+        }
+
+    def test_append_back_to_an_earlier_day(self, tmp_path):
+        lake = Lake(tmp_path / "lake")
+        records = [
+            lake_record(0, DAY0_MS + DAY_MS + 10),
+            lake_record(1, DAY0_MS + 10),
+            lake_record(2, DAY0_MS + DAY_MS - 1),
+            lake_record(3, DAY0_MS + DAY_MS),
+        ]
+        for rec in records:
+            lake.append(rec)
+        assert self._files(lake, "dev0") == {
+            "20240309.jsonl": lake_line(records[1]) + lake_line(records[2]),
+            "20240310.jsonl": lake_line(records[0]) + lake_line(records[3]),
+        }
+
+    def test_device_directory_removed_between_appends(self, tmp_path):
+        lake = Lake(tmp_path / "lake")
+        first, second = lake_record(0, DAY0_MS + 1), lake_record(1, DAY0_MS + 2)
+        lake.append(first)
+        shutil.rmtree(tmp_path / "lake" / "dev0")
+        lake.append(second)
+        assert self._files(lake, "dev0") == {"20240309.jsonl": lake_line(second)}
 
 
 class TestLakeDurability:
