@@ -16,8 +16,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from http.client import HTTPConnection
 
+from . import bus
 from .bandwidth import DEFAULT_TRACE_CONFIG, NetTrace, Placement
 from .simulator import Platform, builtin_profiles
 from .telemetry import DeviceIdentity, SHA256_HEX_RE, TelemetrySnapshot, encode_snapshot
@@ -209,9 +209,6 @@ class BusPublisher:
     """
 
     def __init__(self, broker_address: tuple, device_id: str, on_action=None, timeout: float = 5.0):
-        from . import bus
-
-        self._bus = bus
         self._address = broker_address
         self._device_id = device_id
         self._on_action = on_action
@@ -229,7 +226,7 @@ class BusPublisher:
     def _ensure_session(self):
         if self._session is not None and not self._session.closed:
             return self._session
-        session = self._bus.connect(self._address, self._device_id, timeout=self._timeout)
+        session = bus.connect(self._address, self._device_id, timeout=self._timeout)
         session.subscribe(f"actions/{self._device_id}", self._handle_action)
         self._session = session
         return session
@@ -237,7 +234,7 @@ class BusPublisher:
     def publish(self, topic: str, payload: bytes) -> None:
         try:
             self._ensure_session().publish(topic, payload)
-        except self._bus.BusError as e:
+        except bus.BusError as e:
             raise PublishDown(str(e)) from e
         except OSError as e:
             raise PublishDown(str(e)) from e
@@ -262,20 +259,15 @@ def fetch_model(store_address: tuple, model_id: str, timeout: float = 10.0) -> t
     The caller is responsible for verifying the digest it expects against
     the actual blob bytes.
     """
-    host, port = store_address
     try:
-        conn = HTTPConnection(host, port, timeout=timeout)
-        conn.request("GET", f"/models/{model_id}", headers={"Connection": "close"})
-        resp = conn.getresponse()
-        blob = resp.read()
-        conn.close()
+        status, headers, blob = bus._http_request(store_address, "GET", f"/models/{model_id}", timeout=timeout)
     except OSError as e:
         raise StoreUnavailable(f"model store unreachable: {e}") from e
-    if resp.status == 404:
+    if status == 404:
         raise ModelNotFound(model_id)
-    if resp.status != 200:
-        raise StoreUnavailable(f"model store returned {resp.status}")
-    return blob, resp.headers.get("X-Model-Digest", "")
+    if status != 200:
+        raise StoreUnavailable(f"model store returned {status}")
+    return blob, headers.get("x-model-digest", "")
 
 
 class TelemetryAgent:

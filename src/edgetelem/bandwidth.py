@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -201,7 +200,7 @@ def gen_trace(cfg: NetTraceConfig, n_ticks: int) -> list:
 
 
 class FitError(ValueError):
-    """Least-squares system is singular (only possible with ridge_lambda=0)."""
+    """The ridge fit failed: a pivot lost positive definiteness or a coefficient is not finite."""
 
 
 @dataclass(frozen=True)
@@ -215,8 +214,8 @@ class PredictorConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be >= 0")
+        if not self.ridge_lambda > 0:  # keeps XᵀX + λI positive definite; also rejects NaN
+            raise ValueError("ridge_lambda must be > 0")
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError("ewma_alpha must be in (0, 1]")
 
@@ -225,10 +224,6 @@ class PredictorConfig:
 #: triangle in row-major order: the layout of ``BandwidthPredictor._xtx``.
 _N = 5
 _UPPER = tuple((i, j) for i in range(_N) for j in range(i, _N))
-#: With ridge_lambda == 0 a pivot at or below this multiple of max|XᵀX|
-#: counts as zero (the SVD rank test's ``max(M, N) * eps`` tolerance).
-_PIVOT_TOL = _N * sys.float_info.epsilon
-_RANK_DEFICIENT = "normal matrix is rank-deficient and ridge_lambda is 0"
 
 
 class BandwidthPredictor:
@@ -307,18 +302,11 @@ class BandwidthPredictor:
         for i in range(_N):
             a[i][i] += lam
         b = list(self._xty)
-        tol = 0.0
-        if lam == 0.0:
-            # XᵀX has rank at most the row count; with fewer rows than
-            # features the last pivots are rounding noise, not a rank signal.
-            if len(self._rows) < _N:
-                raise FitError(_RANK_DEFICIENT)
-            tol = _PIVOT_TOL * max(map(abs, xtx))
         for k in range(_N):
             row_k = a[k]
             pivot = row_k[k]
-            if not pivot > tol:
-                raise FitError(_RANK_DEFICIENT if lam == 0.0 else "normal matrix lost positive definiteness")
+            if not pivot > 0.0:
+                raise FitError("normal matrix lost positive definiteness")
             for i in range(k + 1, _N):
                 f = row_k[i] / pivot
                 row_i = a[i]

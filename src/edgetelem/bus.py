@@ -14,6 +14,10 @@ Wire format, one frame per message::
 Delivery is at-most-once: a publish with no matching subscriber is dropped,
 and a send failure drops that subscriber.  Per publisher, messages arrive in
 publish order.
+
+HTTP endpoints (snapshot ingest, the model store, the latency probe) are
+route functions on :class:`HttpServer`, one ``selectors`` loop on one thread;
+:func:`_http_request` is the one client, a fresh connection per call.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import logging
 import queue
 import random
 import re
+import selectors
 import socket
 import statistics
 import struct
@@ -30,8 +35,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import IntEnum
-from http.client import HTTPConnection
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 
 log = logging.getLogger(__name__)
 
@@ -39,7 +43,9 @@ MAX_PAYLOAD = 1 << 20        # 1 MiB
 MAX_TOPIC_BYTES = 256
 MAX_CLIENT_ID_BYTES = 256
 MAX_BODY = MAX_PAYLOAD + MAX_TOPIC_BYTES + 2
-SERVE_POLL_S = 0.05          # HTTP servers' shutdown poll interval
+MAX_HTTP_HEAD = 1 << 16      # request or reply head, status/request line included
+PEER_TIMEOUT_S = 10.0        # HTTP peer request/idle deadline; the broker's CONNECT timeout
+SERVE_POLL_S = 0.05          # HTTP loop's poll interval: bounds stop() and peer eviction
 
 TOPIC_RE = re.compile(r"[A-Za-z0-9_/+-]+")
 
@@ -290,7 +296,7 @@ class Broker:
 
     def _serve_conn(self, conn: _BrokerConn) -> None:
         try:
-            conn.sock.settimeout(10.0)
+            conn.sock.settimeout(PEER_TIMEOUT_S)
             first = _read_frame(conn.sock)
             if first is None or first.kind != FrameKind.CONNECT:
                 conn.close()
@@ -466,6 +472,305 @@ def connect(address: tuple, client_id: str, timeout: float = 5.0) -> Session:
     return Session(sock, client_id)
 
 
+# --- HTTP: one selectors loop serves, one raw-socket client asks ---------------
+
+
+class RequestRejected(Exception):
+    """The server rejected the request body (400-equivalent)."""
+
+
+class BackendUnavailable(Exception):
+    """The ingest backend could not take the message (503-equivalent)."""
+
+
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+_RECV_BYTES = 1 << 16
+
+
+def _json_reply(status: int, doc) -> tuple:
+    """A route's ``(status, headers, body)`` reply with ``doc`` as its JSON body."""
+    return status, (("Content-Type", "application/json"),), json.dumps(doc).encode("utf-8")
+
+
+class _Refused(Exception):
+    """A request answered with ``status`` before its body is read; the connection then closes."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def _parse_request_head(head: bytes, methods) -> tuple:
+    """``(method, path, body_length, keep_alive, expect_continue)`` of one request head.
+
+    Raises :class:`_Refused` for a malformed head (400), a method not in
+    ``methods`` (501), and a ``Content-Length`` that is missing on a POST or
+    not a decimal integer (400) or above ``MAX_PAYLOAD`` (413).
+    """
+    lines = head.split(b"\r\n")
+    request_line = lines[0].split(b" ")
+    if len(request_line) != 3 or request_line[2] not in (b"HTTP/1.1", b"HTTP/1.0"):
+        raise _Refused(400, "malformed request line")
+    method, target, version = request_line
+    headers = {}
+    for line in lines[1:]:
+        name, colon, value = line.partition(b":")
+        name = name.lower()
+        if not colon:
+            raise _Refused(400, "malformed header line")
+        if name == b"content-length" and name in headers:
+            raise _Refused(400, "repeated Content-Length")
+        headers[name] = value.strip()
+    method = method.decode("latin-1")
+    if method not in methods:
+        raise _Refused(501, f"method {method} not supported")
+    length = headers.get(b"content-length", b"" if method == "POST" else b"0")
+    if not length.isdigit():  # ASCII digits only, so no sign and no blank
+        raise _Refused(400, "Content-Length must be a non-negative integer")
+    if len(length) > 18 or int(length) > MAX_PAYLOAD:  # the length check bounds int()'s work
+        raise _Refused(413, f"body exceeds {MAX_PAYLOAD} bytes")
+    http11 = version == b"HTTP/1.1"
+    keep_alive = http11 and b"close" not in headers.get(b"connection", b"").lower()
+    expect_continue = http11 and headers.get(b"expect", b"").lower() == b"100-continue"
+    return method, target.decode("latin-1"), int(length), keep_alive, expect_continue
+
+
+class _HttpConn:
+    __slots__ = ("sock", "inbuf", "out", "request", "deadline", "closing", "writing")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.inbuf = bytearray()
+        self.out = bytearray()
+        self.request = None  # the parsed head while its body is read
+        self.deadline = time.monotonic() + PEER_TIMEOUT_S
+        self.closing = False  # close once ``out`` has drained
+        self.writing = False  # registered for EVENT_WRITE, not EVENT_READ
+
+
+class HttpServer:
+    """HTTP/1.1 server: one ``selectors`` loop on one thread, however many peers.
+
+    ``routes`` maps a method to ``handler(path, body) -> (status, headers,
+    body)``; any other method gets 501.  Handlers run on the loop thread, so
+    one that blocks stalls every connection.  A request's ``Content-Length``
+    is checked before its body is read (see :func:`_parse_request_head`); a
+    refused request, like one with ``Connection: close`` or from HTTP/1.0,
+    closes the connection once its reply is sent.  Otherwise the connection
+    stays open and buffered pipelined requests are answered in order.  A head
+    above ``MAX_HTTP_HEAD`` bytes gets 431.  ``Expect: 100-continue`` is
+    answered ``100 Continue`` once the length has passed.  A reply is written
+    from a non-blocking buffer, and requests are read only while no reply is
+    pending.  A peer gets ``PEER_TIMEOUT_S`` to deliver a whole request, or
+    to stay idle between requests, or to take a pending reply's next byte;
+    past that it is closed.  The loop polls every ``SERVE_POLL_S``, which
+    bounds how long :meth:`stop` waits.
+    """
+
+    def __init__(self, routes: dict, host: str, port: int, name: str):
+        self._routes = routes
+        self._listener = socket.create_server((host, port), backlog=128)
+        self._listener.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._conns: set = set()
+        self._stopping = threading.Event()
+        self._thread = threading.Thread(target=self._serve, name=name, daemon=True)
+
+    def start(self) -> "HttpServer":
+        self._thread.start()
+        return self
+
+    @property
+    def address(self) -> tuple:
+        return self._listener.getsockname()[:2]
+
+    def stop(self) -> None:
+        """Close the listener and every connection, after the loop's current poll."""
+        self._stopping.set()
+        if self._thread.ident is not None:
+            self._thread.join()
+        for conn in list(self._conns):
+            self._close(conn)
+        self._selector.close()
+        self._listener.close()
+
+    def _serve(self) -> None:
+        next_sweep = time.monotonic() + SERVE_POLL_S
+        while not self._stopping.is_set():
+            for key, _ in self._selector.select(SERVE_POLL_S):
+                if key.data is None:
+                    self._accept()
+                else:
+                    self._step(key.data)
+            now = time.monotonic()
+            if now >= next_sweep:
+                next_sweep = now + SERVE_POLL_S
+                for conn in [c for c in self._conns if c.deadline <= now]:
+                    log.debug("HTTP peer evicted: no progress in %.1f s", PEER_TIMEOUT_S)
+                    self._close(conn)
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except BlockingIOError:
+                return
+            except OSError as e:  # e.g. out of file descriptors; the backlog keeps the peer
+                log.warning("HTTP accept failed: %s", e)
+                return
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _HttpConn(sock)
+            self._conns.add(conn)
+            self._selector.register(sock, selectors.EVENT_READ, conn)
+            self._step(conn)  # a client's request usually follows its connect at once
+
+    def _step(self, conn: _HttpConn) -> None:
+        """Write the pending reply, or read and answer requests."""
+        try:
+            if conn.writing:
+                self._flush(conn)
+            else:
+                self._read(conn)
+        except Exception:  # the loop serves every other peer; drop only this one
+            log.exception("HTTP connection failed")
+            if conn in self._conns:
+                self._close(conn)
+
+    def _close(self, conn: _HttpConn) -> None:
+        self._conns.discard(conn)
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+
+    def _read(self, conn: _HttpConn) -> None:
+        try:
+            data = conn.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self._close(conn)
+            return
+        conn.inbuf += data
+        self._advance(conn)
+
+    def _advance(self, conn: _HttpConn) -> None:
+        """Answer the buffered requests in order while each reply drains at once."""
+        while not conn.out and not conn.closing and self._answer_one(conn):
+            self._flush(conn)
+
+    def _answer_one(self, conn: _HttpConn) -> bool:
+        """Queue the reply (or ``100 Continue``) the buffer now calls for; False if it needs more bytes."""
+        if conn.request is None:
+            end = conn.inbuf.find(b"\r\n\r\n")
+            if end < 0 and len(conn.inbuf) <= MAX_HTTP_HEAD:
+                return False
+            try:
+                if not 0 <= end <= MAX_HTTP_HEAD:
+                    raise _Refused(431, f"request head exceeds {MAX_HTTP_HEAD} bytes")
+                conn.request = _parse_request_head(bytes(conn.inbuf[:end]), self._routes)
+            except _Refused as e:  # the unread body must not be parsed as the next request
+                self._queue(conn, _json_reply(e.status, {"error": str(e)}), keep_alive=False)
+                return True
+            del conn.inbuf[: end + 4]
+            if conn.request[4] and len(conn.inbuf) < conn.request[2]:
+                conn.out += _CONTINUE
+                return True
+        method, path, length, keep_alive, _ = conn.request
+        if len(conn.inbuf) < length:
+            return False
+        body = bytes(conn.inbuf[:length])
+        del conn.inbuf[:length]
+        conn.request = None
+        try:
+            reply = self._routes[method](path, body)
+        except Exception:
+            log.exception("HTTP route %s %s failed", method, path)
+            reply = _json_reply(500, {"error": "internal server error"})
+        self._queue(conn, reply, keep_alive)
+        return True
+
+    @staticmethod
+    def _queue(conn: _HttpConn, reply: tuple, keep_alive: bool) -> None:
+        status, headers, body = reply
+        head = [f"HTTP/1.1 {status} {HTTPStatus(status).phrase}"]
+        head += [f"{name}: {value}" for name, value in headers]
+        head.append(f"Content-Length: {len(body)}")
+        if not keep_alive:
+            head.append("Connection: close")
+            conn.closing = True
+        conn.out += "\r\n".join(head).encode("latin-1") + b"\r\n\r\n"
+        conn.out += body
+
+    def _flush(self, conn: _HttpConn) -> None:
+        """Send what the socket takes now; wait for EVENT_WRITE while a reply is pending."""
+        try:
+            sent = conn.sock.send(conn.out)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            self._close(conn)
+            return
+        if sent:
+            del conn.out[:sent]
+            conn.deadline = time.monotonic() + PEER_TIMEOUT_S
+        if conn.out:
+            if not conn.writing:
+                conn.writing = True
+                self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
+        elif conn.closing:
+            self._close(conn)
+        elif conn.writing:
+            conn.writing = False
+            self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
+            self._advance(conn)
+
+
+def _recv_some(sock: socket.socket) -> bytes:
+    data = sock.recv(_RECV_BYTES)
+    if not data:
+        raise ConnectionError("connection closed before the whole reply arrived")
+    return data
+
+
+def _http_request(address: tuple, method: str, path: str, body: bytes | None = None, timeout: float = 5.0) -> tuple:
+    """One request on a fresh connection; returns ``(status, headers, body)``.
+
+    ``headers`` has lower-case names.  ``timeout`` bounds each socket
+    operation.  A transport failure, a connection closed early and a
+    malformed reply all raise ``OSError``.
+    """
+    host, port = address
+    head = f"{method} {path} HTTP/1.1\r\nHost: {host}:{port}\r\nConnection: close\r\n"
+    if body is not None:
+        head += f"Content-Length: {len(body)}\r\n"
+    with socket.create_connection((host, port), timeout=timeout) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.sendall(head.encode("latin-1") + b"\r\n" + (body or b""))
+        buf = bytearray()
+        while (end := buf.find(b"\r\n\r\n")) < 0:
+            if len(buf) > MAX_HTTP_HEAD:
+                raise ConnectionError(f"reply head exceeds {MAX_HTTP_HEAD} bytes")
+            buf += _recv_some(sock)
+        lines = bytes(buf[:end]).split(b"\r\n")
+        status_line = lines[0].split(b" ", 2)
+        if len(status_line) < 2 or not status_line[0].startswith(b"HTTP/1.") or not status_line[1].isdigit():
+            raise ConnectionError(f"malformed reply status line {lines[0][:80]!r}")
+        headers = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(b":")
+            headers[name.strip().lower().decode("latin-1")] = value.strip().decode("latin-1")
+        length = headers.get("content-length", "")
+        if not (length.isascii() and length.isdigit()):
+            raise ConnectionError("reply has no valid Content-Length")
+        start, stop = end + 4, end + 4 + int(length)
+        while len(buf) < stop:
+            buf += _recv_some(sock)
+    return int(status_line[1]), headers, bytes(buf[start:stop])
+
+
 # --- latency statistics and probe --------------------------------------------
 
 
@@ -617,24 +922,40 @@ def pubsub_latency_probe(
         session.close()
 
 
+class ProbeHttpServer(HttpServer):
+    """Answers ``POST /probe`` with ``{"n": <body length>}`` for :func:`http_latency_probe`.
+
+    ``delay_fn(index)`` (seconds), when given, is the injected-delay shim.  It
+    sleeps on the loop thread, which suits the probe's one request at a time.
+    """
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, delay_fn=None):
+        count = 0
+
+        def post(path: str, body: bytes) -> tuple:
+            nonlocal count
+            if path != "/probe":
+                return _json_reply(404, {"error": "unknown path"})
+            if delay_fn is not None:
+                time.sleep(delay_fn(count))
+            count += 1
+            return _json_reply(200, {"n": len(body)})
+
+        super().__init__({"POST": post}, host, port, "probe-http")
+
+
 def http_latency_probe(address: tuple, n: int, payload_bytes: int, timeout: float = 5.0) -> ProbeReport:
     """Round-trip n probe POSTs; one fresh connection per message."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if payload_bytes < 1:
         raise ValueError("payload_bytes must be >= 1")
-    host, port = address
     samples, statuses = [], []
     body = b"x" * payload_bytes
     for _ in range(n):
         sent = time.perf_counter()
         try:
-            conn = HTTPConnection(host, port, timeout=timeout)
-            conn.request("POST", "/probe", body=body, headers={"Connection": "close"})
-            resp = conn.getresponse()
-            resp.read()
-            conn.close()
-            ok = resp.status == 200
+            ok = _http_request(address, "POST", "/probe", body, timeout)[0] == 200
         except OSError:
             ok = False
         if ok:
@@ -648,129 +969,40 @@ def http_latency_probe(address: tuple, n: int, payload_bytes: int, timeout: floa
 # --- HTTP ingest path ---------------------------------------------------------
 
 
-class RequestRejected(Exception):
-    """The server rejected the request body (400-equivalent)."""
-
-
-class BackendUnavailable(Exception):
-    """The ingest backend could not take the message (503-equivalent)."""
-
-
-class HttpServer:
-    """A ``ThreadingHTTPServer`` served from a daemon thread.
-
-    ``serve_forever`` polls for shutdown every ``SERVE_POLL_S`` seconds, which
-    bounds how long :meth:`stop` waits.
-    """
-
-    def __init__(self, handler_class, host: str, port: int, name: str):
-        self._httpd = ThreadingHTTPServer((host, port), handler_class)
-        self._httpd.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, args=(SERVE_POLL_S,), name=name, daemon=True
-        )
-
-    def start(self) -> "HttpServer":
-        self._thread.start()
-        return self
-
-    @property
-    def address(self) -> tuple:
-        return self._httpd.server_address[:2]
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-
-
-class QuietHandler(BaseHTTPRequestHandler):
-    """HTTP/1.1 request handler that logs at debug level, never to stdout."""
-
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, fmt, *args):  # stdout stays machine-parseable
-        log.debug("http %s", fmt % args)
-
-
 class IngestHttpServer(HttpServer):
     """Request/response ingest endpoint: one snapshot per POST to /ingest.
 
     ``backend(payload) -> ack dict`` should raise :class:`RequestRejected`
-    for invalid payloads; any other exception maps to 503.  /probe answers
-    latency probes, applying the optional injected-delay shim.  A POST body
-    is read only when its Content-Length is a decimal integer of at most
-    ``MAX_PAYLOAD`` bytes: a larger one is answered 413, a missing or
-    malformed one 400.
+    for invalid payloads (400); any other exception maps to 503, and any
+    other path to 404.  It runs on the server's loop thread.
     """
 
-    def __init__(self, backend, host: str = "127.0.0.1", port: int = 0, probe_delay_fn=None):
-        self._backend = backend
-        self._probe_delay_fn = probe_delay_fn
-        self._probe_count = 0
-        outer = self
+    def __init__(self, backend, host: str = "127.0.0.1", port: int = 0):
+        def post(path: str, body: bytes) -> tuple:
+            if path != "/ingest":
+                return _json_reply(404, {"error": "unknown path"})
+            try:
+                return _json_reply(200, backend(body))
+            except RequestRejected as e:
+                return _json_reply(400, {"error": str(e)})
+            except Exception as e:
+                log.warning("ingest backend failed: %s", e)
+                return _json_reply(503, {"error": "ingest backend unavailable"})
 
-        class Handler(QuietHandler):
-            def _reply(self, status: int, doc: dict, close: bool = False) -> None:
-                raw = json.dumps(doc).encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(raw)))
-                if close:  # an unread body must not be parsed as the next request
-                    self.send_header("Connection", "close")
-                self.end_headers()
-                self.wfile.write(raw)
-
-            def do_POST(self):
-                header = self.headers.get("Content-Length", "")
-                if not (header.isascii() and header.isdigit()):
-                    self._reply(400, {"error": "Content-Length must be a non-negative integer"}, close=True)
-                    return
-                length = int(header)
-                if length > MAX_PAYLOAD:
-                    self._reply(413, {"error": f"body exceeds {MAX_PAYLOAD} bytes"}, close=True)
-                    return
-                body = self.rfile.read(length)
-                if self.path == "/ingest":
-                    try:
-                        ack = outer._backend(body)
-                    except RequestRejected as e:
-                        self._reply(400, {"error": str(e)})
-                        return
-                    except Exception as e:
-                        log.warning("ingest backend failed: %s", e)
-                        self._reply(503, {"error": "ingest backend unavailable"})
-                        return
-                    self._reply(200, ack)
-                elif self.path == "/probe":
-                    index = outer._probe_count
-                    outer._probe_count += 1
-                    if outer._probe_delay_fn is not None:
-                        time.sleep(outer._probe_delay_fn(index))
-                    self._reply(200, {"n": len(body)})
-                else:
-                    self._reply(404, {"error": "unknown path"})
-
-        super().__init__(Handler, host, port, "ingest-http")
+        super().__init__({"POST": post}, host, port, "ingest-http")
 
 
 def http_post_snapshot(address: tuple, payload: bytes, timeout: float = 5.0) -> dict:
     """POST one encoded snapshot to /ingest; returns the server ack."""
-    host, port = address
-    conn = HTTPConnection(host, port, timeout=timeout)
-    try:
-        conn.request("POST", "/ingest", body=payload, headers={"Connection": "close"})
-        resp = conn.getresponse()
-        raw = resp.read()
-    finally:
-        conn.close()
-    if resp.status == 200:
+    status, _, raw = _http_request(address, "POST", "/ingest", payload, timeout)
+    if status == 200:
         return json.loads(raw)
     try:
         message = json.loads(raw).get("error", "")
     except (ValueError, AttributeError):
         message = raw.decode("utf-8", "replace")
-    if resp.status == 400:
+    if status == 400:
         raise RequestRejected(message)
-    if resp.status == 503:
+    if status == 503:
         raise BackendUnavailable(message)
-    raise BusError(f"unexpected ingest status {resp.status}: {message}")
+    raise BusError(f"unexpected ingest status {status}: {message}")

@@ -244,7 +244,7 @@ def cmd_bench_latency(parser, args) -> int:
             responder.close()
             broker.stop()
     else:
-        server = bus.IngestHttpServer(lambda payload: {"bench": True}, probe_delay_fn=delay_fn).start()
+        server = bus.ProbeHttpServer(delay_fn=delay_fn).start()
         try:
             report = bus.http_latency_probe(server.address, args.n, args.payload)
         finally:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .agent import ActionKind, ActionMessage, ModelNotFound
 from .bandwidth import BandwidthPredictor, Placement, PredictorConfig, decide_placement
-from .bus import HttpServer, QuietHandler, RequestRejected
+from .bus import HttpServer, RequestRejected
 from .telemetry import (
     _ENCODER,
     NUMERIC_PATHS,
@@ -491,31 +491,16 @@ class ModelStoreHttpServer(HttpServer):
     """Serves ``GET /models/<model_id>`` with the manifest digest in a header."""
 
     def __init__(self, store: ModelStore, host: str = "127.0.0.1", port: int = 0):
-        outer_store = store
-
-        class Handler(QuietHandler):
-            def do_GET(self):
-                if not self.path.startswith("/models/"):
-                    self.send_response(404)
-                    self.send_header("Content-Length", "0")
-                    self.end_headers()
-                    return
-                model_id = self.path[len("/models/") :]
+        def get(path: str, _body: bytes) -> tuple:
+            if path.startswith("/models/"):
                 try:
-                    blob, digest = outer_store.get(model_id)
+                    blob, digest = store.get(path[len("/models/") :])
                 except ModelNotFound:
-                    self.send_response(404)
-                    self.send_header("Content-Length", "0")
-                    self.end_headers()
-                    return
-                self.send_response(200)
-                self.send_header("Content-Type", "application/octet-stream")
-                self.send_header("Content-Length", str(len(blob)))
-                self.send_header("X-Model-Digest", digest)
-                self.end_headers()
-                self.wfile.write(blob)
+                    return 404, (), b""
+                return 200, (("Content-Type", "application/octet-stream"), ("X-Model-Digest", digest)), blob
+            return 404, (), b""
 
-        super().__init__(Handler, host, port, "model-store")
+        super().__init__({"GET": get}, host, port, "model-store")
 
 
 # --- the service ------------------------------------------------------------------

@@ -168,13 +168,13 @@ def test_5_latency_bench_recovers_injected_delay():
         )
         _stats_match_oracle(delayed.stats, delayed.samples_ms)
 
-        server = bus.IngestHttpServer(lambda p: {"ok": True}).start()
+        server = bus.ProbeHttpServer().start()
         try:
             baseline = bus.http_latency_probe(server.address, n=50, payload_bytes=256)
             assert baseline.ok
         finally:
             server.stop()
-        server = bus.IngestHttpServer(lambda p: {"ok": True}, probe_delay_fn=delay.sampler(99)).start()
+        server = bus.ProbeHttpServer(delay_fn=delay.sampler(99)).start()
         try:
             delayed = bus.http_latency_probe(server.address, n=n, payload_bytes=256)
         finally:

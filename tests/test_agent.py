@@ -1,5 +1,8 @@
 import hashlib
 import json
+import random
+import socket
+import time
 
 import pytest
 
@@ -226,6 +229,33 @@ class TestModelStoreFetch:
         server, _ = store_server
         with pytest.raises(ModelNotFound):
             fetch_model(server.address, "nonexistent")
+
+    def test_large_blob_goes_out_in_partial_writes(self, tmp_path):
+        big = random.Random(4).randbytes(4 << 20)
+        store = ModelStore.create(
+            tmp_path / "big", {"big": big, "yolov3": make_model_blob("yolov3", YOLO.artifact_size_bytes)}
+        )
+        server = ModelStoreHttpServer(store).start()
+        try:
+            with socket.socket() as slow:
+                slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                slow.settimeout(10.0)
+                slow.connect(server.address)
+                slow.sendall(b"GET /models/big HTTP/1.1\r\nConnection: close\r\n\r\n")
+                time.sleep(0.2)  # the unread reply fills the socket buffers; the rest waits on the server
+                blob, digest = fetch_model(server.address, "yolov3", timeout=2.0)
+                assert hashlib.sha256(blob).hexdigest() == digest == YOLO.artifact_digest
+                reply = bytearray()
+                while chunk := slow.recv(1 << 16):
+                    reply += chunk
+            head, _, body = bytes(reply).partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200 ")
+            assert body == big
+            blob, digest = fetch_model(server.address, "big")
+            assert blob == big
+            assert digest == hashlib.sha256(big).hexdigest()
+        finally:
+            server.stop()
 
     def test_truncated_blob_detected_by_digest(self, store_server, tmp_path):
         server, store = store_server

@@ -7,7 +7,6 @@ import pytest
 from edgetelem.bandwidth import (
     DEFAULT_SCALER,
     BandwidthPredictor,
-    FitError,
     LinearCoeffs,
     NetTraceConfig,
     Placement,
@@ -146,10 +145,10 @@ class TestPredictorFit:
         assert np.all(np.isfinite(predictor.coefficients))
         assert predictor.predict(flat_net(10.0)) == pytest.approx(10.0, rel=1e-3)
 
-    def test_lambda_zero_rank_deficient_errors(self):
-        predictor = BandwidthPredictor(PredictorConfig(ridge_lambda=0.0))
-        with pytest.raises(FitError):
-            predictor.update(flat_net(10.0), 10.0)
+    def test_nonpositive_lambda_rejected(self):
+        for lam in (0.0, -1e-3, float("nan")):
+            with pytest.raises(ValueError, match="ridge_lambda must be > 0"):
+                PredictorConfig(ridge_lambda=lam)
 
     def test_rejects_non_finite_observation(self):
         with pytest.raises(ValueError):
@@ -253,31 +252,6 @@ class TestIncrementalFit:
         assert isinstance(predictor.coefficients, tuple)
         expected = sum(c * x for c, x in zip(predictor.coefficients, row))
         assert predictor.predict(net) == pytest.approx(max(0.0, expected), rel=1e-12)
-
-    def test_lambda_zero_fewer_rows_than_features_errors(self):
-        # Four distinct rows span at most rank 4, whatever rounding leaves in the last pivot.
-        cfg = NetTraceConfig(seed=8, regimes=switching_regimes())
-        predictor = BandwidthPredictor(PredictorConfig(ridge_lambda=0.0))
-        for net, _ in gen_trace(cfg, 4):
-            with pytest.raises(FitError):
-                predictor.update(net, net.dl_mbps)
-
-    def test_lambda_zero_collinear_full_window_errors(self):
-        predictor = BandwidthPredictor(PredictorConfig(window=8, ridge_lambda=0.0))
-        for _ in range(8):
-            with pytest.raises(FitError):
-                predictor.update(flat_net(10.0), 10.0)
-
-    def test_lambda_zero_full_rank_window_fits(self):
-        cfg = NetTraceConfig(seed=19, regimes=(aligned_regime(noise_std=1.0),))
-        predictor = BandwidthPredictor(PredictorConfig(window=20, ridge_lambda=0.0))
-        trace = gen_trace(cfg, 30)
-        for net, _ in trace[:4]:
-            with pytest.raises(FitError):
-                predictor.update(net, net.dl_mbps)
-        for net, _ in trace[4:]:
-            predictor.update(net, net.dl_mbps)
-        assert all(math.isfinite(c) for c in predictor.coefficients)
 
     def test_ewma_fallback_below_min_window(self):
         cfg = NetTraceConfig(seed=44, regimes=switching_regimes())

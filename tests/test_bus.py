@@ -1,6 +1,9 @@
+import json
 import math
 import queue
+import re
 import socket
+import sys
 import threading
 import time
 
@@ -22,6 +25,7 @@ from edgetelem.bus import (
     FrameKind,
     IngestHttpServer,
     LatencyStats,
+    ProbeHttpServer,
     RequestRejected,
     BackendUnavailable,
     compute_stats,
@@ -50,6 +54,43 @@ def wait_for(predicate, timeout=5.0, interval=0.005):
             return True
         time.sleep(interval)
     return False
+
+
+def http_post(body: bytes, path: str = "/ingest", headers: str = "") -> bytes:
+    return f"POST {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {len(body)}\r\n{headers}\r\n".encode() + body
+
+
+def read_replies(sock, count: int) -> list:
+    """Read ``count`` HTTP replies off ``sock`` as ``(status, head, body)``."""
+    buf, replies = b"", []
+    while len(replies) < count:
+        end = buf.find(b"\r\n\r\n")
+        if end >= 0:
+            head = buf[:end].decode("latin-1")
+            length = re.search(r"\r\nContent-Length: (\d+)", head)
+            stop = end + 4 + (int(length.group(1)) if length else 0)
+            if len(buf) >= stop:
+                replies.append((int(head.split(" ")[1]), head, buf[end + 4 : stop]))
+                buf = buf[stop:]
+                continue
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed after {len(replies)} replies"
+        buf += chunk
+    return replies
+
+
+@pytest.fixture
+def ingest_server():
+    """An ingest server whose backend numbers the bodies it receives."""
+    bodies = []
+
+    def backend(payload: bytes) -> dict:
+        bodies.append(payload)
+        return {"record_id": len(bodies) - 1}
+
+    server = IngestHttpServer(backend).start()
+    yield server, bodies
+    server.stop()
 
 
 class TestFraming:
@@ -336,6 +377,163 @@ class TestHttpIngest:
         assert calls == []
 
 
+class TestHttpServerWire:
+    def test_request_sent_one_byte_per_send(self, ingest_server):
+        server, bodies = ingest_server
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in http_post(b'{"a": 1}'):
+                sock.send(bytes([byte]))
+                time.sleep(0.0005)
+            [(status, _, body)] = read_replies(sock, 1)
+        assert (status, json.loads(body)) == (200, {"record_id": 0})
+        assert bodies == [b'{"a": 1}']
+
+    def test_two_posts_on_one_keep_alive_connection(self, ingest_server):
+        server, bodies = ingest_server
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(http_post(b"first"))
+            [first] = read_replies(sock, 1)
+            sock.sendall(http_post(b"second"))
+            [second] = read_replies(sock, 1)
+        assert [json.loads(r[2]) for r in (first, second)] == [{"record_id": 0}, {"record_id": 1}]
+        assert "Connection: close" not in first[1]
+        assert bodies == [b"first", b"second"]
+
+    def test_two_pipelined_posts_in_one_send(self, ingest_server):
+        server, bodies = ingest_server
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(http_post(b"first") + http_post(b"second", headers="Connection: close\r\n"))
+            replies = read_replies(sock, 2)
+            assert sock.recv(1) == b""  # closed after the request that asked for it
+        assert [(status, json.loads(body)) for status, _, body in replies] == [
+            (200, {"record_id": 0}),
+            (200, {"record_id": 1}),
+        ]
+        assert "Connection: close" in replies[1][1]
+        assert bodies == [b"first", b"second"]
+
+    def test_http10_request_closes_the_connection(self, ingest_server):
+        server, bodies = ingest_server
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(b"POST /ingest HTTP/1.0\r\nContent-Length: 2\r\n\r\n{}")
+            [(status, head, _)] = read_replies(sock, 1)
+            assert sock.recv(1) == b""
+        assert status == 200 and "Connection: close" in head
+        assert bodies == [b"{}"]
+
+    def test_expect_100_continue(self, ingest_server):
+        server, bodies = ingest_server
+        body = b"x" * 2048
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(http_post(body, headers="Expect: 100-continue\r\n")[: -len(body)])
+            [(interim, _, _)] = read_replies(sock, 1)
+            sock.sendall(body)
+            [(status, _, _)] = read_replies(sock, 1)
+        assert (interim, status) == (100, 200)
+        assert bodies == [body]
+
+    def test_expect_100_continue_only_after_the_length_check(self, ingest_server):
+        server, bodies = ingest_server
+        head = f"POST /ingest HTTP/1.1\r\nContent-Length: {bus.MAX_PAYLOAD + 1}\r\nExpect: 100-continue\r\n\r\n"
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(head.encode())
+            [(status, reply_head, _)] = read_replies(sock, 1)
+            assert sock.recv(1) == b""
+        assert status == 413 and "Connection: close" in reply_head
+        assert bodies == []
+
+    def test_oversized_head_is_refused(self, ingest_server):
+        server, bodies = ingest_server
+        prefix = b"POST /ingest HTTP/1.1\r\nX-Pad: "
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(prefix + b"a" * (bus.MAX_HTTP_HEAD + 1 - len(prefix)))
+            [(status, head, _)] = read_replies(sock, 1)
+            assert sock.recv(1) == b""
+        assert status == 431 and "Connection: close" in head
+        assert bodies == []
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"GET /ingest HTTP/1.1\r\nHost: test\r\n\r\n", 501),
+            (http_post(b"{}", path="/nope"), 404),
+            (http_post(b"{}", path="/probe"), 404),
+        ],
+        ids=["get_ingest", "unknown_path", "probe_path"],
+    )
+    def test_method_and_path_statuses(self, ingest_server, request_bytes, status):
+        server, bodies = ingest_server
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(request_bytes)
+            [(got, _, _)] = read_replies(sock, 1)
+        assert got == status
+        assert bodies == []
+
+    def test_concurrent_posts_get_unique_dense_ids(self, ingest_server):
+        server, bodies = ingest_server
+        acks, errors = [], []
+
+        def client(k: int) -> None:
+            try:
+                for i in range(20):
+                    acks.append(http_post_snapshot(server.address, f"{k}-{i}".encode())["record_id"])
+            except Exception as e:
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert sorted(acks) == list(range(160))
+        assert sorted(bodies) == sorted(f"{k}-{i}".encode() for k in range(8) for i in range(20))
+
+    def test_stalled_body_blocks_no_one_and_is_evicted(self, monkeypatch):
+        monkeypatch.setattr(bus, "PEER_TIMEOUT_S", 1.0)
+        server = IngestHttpServer(lambda payload: {"record_id": 0}).start()
+        try:
+            with socket.create_connection(server.address, timeout=5.0) as stalled:
+                stalled.sendall(b"POST /ingest HTTP/1.1\r\nContent-Length: 1048576\r\n\r\n" + b"x" * 10)
+                start = time.monotonic()
+                assert http_post_snapshot(server.address, b"{}", timeout=1.0) == {"record_id": 0}
+                assert time.monotonic() - start < 1.0
+                assert stalled.recv(1) == b""  # closed by the server once its deadline passed
+                assert time.monotonic() - start < 4.0
+        finally:
+            server.stop()
+
+    def test_idle_connections_start_no_threads(self, ingest_server):
+        server, _ = ingest_server
+        before = threading.active_count()
+        idle = [socket.create_connection(server.address, timeout=5.0) for _ in range(32)]
+        try:
+            # Accepted in order, so the 32 idle peers are in before this POST is answered.
+            assert http_post_snapshot(server.address, b"{}") == {"record_id": 0}
+            time.sleep(0.1)
+            assert threading.active_count() == before
+        finally:
+            for sock in idle:
+                sock.close()
+
+    def test_stop_closes_open_connections(self):
+        server = IngestHttpServer(lambda payload: {"record_id": 0}).start()
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(http_post(b"{}"))
+            read_replies(sock, 1)  # the connection now idles between keep-alive requests
+            start = time.monotonic()
+            server.stop()
+            assert time.monotonic() - start < 1.0
+            assert sock.recv(1) == b""
+
+
 class TestLatencyProbe:
     def test_pubsub_loopback(self, broker):
         responder = EchoResponder(broker.address, "t1")
@@ -365,7 +563,7 @@ class TestLatencyProbe:
         assert report.statuses == ["timeout"] * 3
 
     def test_http_loopback(self):
-        server = IngestHttpServer(lambda p: {"ok": True}).start()
+        server = ProbeHttpServer().start()
         try:
             report = http_latency_probe(server.address, n=20, payload_bytes=64)
         finally:

@@ -178,6 +178,16 @@ class TestDeployedRoles:
         assert result.returncode == 1
 
 
+def test_runtime_imports_load_no_stdlib_http_stack():
+    code = (
+        "import edgetelem.cli, edgetelem.scenario, sys; "
+        "loaded = {'http.server', 'http.client', 'socketserver'} & set(sys.modules); "
+        "assert not loaded, loaded"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
 def test_runtime_imports_need_no_numpy():
     code = "import edgetelem.cli, edgetelem.scenario, sys; assert 'numpy' not in sys.modules"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)

@@ -235,6 +235,12 @@ class TestRuleValidation:
         assert ruleset.bandwidth.required_mbps == 8.0
         assert ruleset.bandwidth.reentry_margin == 1.25
 
+    def test_zero_ridge_lambda_rejected_at_load(self):
+        # Loaded, λ = 0 made the first HTTP ingest fail after the lake had stored
+        # the record, so a retrying client stored it twice.
+        with pytest.raises(ValueError, match="ridge_lambda must be > 0"):
+            rules_from_dict({"bandwidth": {"ridge_lambda": 0}})
+
     def test_swap_template_requires_model_id(self):
         with pytest.raises(RuleConfigError):
             rules_from_dict(
