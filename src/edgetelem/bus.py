@@ -12,12 +12,15 @@ Wire format, one frame per message::
     PINGREQ / PINGRESP / DISCONNECT      empty body
 
 Delivery is at-most-once: a publish with no matching subscriber is dropped,
-and a send failure drops that subscriber.  Per publisher, messages arrive in
-publish order.
+and so is one that would take a subscriber's queue above ``MAX_PEER_QUEUE``
+(counted in ``Broker.dropped``).  Per publisher, messages arrive in publish
+order.
 
-HTTP endpoints (snapshot ingest, the model store, the latency probe) are
-route functions on :class:`HttpServer`, one ``selectors`` loop on one thread;
-:func:`_http_request` is the one client, a fresh connection per call.
+Every server is a protocol on :class:`_LoopServer`, one ``selectors`` loop on
+one thread: :class:`Broker` speaks the frames above, and :class:`HttpServer`
+serves the HTTP endpoints (snapshot ingest, the model store, the latency
+probe) as route functions.  :func:`connect` opens a client :class:`Session`;
+:func:`_http_request` is the one HTTP client, a fresh connection per call.
 """
 
 from __future__ import annotations
@@ -44,8 +47,10 @@ MAX_TOPIC_BYTES = 256
 MAX_CLIENT_ID_BYTES = 256
 MAX_BODY = MAX_PAYLOAD + MAX_TOPIC_BYTES + 2
 MAX_HTTP_HEAD = 1 << 16      # request or reply head, status/request line included
-PEER_TIMEOUT_S = 10.0        # HTTP peer request/idle deadline; the broker's CONNECT timeout
-SERVE_POLL_S = 0.05          # HTTP loop's poll interval: bounds stop() and peer eviction
+MAX_PEER_QUEUE = 8 * MAX_BODY  # bytes the broker queues to one peer; a frame beyond is dropped
+PEER_TIMEOUT_S = 10.0        # a server peer that owes bytes and makes no progress this long is closed
+SERVE_POLL_S = 0.05          # server loop's poll interval: bounds stop() and peer eviction
+_RECV_BYTES = 1 << 16
 
 TOPIC_RE = re.compile(r"[A-Za-z0-9_/+-]+")
 
@@ -226,129 +231,226 @@ def _read_frame(sock: socket.socket):
     return _parse_body(kind, body)
 
 
-class _BrokerConn:
-    def __init__(self, sock: socket.socket, peer):
+class _Peer:
+    """One connection of a :class:`_LoopServer`; ``request`` and ``client_id`` belong to its protocol."""
+
+    __slots__ = ("sock", "inbuf", "out", "deadline", "closing", "writing", "request", "client_id")
+
+    def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.peer = peer
-        self.client_id = ""
-        self._wlock = threading.Lock()
-
-    def send(self, frame: Frame) -> None:
-        with self._wlock:
-            self.sock.sendall(encode_frame(frame))
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        self.inbuf = bytearray()
+        self.out = bytearray()
+        self.deadline = time.monotonic() + PEER_TIMEOUT_S
+        self.closing = False  # close once ``out`` has drained
+        self.writing = False  # registered for EVENT_WRITE while ``out`` holds bytes
+        self.request = None  # HTTP: the parsed head while its body is read
+        self.client_id = ""  # broker: set by the peer's CONNECT
 
 
-class Broker:
-    """Threaded pub/sub broker; one reader thread per connection."""
+class _LoopServer:
+    """One ``selectors`` loop on one thread accepts, reads and writes for every peer.
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        self._host = host
-        self._port = port
-        self._server: socket.socket | None = None
-        self._lock = threading.Lock()
-        self._clients: dict = {}
-        self._subs: list = []  # (filter, _BrokerConn)
+    A protocol defines ``_advance(peer)``, called when ``inbuf`` gains bytes
+    or ``out`` drains, and ``_owes(peer)``: whether the peer still owes bytes.
+    A peer gets ``PEER_TIMEOUT_S`` from its connect, from the first byte of a
+    request or frame, and from each byte it takes of ``out``; one that owes
+    bytes past that is closed.  The loop polls every ``SERVE_POLL_S``, which
+    bounds eviction and how long :meth:`stop` waits.
+    """
+
+    _WRITE_EVENTS = selectors.EVENT_READ | selectors.EVENT_WRITE  # while ``out`` holds bytes
+
+    def __init__(self, host: str, port: int, name: str):
+        self._listener = socket.create_server((host, port), backlog=128)
+        self._listener.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._peers: set = set()
         self._stopping = threading.Event()
+        self._thread = threading.Thread(target=self._serve, name=name, daemon=True)
 
-    def start(self) -> "Broker":
-        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind((self._host, self._port))
-        server.listen(64)
-        self._server = server
-        threading.Thread(target=self._accept_loop, name="broker-accept", daemon=True).start()
+    def start(self):
+        self._thread.start()
         return self
 
     @property
     def address(self) -> tuple:
-        assert self._server is not None, "broker not started"
-        return self._server.getsockname()[:2]
+        return self._listener.getsockname()[:2]
 
     def stop(self) -> None:
+        """Close the listener and every connection, after the loop's current poll."""
         self._stopping.set()
-        if self._server is not None:
-            try:
-                self._server.close()
-            except OSError:
-                pass
-        with self._lock:
-            conns = list(self._clients.values())
-            self._clients.clear()
-            self._subs.clear()
-        for conn in conns:
-            conn.close()
+        if self._thread.ident is not None:
+            self._thread.join()
+        for peer in list(self._peers):
+            self._close(peer)
+        self._selector.close()
+        self._listener.close()
 
-    def _accept_loop(self) -> None:
+    def _serve(self) -> None:
+        next_sweep = time.monotonic() + SERVE_POLL_S
         while not self._stopping.is_set():
-            try:
-                sock, peer = self._server.accept()
-            except OSError:
-                return
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn = _BrokerConn(sock, peer)
-            threading.Thread(target=self._serve_conn, args=(conn,), daemon=True).start()
-
-    def _serve_conn(self, conn: _BrokerConn) -> None:
-        try:
-            conn.sock.settimeout(PEER_TIMEOUT_S)
-            first = _read_frame(conn.sock)
-            if first is None or first.kind != FrameKind.CONNECT:
-                conn.close()
-                return
-            with self._lock:
-                if first.client_id in self._clients:
-                    duplicate = True
+            for key, mask in self._selector.select(SERVE_POLL_S):
+                if key.data is None:
+                    self._accept()
                 else:
-                    duplicate = False
-                    conn.client_id = first.client_id
-                    self._clients[first.client_id] = conn
-            if duplicate:
-                conn.send(Frame(kind=FrameKind.CONNACK, code=2))
-                conn.close()
-                return
-            conn.send(Frame(kind=FrameKind.CONNACK, code=0))
-            conn.sock.settimeout(None)
-            while True:
-                frame = _read_frame(conn.sock)
-                if frame is None or frame.kind == FrameKind.DISCONNECT:
-                    return
-                if frame.kind == FrameKind.SUBSCRIBE:
-                    with self._lock:
-                        self._subs.append((frame.topic, conn))
-                    conn.send(Frame(kind=FrameKind.SUBACK, code=0))
-                elif frame.kind == FrameKind.PUBLISH:
-                    self._route(frame)
-                elif frame.kind == FrameKind.PINGREQ:
-                    conn.send(Frame(kind=FrameKind.PINGRESP))
-        except (FrameError, OSError) as e:
-            log.debug("connection %s dropped: %s", conn.peer, e)
-        finally:
-            self._unregister(conn)
-            conn.close()
+                    self._step(key.data, mask)
+            now = time.monotonic()
+            if now >= next_sweep:
+                next_sweep = now + SERVE_POLL_S
+                for peer in [p for p in self._peers if p.deadline <= now and self._owes(p)]:
+                    log.debug("%s peer evicted: no progress in %.1f s", self._thread.name, PEER_TIMEOUT_S)
+                    self._close(peer)
 
-    def _route(self, frame: Frame) -> None:
-        if "+" in frame.topic.split("/"):
-            return  # wildcards are filter-only; such publishes are dropped
-        with self._lock:
-            targets = [c for f, c in self._subs if topic_matches(f, frame.topic)]
-        for target in targets:
+    def _accept(self) -> None:
+        while True:
             try:
-                target.send(frame)
-            except OSError:
-                self._unregister(target)
-                target.close()
+                sock, _ = self._listener.accept()
+            except BlockingIOError:
+                return
+            except OSError as e:  # e.g. out of file descriptors; the backlog keeps the peer
+                log.warning("%s accept failed: %s", self._thread.name, e)
+                return
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            peer = _Peer(sock)
+            self._peers.add(peer)
+            self._selector.register(sock, selectors.EVENT_READ, peer)
+            self._step(peer, selectors.EVENT_READ)  # a client's first bytes usually follow its connect at once
 
-    def _unregister(self, conn: _BrokerConn) -> None:
-        with self._lock:
-            if conn.client_id and self._clients.get(conn.client_id) is conn:
-                del self._clients[conn.client_id]
-            self._subs = [(f, c) for f, c in self._subs if c is not conn]
+    def _step(self, peer: _Peer, mask: int) -> None:
+        if peer not in self._peers:  # closed while serving an earlier event of this poll
+            return
+        try:
+            if mask & selectors.EVENT_WRITE:
+                self._flush(peer)
+            if mask & selectors.EVENT_READ and peer in self._peers:
+                self._read(peer)
+        except Exception:  # the loop serves every other peer; drop only this one
+            log.exception("%s connection failed", self._thread.name)
+            if peer in self._peers:
+                self._close(peer)
+
+    def _close(self, peer: _Peer) -> None:
+        self._peers.discard(peer)
+        self._selector.unregister(peer.sock)
+        peer.sock.close()
+
+    def _read(self, peer: _Peer) -> None:
+        try:
+            data = peer.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self._close(peer)
+            return
+        if not peer.inbuf:  # a request or frame starts: it has PEER_TIMEOUT_S to arrive whole
+            peer.deadline = time.monotonic() + PEER_TIMEOUT_S
+        peer.inbuf += data
+        self._advance(peer)
+
+    def _flush(self, peer: _Peer) -> None:
+        """Send what the socket takes now; wait for EVENT_WRITE while bytes are pending."""
+        try:
+            sent = peer.sock.send(peer.out)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            self._close(peer)
+            return
+        if sent:
+            del peer.out[:sent]
+            peer.deadline = time.monotonic() + PEER_TIMEOUT_S
+        if peer.out:
+            if not peer.writing:
+                peer.writing = True
+                self._selector.modify(peer.sock, self._WRITE_EVENTS, peer)
+        elif peer.closing:
+            self._close(peer)
+        elif peer.writing:
+            peer.writing = False
+            self._selector.modify(peer.sock, selectors.EVENT_READ, peer)
+            self._advance(peer)
+
+
+class Broker(_LoopServer):
+    """Pub/sub broker: a frame protocol on a :class:`_LoopServer` loop.
+
+    A peer's first frame must be CONNECT; a duplicate client id gets CONNACK 2
+    and a close.  A PUBLISH is forwarded as received to every matching
+    subscription; a topic with ``+`` is dropped.  A frame that would take a
+    peer's queue above ``MAX_PEER_QUEUE`` bytes is dropped for that peer and
+    counted in ``dropped``.  Every peer is read whatever its queue holds, so a
+    client that publishes from its receive thread cannot stall the broker.
+    """
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
+        super().__init__(host, port, "broker")
+        self._clients: dict = {}  # client_id -> _Peer
+        self._subs: list = []  # (filter, _Peer)
+        self.dropped = 0
+
+    @staticmethod
+    def _owes(peer: _Peer) -> bool:
+        # A connected peer with nothing half-sent either way may idle forever.
+        return not peer.client_id or bool(peer.inbuf) or bool(peer.out)
+
+    def _push(self, peer: _Peer, data) -> None:
+        if len(peer.out) + len(data) > MAX_PEER_QUEUE:
+            self.dropped += 1
+        else:
+            peer.out += data
+
+    def _advance(self, peer: _Peer) -> None:
+        """Handle every complete frame in ``inbuf``, then send what they queued."""
+        buf, start, touched = peer.inbuf, 0, {peer}
+        try:
+            while len(buf) - start >= 5 and not peer.closing:
+                kind, body_len = _parse_header(buf[start : start + 5])
+                end = start + 5 + body_len
+                if len(buf) < end:
+                    break
+                frame = _parse_body(kind, buf[start + 5 : end])
+                if not peer.client_id:
+                    if kind != FrameKind.CONNECT:
+                        raise FrameError(f"{kind.name} before CONNECT")
+                    peer.closing = frame.client_id in self._clients  # a duplicate gets CONNACK 2
+                    if not peer.closing:
+                        peer.client_id = frame.client_id
+                        self._clients[peer.client_id] = peer
+                    self._push(peer, encode_frame(Frame(kind=FrameKind.CONNACK, code=2 if peer.closing else 0)))
+                elif kind == FrameKind.PUBLISH:
+                    if "+" not in frame.topic.split("/"):  # wildcards are filter-only
+                        raw = buf[start:end]
+                        for filter_, target in self._subs:
+                            if topic_matches(filter_, frame.topic):
+                                self._push(target, raw)
+                                touched.add(target)
+                elif kind == FrameKind.SUBSCRIBE:
+                    self._subs.append((frame.topic, peer))
+                    self._push(peer, encode_frame(Frame(kind=FrameKind.SUBACK, code=0)))
+                elif kind == FrameKind.PINGREQ:
+                    self._push(peer, encode_frame(Frame(kind=FrameKind.PINGRESP)))
+                elif kind == FrameKind.DISCONNECT:
+                    self._close(peer)
+                    break
+                start = end
+        except FrameError as e:
+            log.debug("broker peer %r dropped: %s", peer.client_id, e)
+            self._close(peer)
+        if start and peer in self._peers:
+            del buf[:start]  # once per read, however many frames it held
+            peer.deadline = time.monotonic() + PEER_TIMEOUT_S  # for the frame now under way, if any
+        for target in touched:
+            if target.out and not target.writing and target in self._peers:
+                self._flush(target)
+
+    def _close(self, peer: _Peer) -> None:
+        super()._close(peer)
+        self._clients.pop(peer.client_id, None)
+        self._subs = [(f, p) for f, p in self._subs if p is not peer]
 
 
 class Session:
@@ -484,7 +586,6 @@ class BackendUnavailable(Exception):
 
 
 _CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
-_RECV_BYTES = 1 << 16
 
 
 def _json_reply(status: int, doc) -> tuple:
@@ -535,197 +636,77 @@ def _parse_request_head(head: bytes, methods) -> tuple:
     return method, target.decode("latin-1"), int(length), keep_alive, expect_continue
 
 
-class _HttpConn:
-    __slots__ = ("sock", "inbuf", "out", "request", "deadline", "closing", "writing")
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.inbuf = bytearray()
-        self.out = bytearray()
-        self.request = None  # the parsed head while its body is read
-        self.deadline = time.monotonic() + PEER_TIMEOUT_S
-        self.closing = False  # close once ``out`` has drained
-        self.writing = False  # registered for EVENT_WRITE, not EVENT_READ
-
-
-class HttpServer:
-    """HTTP/1.1 server: one ``selectors`` loop on one thread, however many peers.
+class HttpServer(_LoopServer):
+    """HTTP/1.1 as a protocol on a :class:`_LoopServer` loop.
 
     ``routes`` maps a method to ``handler(path, body) -> (status, headers,
     body)``; any other method gets 501.  Handlers run on the loop thread, so
-    one that blocks stalls every connection.  A request's ``Content-Length``
-    is checked before its body is read (see :func:`_parse_request_head`); a
-    refused request, like one with ``Connection: close`` or from HTTP/1.0,
-    closes the connection once its reply is sent.  Otherwise the connection
-    stays open and buffered pipelined requests are answered in order.  A head
-    above ``MAX_HTTP_HEAD`` bytes gets 431.  ``Expect: 100-continue`` is
-    answered ``100 Continue`` once the length has passed.  A reply is written
-    from a non-blocking buffer, and requests are read only while no reply is
-    pending.  A peer gets ``PEER_TIMEOUT_S`` to deliver a whole request, or
-    to stay idle between requests, or to take a pending reply's next byte;
-    past that it is closed.  The loop polls every ``SERVE_POLL_S``, which
-    bounds how long :meth:`stop` waits.
+    one that blocks stalls every connection.  ``Content-Length`` is checked
+    before the body is read (see :func:`_parse_request_head`).  A refused
+    request, ``Connection: close`` and HTTP/1.0 close the connection after the
+    reply; otherwise pipelined requests are answered in order, each read only
+    once no reply is pending.  A head above ``MAX_HTTP_HEAD`` gets 431, and
+    ``Expect: 100-continue`` gets ``100 Continue`` once the length has passed.
+    An idle keep-alive peer owes its next request, so it too has a deadline.
     """
 
+    _WRITE_EVENTS = selectors.EVENT_WRITE  # the next request waits for the reply before it
+
     def __init__(self, routes: dict, host: str, port: int, name: str):
+        super().__init__(host, port, name)
         self._routes = routes
-        self._listener = socket.create_server((host, port), backlog=128)
-        self._listener.setblocking(False)
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._listener, selectors.EVENT_READ)
-        self._conns: set = set()
-        self._stopping = threading.Event()
-        self._thread = threading.Thread(target=self._serve, name=name, daemon=True)
 
-    def start(self) -> "HttpServer":
-        self._thread.start()
-        return self
+    @staticmethod
+    def _owes(peer: _Peer) -> bool:
+        return True
 
-    @property
-    def address(self) -> tuple:
-        return self._listener.getsockname()[:2]
-
-    def stop(self) -> None:
-        """Close the listener and every connection, after the loop's current poll."""
-        self._stopping.set()
-        if self._thread.ident is not None:
-            self._thread.join()
-        for conn in list(self._conns):
-            self._close(conn)
-        self._selector.close()
-        self._listener.close()
-
-    def _serve(self) -> None:
-        next_sweep = time.monotonic() + SERVE_POLL_S
-        while not self._stopping.is_set():
-            for key, _ in self._selector.select(SERVE_POLL_S):
-                if key.data is None:
-                    self._accept()
-                else:
-                    self._step(key.data)
-            now = time.monotonic()
-            if now >= next_sweep:
-                next_sweep = now + SERVE_POLL_S
-                for conn in [c for c in self._conns if c.deadline <= now]:
-                    log.debug("HTTP peer evicted: no progress in %.1f s", PEER_TIMEOUT_S)
-                    self._close(conn)
-
-    def _accept(self) -> None:
-        while True:
-            try:
-                sock, _ = self._listener.accept()
-            except BlockingIOError:
-                return
-            except OSError as e:  # e.g. out of file descriptors; the backlog keeps the peer
-                log.warning("HTTP accept failed: %s", e)
-                return
-            sock.setblocking(False)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn = _HttpConn(sock)
-            self._conns.add(conn)
-            self._selector.register(sock, selectors.EVENT_READ, conn)
-            self._step(conn)  # a client's request usually follows its connect at once
-
-    def _step(self, conn: _HttpConn) -> None:
-        """Write the pending reply, or read and answer requests."""
-        try:
-            if conn.writing:
-                self._flush(conn)
-            else:
-                self._read(conn)
-        except Exception:  # the loop serves every other peer; drop only this one
-            log.exception("HTTP connection failed")
-            if conn in self._conns:
-                self._close(conn)
-
-    def _close(self, conn: _HttpConn) -> None:
-        self._conns.discard(conn)
-        self._selector.unregister(conn.sock)
-        conn.sock.close()
-
-    def _read(self, conn: _HttpConn) -> None:
-        try:
-            data = conn.sock.recv(_RECV_BYTES)
-        except BlockingIOError:
-            return
-        except OSError:
-            data = b""
-        if not data:
-            self._close(conn)
-            return
-        conn.inbuf += data
-        self._advance(conn)
-
-    def _advance(self, conn: _HttpConn) -> None:
+    def _advance(self, peer: _Peer) -> None:
         """Answer the buffered requests in order while each reply drains at once."""
-        while not conn.out and not conn.closing and self._answer_one(conn):
-            self._flush(conn)
+        while not peer.out and not peer.closing and self._answer_one(peer):
+            self._flush(peer)
 
-    def _answer_one(self, conn: _HttpConn) -> bool:
+    def _answer_one(self, peer: _Peer) -> bool:
         """Queue the reply (or ``100 Continue``) the buffer now calls for; False if it needs more bytes."""
-        if conn.request is None:
-            end = conn.inbuf.find(b"\r\n\r\n")
-            if end < 0 and len(conn.inbuf) <= MAX_HTTP_HEAD:
+        if peer.request is None:
+            end = peer.inbuf.find(b"\r\n\r\n")
+            if end < 0 and len(peer.inbuf) <= MAX_HTTP_HEAD:
                 return False
             try:
                 if not 0 <= end <= MAX_HTTP_HEAD:
                     raise _Refused(431, f"request head exceeds {MAX_HTTP_HEAD} bytes")
-                conn.request = _parse_request_head(bytes(conn.inbuf[:end]), self._routes)
+                peer.request = _parse_request_head(bytes(peer.inbuf[:end]), self._routes)
             except _Refused as e:  # the unread body must not be parsed as the next request
-                self._queue(conn, _json_reply(e.status, {"error": str(e)}), keep_alive=False)
+                self._queue(peer, _json_reply(e.status, {"error": str(e)}), keep_alive=False)
                 return True
-            del conn.inbuf[: end + 4]
-            if conn.request[4] and len(conn.inbuf) < conn.request[2]:
-                conn.out += _CONTINUE
+            del peer.inbuf[: end + 4]
+            if peer.request[4] and len(peer.inbuf) < peer.request[2]:
+                peer.out += _CONTINUE
                 return True
-        method, path, length, keep_alive, _ = conn.request
-        if len(conn.inbuf) < length:
+        method, path, length, keep_alive, _ = peer.request
+        if len(peer.inbuf) < length:
             return False
-        body = bytes(conn.inbuf[:length])
-        del conn.inbuf[:length]
-        conn.request = None
+        body = bytes(peer.inbuf[:length])
+        del peer.inbuf[:length]
+        peer.request = None
         try:
             reply = self._routes[method](path, body)
         except Exception:
             log.exception("HTTP route %s %s failed", method, path)
             reply = _json_reply(500, {"error": "internal server error"})
-        self._queue(conn, reply, keep_alive)
+        self._queue(peer, reply, keep_alive)
         return True
 
     @staticmethod
-    def _queue(conn: _HttpConn, reply: tuple, keep_alive: bool) -> None:
+    def _queue(peer: _Peer, reply: tuple, keep_alive: bool) -> None:
         status, headers, body = reply
         head = [f"HTTP/1.1 {status} {HTTPStatus(status).phrase}"]
         head += [f"{name}: {value}" for name, value in headers]
         head.append(f"Content-Length: {len(body)}")
         if not keep_alive:
             head.append("Connection: close")
-            conn.closing = True
-        conn.out += "\r\n".join(head).encode("latin-1") + b"\r\n\r\n"
-        conn.out += body
-
-    def _flush(self, conn: _HttpConn) -> None:
-        """Send what the socket takes now; wait for EVENT_WRITE while a reply is pending."""
-        try:
-            sent = conn.sock.send(conn.out)
-        except BlockingIOError:
-            sent = 0
-        except OSError:
-            self._close(conn)
-            return
-        if sent:
-            del conn.out[:sent]
-            conn.deadline = time.monotonic() + PEER_TIMEOUT_S
-        if conn.out:
-            if not conn.writing:
-                conn.writing = True
-                self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
-        elif conn.closing:
-            self._close(conn)
-        elif conn.writing:
-            conn.writing = False
-            self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
-            self._advance(conn)
+            peer.closing = True
+        peer.out += "\r\n".join(head).encode("latin-1") + b"\r\n\r\n"
+        peer.out += body
 
 
 def _recv_some(sock: socket.socket) -> bytes:

@@ -86,6 +86,16 @@ def cmd_broker(args) -> int:
     return EXIT_OK
 
 
+def _cloud_session(address: tuple, on_snapshot):
+    session = bus.connect(address, "cloud-service")
+    try:
+        session.subscribe("telemetry/+", on_snapshot)
+    except bus.BusError:
+        session.close()
+        raise
+    return session
+
+
 def cmd_cloud(args) -> int:
     try:
         rules = rules_from_dict(_read_json(args.rules)) if args.rules else rules_from_dict({})
@@ -93,16 +103,11 @@ def cmd_cloud(args) -> int:
     except (OSError, ValueError) as e:
         log.error("config error: %s", e)
         return EXIT_CONFIG
-    try:
-        session = bus.connect(_parse_address(args.broker), "cloud-service")
-    except (bus.BusError, ValueError) as e:
-        log.error("cannot reach broker: %s", e)
-        return EXIT_NETWORK
-
+    session = None  # replaced after a reconnect; actions go out through the current one
     service = CloudService(
         lake=Lake(args.lake),
         rules=rules,
-        dispatcher=make_bus_dispatcher(session),
+        dispatcher=lambda device_id, message: make_bus_dispatcher(session)(device_id, message),
         store=store,
     )
 
@@ -112,7 +117,12 @@ def cmd_cloud(args) -> int:
         except IngestRejected as e:
             log.info("dead-lettered snapshot: %s", e)
 
-    session.subscribe("telemetry/+", on_snapshot)
+    try:
+        address = _parse_address(args.broker)
+        session = _cloud_session(address, on_snapshot)
+    except (bus.BusError, ValueError) as e:
+        log.error("cannot reach broker: %s", e)
+        return EXIT_NETWORK
     try:
         http_server = bus.IngestHttpServer(service.http_backend, args.http_host, args.http_port).start()
     except OSError as e:
@@ -120,9 +130,18 @@ def cmd_cloud(args) -> int:
         return EXIT_NETWORK
     host, port = http_server.address
     log.warning("cloud up: lake=%s ingest=http://%s:%d/ingest", args.lake, host, port)
+    delay = agent_mod.RECONNECT_BASE_S
     try:
-        while True:
-            time.sleep(3600)
+        while True:  # while the broker is down, dispatches raise DispatchDown and are counted
+            time.sleep(delay)
+            if not session.closed:
+                continue
+            try:
+                session = _cloud_session(address, on_snapshot)
+                delay = agent_mod.RECONNECT_BASE_S
+            except bus.BusError as e:
+                delay = min(agent_mod.RECONNECT_CAP_S, delay * 2)
+                log.warning("broker down (%s); retry in %.1fs", e, delay)
     except KeyboardInterrupt:
         http_server.stop()
         session.close()

@@ -26,9 +26,9 @@ from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 
-from .agent import ActionKind, ActionMessage, ModelNotFound
+from .agent import ActionKind, ActionMessage, ModelNotFound, encode_action
 from .bandwidth import BandwidthPredictor, Placement, PredictorConfig, decide_placement
-from .bus import HttpServer, RequestRejected
+from .bus import BusError, HttpServer, RequestRejected
 from .telemetry import (
     _ENCODER,
     NUMERIC_PATHS,
@@ -664,9 +664,6 @@ class CloudService:
 
 def make_bus_dispatcher(session):
     """Dispatcher publishing action JSON to ``actions/<device_id>``."""
-    from .agent import encode_action
-    from .bus import BusError
-
     def dispatch(device_id: str, message: ActionMessage) -> None:
         try:
             session.publish(f"actions/{device_id}", encode_action(message))

@@ -3,6 +3,7 @@ import math
 import queue
 import re
 import socket
+import struct
 import sys
 import threading
 import time
@@ -243,6 +244,197 @@ class TestBrokerRouting:
         session = connect(broker.address, "wild")
         with pytest.raises(FrameError):
             session.publish("a/+/b", b"x")
+        session.close()
+
+
+def raw_connect(address, client_id: str, rcvbuf: int = 0) -> socket.socket:
+    """A raw socket past its CONNECT/CONNACK handshake."""
+    sock = socket.socket()
+    if rcvbuf:  # before connect, so the advertised window is small from the start
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    sock.settimeout(5.0)
+    sock.connect(address)
+    sock.sendall(encode_frame(Frame(kind=FrameKind.CONNECT, client_id=client_id)))
+    assert bus._read_frame(sock) == Frame(kind=FrameKind.CONNACK, code=0)
+    return sock
+
+
+def raw_subscribe(sock: socket.socket, filter_: str) -> None:
+    sock.sendall(encode_frame(Frame(kind=FrameKind.SUBSCRIBE, topic=filter_)))
+    assert bus._read_frame(sock) == Frame(kind=FrameKind.SUBACK, code=0)
+
+
+def publish_in_background(session, topic: str, payload: bytes, n: int) -> threading.Thread:
+    """Publish from a daemon thread, so a broker that blocks the publisher fails a test instead of hanging it."""
+    thread = threading.Thread(target=lambda: [session.publish(topic, payload) for _ in range(n)], daemon=True)
+    thread.start()
+    return thread
+
+
+class TestBrokerWire:
+    def test_stalled_subscriber_does_not_stop_a_healthy_one(self, broker):
+        stalled = raw_connect(broker.address, "stalled", rcvbuf=4096)
+        raw_subscribe(stalled, "t/+")  # and never read again
+        healthy, pub = connect(broker.address, "healthy"), connect(broker.address, "pub")
+        got, done, own = [], threading.Event(), queue.Queue()
+
+        def on_message(_topic, _payload):
+            got.append(1)
+            if len(got) == 20_000:
+                done.set()
+
+        try:
+            healthy.subscribe("t/+", on_message)
+            healthy.subscribe("own/+", lambda _t, p: own.put(p))
+            # 8 MB: more than the kernel's socket buffers take, less than MAX_PEER_QUEUE
+            publish_in_background(pub, "t/x", b"x" * 400, 20_000)
+            assert done.wait(5.0), f"healthy subscriber got {len(got)} of 20000"
+            # The broker still reads a peer whose queue is backed up.
+            stalled.sendall(encode_frame(Frame(kind=FrameKind.PUBLISH, topic="own/stalled", payload=b"mine")))
+            assert own.get(timeout=2.0) == b"mine"
+            assert broker.dropped == 0
+        finally:
+            for closer in (stalled.close, healthy.close, pub.close):
+                closer()
+
+    def test_stalled_subscriber_is_evicted(self, monkeypatch):
+        monkeypatch.setattr(bus, "PEER_TIMEOUT_S", 1.0)
+        broker = Broker().start()
+        stalled = raw_connect(broker.address, "stalled", rcvbuf=4096)
+        pub = connect(broker.address, "pub")
+        try:
+            raw_subscribe(stalled, "t/+")
+            # 16 MB: more than MAX_PEER_QUEUE plus the kernel's socket buffers can hold for the stalled peer
+            publish_in_background(pub, "t/x", b"x" * 1024, 16_000).join(timeout=10.0)
+            assert broker.dropped > 0
+            assert wait_for(lambda: _can_connect(broker.address, "stalled"), timeout=4.0)
+        finally:
+            stalled.close()
+            pub.close()
+            broker.stop()
+
+    def test_half_frame_after_connack_is_evicted(self, monkeypatch):
+        monkeypatch.setattr(bus, "PEER_TIMEOUT_S", 1.0)
+        broker = Broker().start()
+        try:
+            with raw_connect(broker.address, "half") as sock:
+                sock.sendall(encode_frame(Frame(kind=FrameKind.PUBLISH, topic="t/x", payload=b"abc"))[:7])
+                start = time.monotonic()
+                assert sock.recv(1) == b""
+                assert 0.9 <= time.monotonic() - start < 3.0
+        finally:
+            broker.stop()
+
+    def test_connected_peers_start_no_threads(self, broker):
+        before = threading.active_count()
+        peers = [raw_connect(broker.address, f"idle{i}") for i in range(32)]
+        try:
+            time.sleep(0.1)
+            assert threading.active_count() == before
+        finally:
+            for sock in peers:
+                sock.close()
+
+    def test_echo_flood_counts_every_drop_and_never_stalls(self, monkeypatch):
+        monkeypatch.setattr(bus, "MAX_PEER_QUEUE", 16 * 1024)
+        broker = Broker().start()
+        echo = EchoResponder(broker.address, "flood")
+        flooder = connect(broker.address, "flooder")
+        echoed = []
+        try:
+            flooder.subscribe("probe/flood/resp", lambda _t, p: echoed.append(p))
+            sender = publish_in_background(flooder, "probe/flood/req", b"x" * 256, 30_000)
+            sender.join(timeout=20.0)
+            assert not sender.is_alive()
+            assert wait_for(lambda: len(echoed) + broker.dropped == 30_000, timeout=10.0), (len(echoed), broker.dropped)
+        finally:
+            echo.close()
+            flooder.close()
+            broker.stop()
+
+    def test_frames_sent_one_byte_per_send(self, broker):
+        with socket.create_connection(broker.address, timeout=5.0) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+            def trickle(frame: Frame) -> Frame:
+                for byte in encode_frame(frame):
+                    sock.send(bytes([byte]))
+                    time.sleep(0.0005)
+                return bus._read_frame(sock)
+
+            assert trickle(Frame(kind=FrameKind.CONNECT, client_id="trickle")) == Frame(kind=FrameKind.CONNACK)
+            assert trickle(Frame(kind=FrameKind.SUBSCRIBE, topic="t/+")) == Frame(kind=FrameKind.SUBACK)
+            message = Frame(kind=FrameKind.PUBLISH, topic="t/x", payload=b"hello")
+            assert trickle(message) == message
+            assert trickle(Frame(kind=FrameKind.PINGREQ)) == Frame(kind=FrameKind.PINGRESP)
+
+    def test_idle_subscriber_outlives_the_deadline(self, monkeypatch):
+        monkeypatch.setattr(bus, "PEER_TIMEOUT_S", 0.5)
+        broker = Broker().start()
+        message = Frame(kind=FrameKind.PUBLISH, topic="t/x", payload=b"late")
+        try:
+            with raw_connect(broker.address, "idle") as sock:
+                raw_subscribe(sock, "t/+")
+                time.sleep(1.5)
+                raw = encode_frame(message)
+                sock.sendall(raw[:7])
+                time.sleep(0.3)  # a frame begun after the idle spell gets a deadline of its own
+                sock.sendall(raw[7:])
+                assert bus._read_frame(sock) == message
+        finally:
+            broker.stop()
+
+    def test_publisher_whose_reads_end_mid_frame_is_not_evicted(self, monkeypatch):
+        monkeypatch.setattr(bus, "PEER_TIMEOUT_S", 0.5)
+        broker = Broker().start()
+        sub = connect(broker.address, "sub")
+        inbox = queue.Queue()
+        try:
+            sub.subscribe("t/+", lambda _t, p: inbox.put(p))
+            stream = b"".join(
+                encode_frame(Frame(kind=FrameKind.PUBLISH, topic="t/x", payload=bytes([i]) * 8)) for i in range(6)
+            )
+            n = len(stream) // 6
+            cuts = [0, *range(n + n // 2, len(stream), n), len(stream)]
+            with raw_connect(broker.address, "streamer") as sock:
+                for lo, hi in zip(cuts, cuts[1:]):  # every send but the last ends halfway through a frame
+                    sock.sendall(stream[lo:hi])
+                    time.sleep(0.3)
+            assert [inbox.get(timeout=5.0) for _ in range(6)] == [bytes([i]) * 8 for i in range(6)]
+        finally:
+            sub.close()
+            broker.stop()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            bytes([99]) + struct.pack(">I", 0),
+            bytes([FrameKind.PUBLISH]) + struct.pack(">I", bus.MAX_BODY + 1),
+            bytes([FrameKind.SUBSCRIBE]) + struct.pack(">I", 4) + b"\x00\x01tx",
+        ],
+        ids=["unknown_kind", "oversized_body", "trailing_filter_bytes"],
+    )
+    def test_malformed_frame_closes_only_its_sender(self, broker, raw):
+        sub, pub = connect(broker.address, "sub"), connect(broker.address, "pub")
+        inbox = queue.Queue()
+        try:
+            sub.subscribe("t/+", lambda _t, p: inbox.put(p))
+            with raw_connect(broker.address, "bad") as bad:
+                bad.sendall(raw)
+                assert bad.recv(1) == b""
+            pub.publish("t/x", b"still here")
+            assert inbox.get(timeout=5.0) == b"still here"
+        finally:
+            sub.close()
+            pub.close()
+
+    def test_stop_closes_connected_sessions(self):
+        broker = Broker().start()
+        session = connect(broker.address, "held")
+        start = time.monotonic()
+        broker.stop()
+        assert wait_for(lambda: session.closed, timeout=2.0)
+        assert time.monotonic() - start < 1.0
         session.close()
 
 

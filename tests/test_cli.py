@@ -1,13 +1,18 @@
 import csv
 import io
 import json
+import os
+import signal
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
-from edgetelem.bus import MAX_PAYLOAD, Broker
+from conftest import make_snapshot
+from edgetelem.bus import MAX_PAYLOAD, Broker, connect
 from edgetelem.cloud import Lake
+from edgetelem.telemetry import encode_snapshot
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "src" / "edgetelem" / "scenarios"
 
@@ -30,6 +35,27 @@ def run_cli(*args, timeout=60):
         text=True,
         timeout=timeout,
     )
+
+
+def start_role(*args, ready: str) -> tuple:
+    """Start a long-running role; returns the process and its stderr line that contains ``ready``."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "edgetelem", *args], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True
+    )
+    for line in proc.stderr:
+        if ready in line:
+            return proc, line
+    proc.kill()
+    raise AssertionError(f"{args[0]} exited with {proc.wait()} before logging {ready!r}")
+
+
+def stop_role(proc) -> None:
+    proc.send_signal(signal.SIGINT)
+    try:
+        assert proc.wait(timeout=10) == 0
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 class TestScenarioCommand:
@@ -169,6 +195,44 @@ class TestDeployedRoles:
         finally:
             holder.close()
         assert result.returncode == 2
+
+    def test_broker_holds_64_sessions_on_its_threads_at_rest(self):
+        proc, line = start_role("broker", "--port", "0", ready="broker listening on")
+        sessions = []
+        try:
+            host, port = line.strip().rsplit(" ", 1)[1].rsplit(":", 1)
+            tasks = f"/proc/{proc.pid}/task"
+            at_rest = len(os.listdir(tasks))
+            sessions = [connect((host, int(port)), f"held{i}") for i in range(64)]
+            time.sleep(0.1)
+            assert len(os.listdir(tasks)) == at_rest
+        finally:
+            for session in sessions:
+                session.close()
+            stop_role(proc)
+
+    def test_cloud_reconnects_after_broker_restart(self, tmp_path):
+        broker = Broker().start()
+        host, port = broker.address
+        lake = tmp_path / "lake"
+        proc, _ = start_role(
+            "cloud", "--broker", f"{host}:{port}", "--lake", str(lake), "--http-port", "0", ready="cloud up"
+        )
+        try:
+            broker.stop()
+            broker = Broker(host, port).start()
+            publisher = connect(broker.address, "dev0")
+            deadline = time.monotonic() + 5.0
+            seq = 0
+            while not Lake(lake).scan("dev0") and time.monotonic() < deadline:
+                publisher.publish("telemetry/dev0", encode_snapshot(make_snapshot(seq=seq)))
+                seq += 1
+                time.sleep(0.1)
+            assert Lake(lake).scan("dev0"), "no snapshot reached the lake through the restarted broker"
+            publisher.close()
+        finally:
+            broker.stop()
+            stop_role(proc)
 
     def test_cloud_bad_rules_exits_config_error(self, tmp_path):
         rules = tmp_path / "rules.json"
