@@ -13,14 +13,22 @@ Wire format, one frame per message::
 
 Delivery is at-most-once: a publish with no matching subscriber is dropped,
 and so is one that would take a subscriber's queue above ``MAX_PEER_QUEUE``
-(counted in ``Broker.dropped``).  Per publisher, messages arrive in publish
-order.
+(counted in ``Broker.dropped``).  A session gets one copy of a publish however
+many of its filters match, and runs each matching subscription's handler once.
+Per publisher, messages arrive in publish order.
 
 Every server is a protocol on :class:`_LoopServer`, one ``selectors`` loop on
 one thread: :class:`Broker` speaks the frames above, and :class:`HttpServer`
 serves the HTTP endpoints (snapshot ingest, the model store, the latency
 probe) as route functions.  :func:`connect` opens a client :class:`Session`;
 :func:`_http_request` is the one HTTP client, a fresh connection per call.
+
+PUBLISH, the frame every message travels in, takes a shorter path than the
+rest: the broker and a session parse it in place in their receive buffer
+(:func:`_parse_publish`) and look its topic up in a table of the peers or
+handlers it goes to, and a session builds it from a cached topic header.
+:class:`Frame`, :func:`encode_frame` and :func:`decode_frame` remain the
+codec for every other use.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ MAX_BODY = MAX_PAYLOAD + MAX_TOPIC_BYTES + 2
 MAX_HTTP_HEAD = 1 << 16      # request or reply head, status/request line included
 MAX_PEER_QUEUE = 8 * MAX_BODY  # bytes the broker queues to one peer; a frame beyond is dropped
 PEER_TIMEOUT_S = 10.0        # a server peer that owes bytes and makes no progress this long is closed
+MAX_CACHED_TOPICS = 1024     # per-topic route and handler tables are cleared when they reach this size
 SERVE_POLL_S = 0.05          # server loop's poll interval: bounds stop() and peer eviction
 _RECV_BYTES = 1 << 16
 
@@ -187,13 +196,61 @@ def _parse_body(kind: FrameKind, body: bytes) -> Frame:
     return Frame(kind=kind)
 
 
+_BODY_LEN = struct.Struct(">I")
+_TOPIC_LEN = struct.Struct(">H")
+_PUBLISH_HEAD = struct.Struct(">BI")
+_PUBLISH = int(FrameKind.PUBLISH)
+
+
+def _parse_publish(buf: bytearray, start: int):
+    """``(topic, payload_start, end)`` of the PUBLISH frame at ``buf[start]``, or None while it is incomplete.
+
+    ``topic`` is the raw topic bytes; the caller checks its UTF-8 and shape
+    (see :func:`_topic_text`).  At least the 5 header bytes must be in
+    ``buf``.  Raises :class:`FrameError` for a body above ``MAX_BODY``, a
+    truncated topic length or topic, and a payload above ``MAX_PAYLOAD``.
+    """
+    (body_len,) = _BODY_LEN.unpack_from(buf, start + 1)
+    if body_len > MAX_BODY:
+        raise FrameError(f"body length {body_len} exceeds limit")
+    end = start + 5 + body_len
+    if len(buf) < end:
+        return None
+    if body_len < 2:
+        raise FrameError("truncated topic length")
+    topic_end = start + 7 + _TOPIC_LEN.unpack_from(buf, start + 5)[0]
+    if topic_end > end:
+        raise FrameError("truncated topic")
+    if end - topic_end > MAX_PAYLOAD:
+        raise FrameError(f"payload exceeds {MAX_PAYLOAD} bytes")
+    return bytes(buf[start + 7 : topic_end]), topic_end, end
+
+
+def _topic_text(topic: bytes) -> str:
+    """The topic of a received PUBLISH, checked as :class:`Frame` checks it."""
+    try:
+        text = topic.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FrameError("topic is not valid UTF-8") from None
+    validate_topic(text)
+    return text
+
+
+def _remember(table: dict, key, value):
+    """Store ``value`` in a per-topic table, emptying the table first when it holds ``MAX_CACHED_TOPICS``."""
+    if len(table) >= MAX_CACHED_TOPICS:
+        table.clear()
+    table[key] = value
+    return value
+
+
 def _parse_header(header: bytes) -> tuple:
     """``(kind, body_len)`` of a 5-byte frame header."""
     try:
         kind = FrameKind(header[0])
     except ValueError:
         raise FrameError(f"unknown frame kind {header[0]}") from None
-    (body_len,) = struct.unpack(">I", header[1:5])
+    (body_len,) = _BODY_LEN.unpack_from(header, 1)
     if body_len > MAX_BODY:
         raise FrameError(f"body length {body_len} exceeds limit")
     return kind, body_len
@@ -379,8 +436,12 @@ class Broker(_LoopServer):
     """Pub/sub broker: a frame protocol on a :class:`_LoopServer` loop.
 
     A peer's first frame must be CONNECT; a duplicate client id gets CONNACK 2
-    and a close.  A PUBLISH is forwarded as received to every matching
-    subscription; a topic with ``+`` is dropped.  A frame that would take a
+    and a close.  A PUBLISH is forwarded as received, once to each peer with a
+    matching subscription however many of its filters match; a topic with
+    ``+`` is dropped.  A connected peer's PUBLISH frames are parsed in place
+    and routed through a table from topic bytes to peers, filled the first
+    time a topic is seen and cleared on SUBSCRIBE, when a subscriber closes
+    and when it reaches ``MAX_CACHED_TOPICS``.  A frame that would take a
     peer's queue above ``MAX_PEER_QUEUE`` bytes is dropped for that peer and
     counted in ``dropped``.  Every peer is read whatever its queue holds, so a
     client that publishes from its receive thread cannot stall the broker.
@@ -390,6 +451,7 @@ class Broker(_LoopServer):
         super().__init__(host, port, "broker")
         self._clients: dict = {}  # client_id -> _Peer
         self._subs: list = []  # (filter, _Peer)
+        self._routes: dict = {}  # topic bytes -> distinct matching peers
         self.dropped = 0
 
     @staticmethod
@@ -403,11 +465,35 @@ class Broker(_LoopServer):
         else:
             peer.out += data
 
+    def _route(self, topic: bytes) -> tuple:
+        """The distinct peers a PUBLISH to ``topic`` goes to; a wildcard topic goes to none."""
+        text = _topic_text(topic)
+        if "+" in text.split("/"):  # wildcards are filter-only
+            targets = ()
+        else:
+            targets = tuple(dict.fromkeys(p for f, p in self._subs if topic_matches(f, text)))
+        return _remember(self._routes, topic, targets)
+
     def _advance(self, peer: _Peer) -> None:
         """Handle every complete frame in ``inbuf``, then send what they queued."""
         buf, start, touched = peer.inbuf, 0, {peer}
         try:
             while len(buf) - start >= 5 and not peer.closing:
+                if buf[start] == _PUBLISH and peer.client_id:
+                    parsed = _parse_publish(buf, start)
+                    if parsed is None:
+                        break
+                    topic, _, end = parsed
+                    targets = self._routes.get(topic)
+                    if targets is None:
+                        targets = self._route(topic)
+                    if targets:
+                        raw = buf[start:end]
+                        for target in targets:
+                            self._push(target, raw)
+                        touched.update(targets)
+                    start = end
+                    continue
                 kind, body_len = _parse_header(buf[start : start + 5])
                 end = start + 5 + body_len
                 if len(buf) < end:
@@ -421,15 +507,9 @@ class Broker(_LoopServer):
                         peer.client_id = frame.client_id
                         self._clients[peer.client_id] = peer
                     self._push(peer, encode_frame(Frame(kind=FrameKind.CONNACK, code=2 if peer.closing else 0)))
-                elif kind == FrameKind.PUBLISH:
-                    if "+" not in frame.topic.split("/"):  # wildcards are filter-only
-                        raw = buf[start:end]
-                        for filter_, target in self._subs:
-                            if topic_matches(filter_, frame.topic):
-                                self._push(target, raw)
-                                touched.add(target)
                 elif kind == FrameKind.SUBSCRIBE:
                     self._subs.append((frame.topic, peer))
+                    self._routes.clear()
                     self._push(peer, encode_frame(Frame(kind=FrameKind.SUBACK, code=0)))
                 elif kind == FrameKind.PINGREQ:
                     self._push(peer, encode_frame(Frame(kind=FrameKind.PINGRESP)))
@@ -450,21 +530,30 @@ class Broker(_LoopServer):
     def _close(self, peer: _Peer) -> None:
         super()._close(peer)
         self._clients.pop(peer.client_id, None)
-        self._subs = [(f, p) for f, p in self._subs if p is not peer]
+        subs = [(f, p) for f, p in self._subs if p is not peer]
+        if len(subs) < len(self._subs):
+            self._subs = subs
+            self._routes.clear()
 
 
 class Session:
     """Client session; created via :func:`connect`.
 
     Subscription handlers run on the session's receive thread and must not
-    block.  ``publish`` is fire-and-forget.
+    block.  ``publish`` is fire-and-forget.  The receive thread parses
+    PUBLISH frames in place and finds their handlers in a table from topic
+    bytes to ``(topic, handlers)``, cleared on :meth:`subscribe` and when it
+    reaches ``MAX_CACHED_TOPICS``; ``publish`` keeps each topic's encoded
+    header in a table bounded the same way.
     """
 
     def __init__(self, sock: socket.socket, client_id: str):
         self._sock = sock
         self.client_id = client_id
         self._wlock = threading.Lock()
+        self._topic_heads: dict = {}  # topic -> u16 length + UTF-8 bytes
         self._handlers: list = []
+        self._routes: dict = {}  # topic bytes -> (topic, matching handlers); guarded by _hlock
         self._hlock = threading.Lock()
         self._subacks: queue.Queue = queue.Queue()
         self._closed = threading.Event()
@@ -475,28 +564,36 @@ class Session:
     def closed(self) -> bool:
         return self._closed.is_set()
 
-    def _send(self, frame: Frame) -> None:
+    def _send(self, data: bytes) -> None:
         if self._closed.is_set():
             raise SessionClosed(f"session {self.client_id} is closed")
         try:
             with self._wlock:
-                self._sock.sendall(encode_frame(frame))
+                self._sock.sendall(data)
         except OSError as e:
             self._closed.set()
             raise SessionClosed(f"send failed: {e}") from e
 
     def publish(self, topic: str, payload: bytes) -> None:
-        validate_topic(topic)
-        if "+" in topic.split("/"):
-            raise FrameError("publish topics must not contain '+'")
-        self._send(Frame(kind=FrameKind.PUBLISH, topic=topic, payload=bytes(payload)))
+        """Send ``encode_frame(Frame(kind=PUBLISH, topic=topic, payload=payload))``."""
+        head = self._topic_heads.get(topic) if type(topic) is str else None
+        if head is None:
+            validate_topic(topic)
+            if "+" in topic.split("/"):
+                raise FrameError("publish topics must not contain '+'")
+            head = _remember(self._topic_heads, topic, _u16_str(topic))
+        payload = bytes(payload)
+        if len(payload) > MAX_PAYLOAD:
+            raise FrameError(f"payload exceeds {MAX_PAYLOAD} bytes")
+        self._send(b"".join((_PUBLISH_HEAD.pack(_PUBLISH, len(head) + len(payload)), head, payload)))
 
     def subscribe(self, filter_: str, handler, timeout: float = 5.0) -> None:
         """Register ``handler(topic, payload)`` for every message matching the filter."""
         validate_topic(filter_, what="filter")
         with self._hlock:
             self._handlers.append((filter_, handler))
-        self._send(Frame(kind=FrameKind.SUBSCRIBE, topic=filter_))
+            self._routes.clear()
+        self._send(encode_frame(Frame(kind=FrameKind.SUBSCRIBE, topic=filter_)))
         try:
             code = self._subacks.get(timeout=timeout)
         except queue.Empty:
@@ -507,7 +604,7 @@ class Session:
     def close(self) -> None:
         if not self._closed.is_set():
             try:
-                self._send(Frame(kind=FrameKind.DISCONNECT))
+                self._send(encode_frame(Frame(kind=FrameKind.DISCONNECT)))
             except SessionClosed:
                 pass
         self._closed.set()
@@ -516,22 +613,41 @@ class Session:
         except OSError:
             pass
 
+    def _route(self, topic: bytes) -> tuple:
+        """``(topic, handlers)`` for a received topic: one per matching subscription, in subscribe order."""
+        text = _topic_text(topic)
+        with self._hlock:
+            return _remember(self._routes, topic, (text, tuple(h for f, h in self._handlers if topic_matches(f, text))))
+
     def _read_loop(self) -> None:
+        buf = bytearray()
         try:
-            while True:
-                frame = _read_frame(self._sock)
-                if frame is None:
-                    break
-                if frame.kind == FrameKind.PUBLISH:
-                    with self._hlock:
-                        handlers = [h for f, h in self._handlers if topic_matches(f, frame.topic)]
-                    for handler in handlers:
-                        try:
-                            handler(frame.topic, frame.payload)
-                        except Exception:
-                            log.exception("subscription handler failed for %s", frame.topic)
-                elif frame.kind == FrameKind.SUBACK:
-                    self._subacks.put(frame.code)
+            while data := self._sock.recv(_RECV_BYTES):
+                buf += data
+                start = 0
+                while len(buf) - start >= 5:
+                    if buf[start] == _PUBLISH:
+                        parsed = _parse_publish(buf, start)
+                        if parsed is None:
+                            break
+                        topic, payload_start, end = parsed
+                        text, handlers = self._routes.get(topic) or self._route(topic)
+                        payload = bytes(buf[payload_start:end])
+                        for handler in handlers:
+                            try:
+                                handler(text, payload)
+                            except Exception:
+                                log.exception("subscription handler failed for %s", text)
+                    else:
+                        kind, body_len = _parse_header(buf[start : start + 5])
+                        end = start + 5 + body_len
+                        if len(buf) < end:
+                            break
+                        frame = _parse_body(kind, bytes(buf[start + 5 : end]))
+                        if frame.kind == FrameKind.SUBACK:
+                            self._subacks.put(frame.code)
+                    start = end
+                del buf[:start]
         except (FrameError, OSError):
             pass
         finally:

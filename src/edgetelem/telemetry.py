@@ -159,21 +159,48 @@ def _real(*, ge=None, gt=None, le=None, lt=None):
 class _Metrics:
     """Base of the snapshot's metric groups.
 
-    ``_floats`` holds ``(name, ge, gt, le, lt)`` for each :func:`_real` field;
-    :func:`_metric_group` builds it once per class.
+    ``_floats`` holds ``(name, ge, gt, le, lt)`` for each :func:`_real` field,
+    and ``_check_floats`` checks those fields; :func:`_metric_group` builds
+    both once per class.
     """
 
     _floats = ()
 
     def __post_init__(self):
-        for name, ge, gt, le, lt in self._floats:
-            _set(self, name, _as_float(name, getattr(self, name), ge, gt, le, lt))
+        self._check_floats()
+
+
+def _float_checker(floats: tuple):
+    """Generate a ``_check_floats`` method for a ``_floats`` table.
+
+    Per field, a finite ``float`` within bounds passes inline; any other value
+    goes to :func:`_as_float`, which converts an int and raises the message.
+    """
+    lines = ["def _check_floats(self):"]
+    for name, ge, gt, le, lt in floats:
+        bounds = ((">=", ge), (">", gt), ("<=", le), ("<", lt))
+        terms = ["type(v) is float", *(f"v {op} {bound!r}" for op, bound in bounds if bound is not None)]
+        # A bound on each side makes the value finite; every comparison is false for NaN.
+        if ge is None and gt is None:
+            terms.append("v > _NINF")
+        if le is None and lt is None:
+            terms.append("v < _INF")
+        lines += [
+            f"    v = self.{name}",
+            f"    if not ({' and '.join(terms)}):",
+            f"        _set(self, {name!r}, _as_float({name!r}, v, {ge!r}, {gt!r}, {le!r}, {lt!r}))",
+        ]
+    lines.append("    pass")  # a table without floats
+    namespace = {"_INF": math.inf, "_NINF": -math.inf, "_as_float": _as_float, "_set": _set}
+    exec("\n".join(lines), namespace)
+    return namespace["_check_floats"]
 
 
 def _metric_group(cls):
-    """Class decorator: a frozen dataclass with its ``_floats`` table."""
+    """Class decorator: a frozen dataclass with its ``_floats`` table and checker."""
     cls = dataclass(frozen=True)(cls)
     cls._floats = tuple((f.name, *f.metadata["bounds"]) for f in fields(cls) if "bounds" in f.metadata)
+    cls._check_floats = _float_checker(cls._floats)
     return cls
 
 
@@ -353,7 +380,8 @@ def _wire_layout():
 
 
 _WIRE_LAYOUT = tuple(_wire_layout())
-_device_values = itemgetter(*(f.name for f in fields(DeviceIdentity)))
+_DEVICE_KEYS = tuple(f.name for f in fields(DeviceIdentity))
+_device_values = itemgetter(*_DEVICE_KEYS)
 _INT_KEYS = tuple(name for name, hint in _SNAPSHOT_FIELDS if hint is int)
 #: ``(key, dataclass, member keys)`` per metric group, in wire order.
 _GROUPS = tuple(
@@ -434,8 +462,62 @@ def decode_snapshot(data) -> TelemetrySnapshot:
     return snapshot_from_wire(obj)
 
 
+_PLATFORM_KINDS = {kind.value: kind for kind in PlatformKind}
+#: ``(key, dataclass, member keys)`` per snapshot field after the device, in
+#: field order; an int field has ``None`` for both.
+_AFTER_DEVICE = tuple(
+    (name, hint, tuple(f.name for f in fields(hint))) if issubclass(hint, _Metrics) else (name, None, None)
+    for name, hint in _SNAPSHOT_FIELDS[1:]
+)
+
+
 def snapshot_from_wire(obj) -> TelemetrySnapshot:
-    """Validate an already-parsed wire document against the snapshot schema."""
+    """Validate an already-parsed wire document against the snapshot schema.
+
+    A document whose keys come in wire order at both levels is checked and
+    built straight through; any other document, and any that fails a check
+    there, goes through the reference path, which raises the error.
+    """
+    if type(obj) is dict and tuple(obj) == TOP_KEYS:
+        try:
+            return _canonical_from_wire(obj)
+        except TelemetryError:
+            pass
+    return _reference_from_wire(obj)
+
+
+def _canonical_from_wire(top: dict) -> TelemetrySnapshot:
+    """Build the snapshot of a document with its keys in wire order.
+
+    Builds the objects as their ``__init__`` would and runs the same
+    ``__post_init__`` checks; raises :class:`SchemaError` for anything the
+    reference path must judge.
+    """
+    device_id, kind = _device_values(top)
+    kind = _PLATFORM_KINDS.get(kind) if type(kind) is str else None
+    if kind is None or type(device_id) is not str or not DEVICE_ID_RE.fullmatch(device_id):
+        raise SchemaError("$", "not canonical")
+    device = object.__new__(DeviceIdentity)
+    device.__dict__.update(zip(_DEVICE_KEYS, (device_id, kind)))
+    snapshot = object.__new__(TelemetrySnapshot)
+    values = snapshot.__dict__
+    values["device"] = device
+    for key, cls, members in _AFTER_DEVICE:
+        value = top[key]
+        if cls is not None:
+            if type(value) is not dict or tuple(value) != members:
+                raise SchemaError(key, "not canonical")
+            group = object.__new__(cls)
+            group.__dict__.update(value)
+            group.__post_init__()
+            value = group
+        values[key] = value
+    snapshot.validate()
+    return snapshot
+
+
+def _reference_from_wire(obj) -> TelemetrySnapshot:
+    """Check keys, then construct through the dataclasses; the error of record."""
     top = _as_object(obj, "$")
     _check_keys(top, TOP_KEYS, "")
     for key, _, members in _GROUPS:

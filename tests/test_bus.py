@@ -411,8 +411,25 @@ class TestBrokerWire:
             bytes([99]) + struct.pack(">I", 0),
             bytes([FrameKind.PUBLISH]) + struct.pack(">I", bus.MAX_BODY + 1),
             bytes([FrameKind.SUBSCRIBE]) + struct.pack(">I", 4) + b"\x00\x01tx",
+            bytes([FrameKind.PUBLISH]) + struct.pack(">I", 1) + b"\x00",
+            bytes([FrameKind.PUBLISH]) + struct.pack(">I", 4) + b"\x00\x09t/",
+            bytes([FrameKind.PUBLISH]) + struct.pack(">I", 5) + b"\x00\x02\xff\xfex",
+            bytes([FrameKind.PUBLISH]) + struct.pack(">I", 6) + b"\x00\x03t xy",
+            bytes([FrameKind.PUBLISH])
+            + struct.pack(">I", 4 + bus.MAX_PAYLOAD + 1)
+            + b"\x00\x02t1"
+            + b"x" * (bus.MAX_PAYLOAD + 1),
         ],
-        ids=["unknown_kind", "oversized_body", "trailing_filter_bytes"],
+        ids=[
+            "unknown_kind",
+            "oversized_body",
+            "trailing_filter_bytes",
+            "truncated_topic_length",
+            "topic_longer_than_body",
+            "invalid_utf8_topic",
+            "invalid_topic_characters",
+            "payload_over_max_inside_max_body",
+        ],
     )
     def test_malformed_frame_closes_only_its_sender(self, broker, raw):
         sub, pub = connect(broker.address, "sub"), connect(broker.address, "pub")
@@ -436,6 +453,180 @@ class TestBrokerWire:
         assert wait_for(lambda: session.closed, timeout=2.0)
         assert time.monotonic() - start < 1.0
         session.close()
+
+    def test_publish_before_connect_closes_only_its_sender(self, broker):
+        sub, pub = connect(broker.address, "sub"), connect(broker.address, "pub")
+        inbox = queue.Queue()
+        try:
+            sub.subscribe("t/+", lambda _t, p: inbox.put(p))
+            with socket.create_connection(broker.address, timeout=5.0) as bad:
+                bad.sendall(encode_frame(Frame(kind=FrameKind.PUBLISH, topic="t/x", payload=b"early")))
+                assert bad.recv(1) == b""
+            pub.publish("t/x", b"still here")
+            assert inbox.get(timeout=5.0) == b"still here"
+        finally:
+            sub.close()
+            pub.close()
+
+    def test_wildcard_publish_is_dropped_and_its_sender_stays(self, broker):
+        sub = connect(broker.address, "sub")
+        inbox = queue.Queue()
+        try:
+            sub.subscribe("t/+", lambda t, p: inbox.put((t, p)))
+            with raw_connect(broker.address, "wild") as sock:
+                sock.sendall(encode_frame(Frame(kind=FrameKind.PUBLISH, topic="t/+", payload=b"wild")))
+                sock.sendall(encode_frame(Frame(kind=FrameKind.PUBLISH, topic="t/x", payload=b"tame")))
+                assert inbox.get(timeout=5.0) == ("t/x", b"tame")
+                sock.sendall(encode_frame(Frame(kind=FrameKind.PINGREQ)))
+                assert bus._read_frame(sock) == Frame(kind=FrameKind.PINGRESP)
+            assert inbox.empty()
+        finally:
+            sub.close()
+
+    def test_overlapping_filters_deliver_one_frame(self, broker):
+        pub = connect(broker.address, "pub")
+        try:
+            with raw_connect(broker.address, "overlap") as sock:
+                raw_subscribe(sock, "t/+")
+                raw_subscribe(sock, "t/x")
+                pub.publish("t/x", b"once")
+                pub.publish("t/y", b"fence")  # per-publisher order: every copy of the first comes before it
+                frames = []
+                while not frames or frames[-1].topic != "t/y":
+                    frames.append(bus._read_frame(sock))
+            assert frames == [
+                Frame(kind=FrameKind.PUBLISH, topic="t/x", payload=b"once"),
+                Frame(kind=FrameKind.PUBLISH, topic="t/y", payload=b"fence"),
+            ]
+        finally:
+            pub.close()
+
+
+class TestRouteTables:
+    def test_overlapping_filters_call_each_handler_once(self, broker):
+        sub, pub = connect(broker.address, "sub"), connect(broker.address, "pub")
+        calls, fenced = [], threading.Event()
+        try:
+            sub.subscribe("t/+", lambda t, p: calls.append(("A", t)) or (t == "t/y" and fenced.set()))
+            sub.subscribe("t/x", lambda t, p: calls.append(("B", t)))
+            pub.publish("t/x", b"once")
+            pub.publish("t/y", b"fence")
+            assert fenced.wait(5.0)
+            assert calls == [("A", "t/x"), ("B", "t/x"), ("A", "t/y")]
+        finally:
+            sub.close()
+            pub.close()
+
+    def test_subscribe_after_a_topic_is_cached_gets_the_next_publish(self, broker):
+        first, second, pub = (connect(broker.address, name) for name in ("first", "second", "pub"))
+        one, two = queue.Queue(), queue.Queue()
+        try:
+            first.subscribe("t/+", lambda _t, p: one.put(p))
+            pub.publish("t/x", b"cached")
+            assert one.get(timeout=5.0) == b"cached"
+            second.subscribe("t/x", lambda _t, p: two.put(p))
+            pub.publish("t/x", b"next")
+            assert two.get(timeout=5.0) == b"next"
+            assert one.get(timeout=5.0) == b"next"
+        finally:
+            for session in (first, second, pub):
+                session.close()
+
+    def test_session_subscribe_after_a_topic_is_cached_gets_the_next_publish(self, broker):
+        sub, pub = connect(broker.address, "sub"), connect(broker.address, "pub")
+        calls = queue.Queue()
+        try:
+            sub.subscribe("t/+", lambda _t, p: calls.put(("A", p)))
+            pub.publish("t/x", b"cached")
+            assert calls.get(timeout=5.0) == ("A", b"cached")
+            sub.subscribe("t/x", lambda _t, p: calls.put(("B", p)))
+            pub.publish("t/x", b"next")
+            assert [calls.get(timeout=5.0) for _ in range(2)] == [("A", b"next"), ("B", b"next")]
+        finally:
+            sub.close()
+            pub.close()
+
+    def test_closed_subscriber_leaves_every_route(self, broker):
+        stay, pub = connect(broker.address, "stay"), connect(broker.address, "pub")
+        inbox = queue.Queue()
+        try:
+            stay.subscribe("t/+", lambda _t, p: inbox.put(p))
+            with raw_connect(broker.address, "leaver") as leaver:
+                raw_subscribe(leaver, "t/+")
+                raw_subscribe(leaver, "t/x")
+                pub.publish("t/x", b"both")
+                assert inbox.get(timeout=5.0) == b"both"
+            assert wait_for(lambda: _can_connect(broker.address, "leaver"))  # the broker saw the close
+            for topic in ("t/x", "t/y"):
+                pub.publish(topic, b"after")
+                assert inbox.get(timeout=5.0) == b"after"
+            routes = dict(broker._routes)
+            assert routes and all(targets == routes[b"t/x"] for targets in routes.values())
+            assert len(routes[b"t/x"]) == 1 and routes[b"t/x"][0].client_id == "stay"
+        finally:
+            stay.close()
+            pub.close()
+
+    def test_tables_stay_bounded_under_topic_churn(self, broker):
+        sub, pub = connect(broker.address, "sub"), connect(broker.address, "pub")
+        n = 2 * bus.MAX_CACHED_TOPICS
+        got, done = [], threading.Event()
+
+        def on_message(topic, payload):
+            got.append((topic, payload))
+            if len(got) == n:
+                done.set()
+
+        try:
+            sub.subscribe("churn/+", on_message)
+            sent = [(f"churn/t{i}", str(i).encode()) for i in range(n)]
+            for topic, payload in sent:
+                pub.publish(topic, payload)
+            assert done.wait(10.0), f"got {len(got)} of {n}"
+            assert got == sent
+            for table in (broker._routes, sub._routes, pub._topic_heads):
+                assert 0 < len(table) <= bus.MAX_CACHED_TOPICS
+        finally:
+            sub.close()
+            pub.close()
+
+
+@pytest.fixture(scope="module")
+def session_wire():
+    """A session on one end of a socket pair, and the other end."""
+    ours, theirs = socket.socketpair()
+    theirs.settimeout(5.0)
+    session = bus.Session(ours, "wire")
+    yield session, theirs
+    session.close()
+    theirs.close()
+
+
+class TestSessionPublishBytes:
+    @given(
+        topic=st.one_of(
+            st.sampled_from(["t/x", "telemetry/dev0"]),
+            st.from_regex(r"[A-Za-z0-9_-]{1,12}(/[A-Za-z0-9_-]{1,12}){0,3}", fullmatch=True),
+        ),
+        payload=st.binary(max_size=4096),
+        wrap=st.sampled_from([bytes, bytearray, memoryview]),
+    )
+    @settings(max_examples=300)
+    def test_publish_writes_the_encoded_frame(self, session_wire, topic, payload, wrap):
+        session, peer = session_wire
+        session.publish(topic, wrap(payload))
+        expected = encode_frame(Frame(kind=FrameKind.PUBLISH, topic=topic, payload=payload))
+        assert bus._read_exact(peer, len(expected)) == expected
+
+    def test_publish_checks_come_before_the_cache(self, session_wire):
+        session, peer = session_wire
+        for topic in ("a//b", "a/+", "", None, ["t"]):
+            with pytest.raises(FrameError):
+                session.publish(topic, b"x")
+        session.publish("t/x", b"")
+        assert bus._read_frame(peer) == Frame(kind=FrameKind.PUBLISH, topic="t/x")
+        with pytest.raises(FrameError, match="payload exceeds"):
+            session.publish("t/x", b"x" * (bus.MAX_PAYLOAD + 1))
 
 
 def _can_connect(address, client_id) -> bool:

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_snapshot, random_snapshot
+from edgetelem import telemetry
+from edgetelem.cloud import RECORD_KEYS, Lake, LakeRecord, Transport, decode_record
 from edgetelem.telemetry import (
     NUMERIC_PATHS,
     AppMetrics,
@@ -14,6 +16,7 @@ from edgetelem.telemetry import (
     ParseError,
     SchemaError,
     TelemetryError,
+    TelemetrySnapshot,
     ValidationError,
     decode_snapshot,
     encode_snapshot,
@@ -311,3 +314,157 @@ class TestRoundTripProperties:
         for i in range(50):
             snap = random_snapshot(rng, seq=i)
             assert decode_snapshot(encode_snapshot(snap)) == snap
+
+
+# --- canonical decode against the reference path ------------------------------
+
+ODD_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**64), 2**64),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+GROUPS = [key for key, *_ in telemetry._GROUPS]
+
+
+def mutate(doc: dict, data) -> str:
+    """Apply one drawn mutation to a wire document; return its JSON text."""
+    kind = data.draw(
+        st.sampled_from(
+            ["none", "reorder_top", "reorder_group", "leaf", "int_float", "bool_float", "nonfinite",
+             "extra", "missing", "group_not_object", "fps_incoherent", "not_object"]
+        )
+    )
+    group = doc[data.draw(st.sampled_from(GROUPS))]
+    floats = [k for k, v in group.items() if type(v) is float]
+    if kind == "reorder_top":
+        doc = dict(data.draw(st.permutations(list(doc.items()))))
+    elif kind == "reorder_group":
+        items = data.draw(st.permutations(list(group.items())))
+        group.clear()
+        group.update(items)
+    elif kind == "leaf":
+        path = data.draw(st.sampled_from(telemetry.WIRE_PATHS))
+        target = doc if len(path) == 1 else doc[path[0]]
+        target[path[-1]] = data.draw(ODD_VALUES)
+    elif kind == "int_float":
+        key = data.draw(st.sampled_from(floats))
+        group[key] = int(group[key]) if math.isfinite(group[key]) else 0
+    elif kind == "bool_float":
+        group[data.draw(st.sampled_from(floats))] = data.draw(st.booleans())
+    elif kind == "nonfinite":
+        group[data.draw(st.sampled_from(floats))] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "extra":
+        target = data.draw(st.sampled_from([doc, group]))
+        target[data.draw(st.text(min_size=1, max_size=12))] = 1.0
+    elif kind == "missing":
+        target = data.draw(st.sampled_from([doc, group]))
+        del target[data.draw(st.sampled_from(list(target)))]
+    elif kind == "group_not_object":
+        doc[data.draw(st.sampled_from(GROUPS))] = data.draw(ODD_VALUES.filter(lambda v: not isinstance(v, dict)))
+    elif kind == "fps_incoherent":
+        doc["app"]["fps"] = doc["app"]["fps"] * data.draw(st.sampled_from([0.5, 0.96, 1.04, 2.0])) + 1.0
+    elif kind == "not_object":
+        return json.dumps(list(doc))
+    return json.dumps(doc)
+
+
+def outcome(decode, arg):
+    """``("ok", value, canonical bytes)`` or ``(exception type, message)``."""
+    try:
+        value = decode(arg)
+    except Exception as e:
+        return type(e), str(e)
+    snapshot = getattr(value, "snapshot", value)
+    return "ok", value, encode_snapshot(snapshot)
+
+
+def reference_decode(text: str) -> TelemetrySnapshot:
+    return telemetry._reference_from_wire(json.loads(text))
+
+
+def reference_record(line: bytes) -> LakeRecord:
+    """decode_record with the snapshot built by the reference path."""
+    doc = json.loads(line)
+    if set(doc) != set(RECORD_KEYS):
+        raise ValueError(f"unexpected record keys {sorted(doc)}")
+    return LakeRecord(
+        snapshot=telemetry._reference_from_wire(doc["snapshot"]),
+        ingest_time_ms=doc["ingest_time_ms"],
+        transport=Transport(doc["transport"]),
+        record_id=doc["record_id"],
+    )
+
+
+class TestCanonicalDecodeMatchesReference:
+    @given(snapshots(), st.data())
+    @settings(max_examples=400)
+    def test_mutated_documents(self, snap, data):
+        text = mutate(json.loads(encode_snapshot(snap)), data)
+        assert outcome(decode_snapshot, text.encode()) == outcome(reference_decode, text)
+
+    @given(snapshots())
+    @settings(max_examples=100)
+    def test_valid_documents_take_the_canonical_path(self, snap):
+        doc = json.loads(encode_snapshot(snap))
+        assert telemetry._canonical_from_wire(doc) == snap
+
+    @given(snapshots(), st.data())
+    @settings(max_examples=150)
+    def test_decode_record_over_a_lake(self, tmp_path_factory, snap, data):
+        lake = Lake(tmp_path_factory.mktemp("lake"))
+        for i in range(3):
+            lake.append(LakeRecord(snapshot=snap, ingest_time_ms=1000 * i, transport=Transport.PUBSUB, record_id=i))
+        [path] = lake._partitions(snap.device.device_id)
+        lines = path.read_bytes().splitlines()
+        assert lake.scan(snap.device.device_id) == [reference_record(line) for line in lines]
+        record = json.loads(lines[0])
+        record["snapshot"] = json.loads(mutate(record["snapshot"], data))
+        line = json.dumps(record).encode()
+        assert outcome(decode_record, line) == outcome(reference_record, line)
+
+    def test_generated_float_checks_match_as_float(self):
+        rng = random.Random(7)
+        special = [math.nan, math.inf, -math.inf, 0, 1, -1, True, False, None, "1.0", -0.0, 1e308, -1e308, 5e-324]
+        for key, cls, _ in telemetry._GROUPS:
+            valid = vars(getattr(GOLDEN, key))
+            edges = {b for _, *bounds in cls._floats for b in bounds if b is not None}
+            candidates = special + [e + d for e in edges for d in (-1e-9, 0.0, 1e-9)]
+            candidates += [rng.uniform(-200.0, 200.0) for _ in range(20)]
+            for name, *_ in cls._floats:
+                for value in candidates:
+                    values = {n: valid[n] for n, *_ in cls._floats}
+                    values[name] = value
+                    group = object.__new__(cls)
+                    group.__dict__.update(values)
+                    expected = dict(values)
+                    try:
+                        for n, ge, gt, le, lt in cls._floats:
+                            expected[n] = telemetry._as_float(n, values[n], ge, gt, le, lt)
+                    except ValidationError as e:
+                        expected = (type(e), str(e))
+                    try:
+                        group._check_floats()
+                        got = dict(vars(group))
+                    except ValidationError as e:
+                        got = (type(e), str(e))
+                    assert got == expected, (key, name, value)
+                    if isinstance(got, dict):
+                        assert all(type(v) is float for v in got.values()), (key, name, value)
+
+    def test_int_in_float_field_becomes_a_float(self):
+        doc = json.loads(GOLDEN_BYTES)
+        doc["app"]["ee_latency_ms"] = 25
+        snap = decode_snapshot(json.dumps(doc).encode())
+        assert type(snap.app.ee_latency_ms) is float
+        assert encode_snapshot(snap) == GOLDEN_BYTES
+
+    def test_group_checks_are_generated_from_the_bounds(self):
+        with pytest.raises(ValidationError, match=r"^fps: must be finite$"):
+            AppMetrics(ee_latency_ms=25.0, fps=math.inf)
+        with pytest.raises(ValidationError, match=r"^ee_latency_ms: must be a real number$"):
+            AppMetrics(ee_latency_ms="25", fps=40.0)
+        assert AppMetrics(ee_latency_ms=25, fps=40).fps == 40.0
