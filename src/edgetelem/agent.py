@@ -82,6 +82,9 @@ class ActionMessage:
             raise ActionError("SetPlacement requires placement")
 
 
+_ACTION_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_action(msg: ActionMessage) -> bytes:
     doc = {
         "action": msg.action.value,
@@ -95,7 +98,7 @@ def encode_action(msg: ActionMessage) -> bytes:
         doc["expected_digest"] = msg.expected_digest
     if msg.placement is not None:
         doc["placement"] = msg.placement.value
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    return _ACTION_ENCODER.encode(doc).encode("utf-8")
 
 
 def decode_action(data: bytes) -> ActionMessage:

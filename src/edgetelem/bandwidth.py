@@ -6,7 +6,7 @@ EWMA.  The predictor fits the same 5-feature linear form by ridge-regularized
 least squares over a sliding window, so on clean traces it can recover the
 generating coefficients exactly.  It keeps the window's normal equations up
 to date one row at a time (sliding-window recursive least squares) and
-solves the 5x5 system in plain Python.
+solves the 5x5 system with straight-line code generated at import time.
 
 Radio features are standardized with fixed affine normalizers (module
 constants below) rather than per-window statistics: the fit must be stable
@@ -124,10 +124,6 @@ class NetTraceConfig:
             raise ValueError("ewma_alpha must be in (0, 1]")
 
 
-def _clamp(v: float, lo: float, hi: float) -> float:
-    return min(hi, max(lo, v))
-
-
 def _z(x: float, mean: float, std: float) -> float:
     return (x - mean) / std if std > 0 else 0.0
 
@@ -143,22 +139,24 @@ class NetTrace:
         self.cfg = cfg
         self._rng = random.Random(cfg.seed)
         self._ewma = 0.0
-        self._tick = 0
-
-    def _regime_at(self, tick: int) -> RegimeSpec:
-        remaining = tick
-        for regime in self.cfg.regimes:
-            if remaining < regime.duration_ticks:
-                return regime
-            remaining -= regime.duration_ticks
-        return self.cfg.regimes[-1]
+        self._regimes = iter(cfg.regimes)
+        self._regime = next(self._regimes)
+        self._ticks_left = self._regime.duration_ticks
 
     def tick(self) -> tuple:
-        r = self._regime_at(self._tick)
+        if not self._ticks_left:
+            self._regime = next(self._regimes, self._regime)  # the last regime stays
+            self._ticks_left = self._regime.duration_ticks
+        self._ticks_left -= 1
+        r = self._regime
         rng = self._rng
-        rsrp = _clamp(rng.gauss(r.rsrp_mean_dbm, r.rsrp_std), -140.0, -40.0)
-        rsrq = _clamp(rng.gauss(r.rsrq_mean_db, r.rsrq_std), -25.0, 0.0)
-        rssi = _clamp(rsrp + r.rssi_offset_db + rng.gauss(0.0, r.rssi_jitter_std), -120.0, 0.0)
+        # Each clamp is min(hi, max(lo, v)) inline, NaN and signed zeros included.
+        v = rng.gauss(r.rsrp_mean_dbm, r.rsrp_std)
+        rsrp = (v if v < -40.0 else -40.0) if v > -140.0 else -140.0
+        v = rng.gauss(r.rsrq_mean_db, r.rsrq_std)
+        rsrq = (v if v < 0.0 else 0.0) if v > -25.0 else -25.0
+        v = rsrp + r.rssi_offset_db + rng.gauss(0.0, r.rssi_jitter_std)
+        rssi = (v if v < 0.0 else 0.0) if v > -120.0 else -120.0
         dl_noise = rng.gauss(0.0, r.noise_std_mbps)
         modem_temp = self.cfg.modem_temp_base_c + rng.gauss(0.0, 0.5)
 
@@ -187,7 +185,6 @@ class NetTrace:
         )
         alpha = self.cfg.ewma_alpha
         self._ewma = alpha * true_dl + (1.0 - alpha) * self._ewma
-        self._tick += 1
         return net, true_dl
 
 
@@ -224,6 +221,55 @@ class PredictorConfig:
 #: triangle in row-major order: the layout of ``BandwidthPredictor._xtx``.
 _N = 5
 _UPPER = tuple((i, j) for i in range(_N) for j in range(i, _N))
+
+
+def _generate_kernels():
+    """Generate the unrolled ``_ACCUMULATE`` and ``_SOLVE`` for ``_N`` features.
+
+    ``_ACCUMULATE(xtx, xty, row, y, sign)`` adds ``sign`` times one row's terms
+    to the running sums in place.  ``_SOLVE(xtx, xty, lam)`` solves
+    (XᵀX + λI) b = Xᵀy by Gaussian elimination without pivoting and back
+    substitution, and returns b as a tuple.  Each performs the float
+    operations of the loops it unrolls in their order, one name per matrix
+    entry, so results are bit-identical to the loops and ``FitError`` is
+    raised at the same points.
+    """
+    c = [f"c{i}" for i in range(_N)]
+    lines = [
+        "def _ACCUMULATE(xtx, xty, row, y, sign):",
+        f"    {', '.join(f'r{i}' for i in range(_N))} = row",
+        *(f"    s{i} = sign * r{i}" for i in range(_N)),
+        *(f"    xtx[{k}] += s{i} * r{j}" for k, (i, j) in enumerate(_UPPER)),
+        *(f"    xty[{i}] += s{i} * y" for i in range(_N)),
+        "",
+        "def _SOLVE(xtx, xty, lam):",
+        f"    {', '.join(f'a{i}{j}' for i, j in _UPPER)} = xtx",
+        *(f"    a{i}{i} = a{i}{i} + lam" for i in range(_N)),
+        f"    {', '.join(f'b{i}' for i in range(_N))} = xty",
+    ]
+    for k in range(_N):
+        lines += [
+            f"    if not a{k}{k} > 0.0:",
+            '        raise FitError("normal matrix lost positive definiteness")',
+        ]
+        for i in range(k + 1, _N):
+            lines.append(f"    f = a{k}{i} / a{k}{k}")
+            lines += [f"    a{i}{j} = a{i}{j} - f * a{k}{j}" for j in range(i, _N)]
+            lines.append(f"    b{i} = b{i} - f * b{k}")
+    for i in range(_N - 1, -1, -1):
+        acc = f"b{i}" + "".join(f" - a{i}{j} * c{j}" for j in range(i + 1, _N))
+        lines.append(f"    c{i} = ({acc}) / a{i}{i}")
+    lines += [
+        f"    if not ({' and '.join(f'_NINF < {ci} < _INF' for ci in c)}):",
+        '        raise FitError("fit produced non-finite coefficients")',
+        f"    return ({', '.join(c)})",
+    ]
+    namespace = {"FitError": FitError, "_INF": math.inf, "_NINF": -math.inf}
+    exec("\n".join(lines), namespace)
+    return namespace["_ACCUMULATE"], namespace["_SOLVE"]
+
+
+_ACCUMULATE, _SOLVE = _generate_kernels()
 
 
 class BandwidthPredictor:
@@ -272,57 +318,16 @@ class BandwidthPredictor:
             self._rebuild()
         else:
             if evicted is not None:
-                self._accumulate(evicted[0], evicted[1], -1.0)
-            self._accumulate(row, observed_dl_mbps, 1.0)
-        self._refit()
-
-    def _accumulate(self, row: tuple, y: float, sign: float) -> None:
-        xtx = self._xtx
-        for k, (i, j) in enumerate(_UPPER):
-            xtx[k] += sign * row[i] * row[j]
-        xty = self._xty
-        for i in range(_N):
-            xty[i] += sign * row[i] * y
+                _ACCUMULATE(self._xtx, self._xty, evicted[0], evicted[1], -1.0)
+            _ACCUMULATE(self._xtx, self._xty, row, observed_dl_mbps, 1.0)
+        self.coefficients = _SOLVE(self._xtx, self._xty, self.config.ridge_lambda)
 
     def _rebuild(self) -> None:
         self._xtx = [0.0] * len(_UPPER)
         self._xty = [0.0] * _N
         for row, y in self._rows:
-            self._accumulate(row, y, 1.0)
+            _ACCUMULATE(self._xtx, self._xty, row, y, 1.0)
         self._since_rebuild = 0
-
-    def _refit(self) -> None:
-        lam = self.config.ridge_lambda
-        xtx = self._xtx
-        # Elimination keeps the trailing block symmetric, so only the upper
-        # triangle of each row is read or written.
-        a = [[0.0] * _N for _ in range(_N)]
-        for k, (i, j) in enumerate(_UPPER):
-            a[i][j] = xtx[k]
-        for i in range(_N):
-            a[i][i] += lam
-        b = list(self._xty)
-        for k in range(_N):
-            row_k = a[k]
-            pivot = row_k[k]
-            if not pivot > 0.0:
-                raise FitError("normal matrix lost positive definiteness")
-            for i in range(k + 1, _N):
-                f = row_k[i] / pivot
-                row_i = a[i]
-                for j in range(i, _N):
-                    row_i[j] -= f * row_k[j]
-                b[i] -= f * b[k]
-        coeffs = [0.0] * _N
-        for i in range(_N - 1, -1, -1):
-            row_i = a[i]
-            acc = b[i]
-            for j in range(i + 1, _N):
-                acc -= row_i[j] * coeffs[j]
-            coeffs[i] = acc / row_i[i]
-        if not all(map(math.isfinite, coeffs)):
-            raise FitError("fit produced non-finite coefficients")
-        self.coefficients = tuple(coeffs)
 
     def predict(self, net: NetworkMetrics) -> float:
         """Predicted downlink rate in Mbps, clamped to be non-negative."""

@@ -832,6 +832,24 @@ def _recv_some(sock: socket.socket) -> bytes:
     return data
 
 
+def _connect(host: str, port: int, timeout: float) -> socket.socket:
+    """A TCP connection; a numeric IPv4 or IPv6 host skips the resolver."""
+    for family in (socket.AF_INET, socket.AF_INET6):
+        try:
+            socket.inet_pton(family, host)
+        except (OSError, ValueError):  # not a literal of this family
+            continue
+        sock = socket.socket(family, socket.SOCK_STREAM)
+        try:
+            sock.settimeout(timeout)
+            sock.connect((host, port))
+        except BaseException:
+            sock.close()
+            raise
+        return sock
+    return socket.create_connection((host, port), timeout=timeout)
+
+
 def _http_request(address: tuple, method: str, path: str, body: bytes | None = None, timeout: float = 5.0) -> tuple:
     """One request on a fresh connection; returns ``(status, headers, body)``.
 
@@ -840,10 +858,11 @@ def _http_request(address: tuple, method: str, path: str, body: bytes | None = N
     malformed reply all raise ``OSError``.
     """
     host, port = address
-    head = f"{method} {path} HTTP/1.1\r\nHost: {host}:{port}\r\nConnection: close\r\n"
+    authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"  # an IPv6 literal is bracketed
+    head = f"{method} {path} HTTP/1.1\r\nHost: {authority}\r\nConnection: close\r\n"
     if body is not None:
         head += f"Content-Length: {len(body)}\r\n"
-    with socket.create_connection((host, port), timeout=timeout) as sock:
+    with _connect(host, port, timeout) as sock:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.sendall(head.encode("latin-1") + b"\r\n" + (body or b""))
         buf = bytearray()

@@ -18,6 +18,7 @@ import errno
 import hashlib
 import json
 import logging
+import operator
 import os
 import threading
 import time
@@ -30,13 +31,12 @@ from .agent import ActionKind, ActionMessage, ModelNotFound, encode_action
 from .bandwidth import BandwidthPredictor, Placement, PredictorConfig, decide_placement
 from .bus import BusError, HttpServer, RequestRejected
 from .telemetry import (
-    _ENCODER,
     NUMERIC_PATHS,
     TelemetryError,
     TelemetrySnapshot,
     decode_snapshot,
     snapshot_from_wire,
-    snapshot_to_wire,
+    snapshot_text,
 )
 
 log = logging.getLogger(__name__)
@@ -88,7 +88,7 @@ _RECORD_PREFIX = '{"record_id":%d,"ingest_time_ms":%d,"transport":"%s","snapshot
 
 def encode_record(rec: LakeRecord) -> bytes:
     head = _RECORD_PREFIX % (rec.record_id, rec.ingest_time_ms, rec.transport.value)
-    return (head + _ENCODER.encode(snapshot_to_wire(rec.snapshot)) + "}").encode("utf-8")
+    return (head + snapshot_text(rec.snapshot) + "}").encode()
 
 
 def decode_record(line: bytes) -> LakeRecord:
@@ -235,13 +235,15 @@ class Comparator(str, Enum):
     LE = "LE"
 
     def holds(self, value: float, threshold: float) -> bool:
-        if self is Comparator.GT:
-            return value > threshold
-        if self is Comparator.LT:
-            return value < threshold
-        if self is Comparator.GE:
-            return value >= threshold
-        return value <= threshold
+        return _OPERATORS[self](value, threshold)
+
+
+_OPERATORS = {
+    Comparator.GT: operator.gt,
+    Comparator.LT: operator.lt,
+    Comparator.GE: operator.ge,
+    Comparator.LE: operator.le,
+}
 
 
 class RuleConfigError(ValueError):
@@ -249,14 +251,6 @@ class RuleConfigError(ValueError):
 
 
 _PATH_SET = {".".join(p) for p in NUMERIC_PATHS}
-
-
-def resolve_metric(snapshot: TelemetrySnapshot, path: str) -> float:
-    parts = path.split(".")
-    value = snapshot
-    for part in parts:
-        value = getattr(value, part)
-    return value
 
 
 @dataclass(frozen=True)
@@ -271,6 +265,13 @@ class ActionTemplate:
 
 @dataclass(frozen=True)
 class Rule:
+    """A threshold on one numeric snapshot field.
+
+    Construction binds the field's getter and the comparator's operator as
+    attributes outside the dataclass fields, so equality, hashing and repr
+    are those of the fields alone.
+    """
+
     rule_id: str
     metric_path: str
     comparator: Comparator
@@ -291,9 +292,11 @@ class Rule:
             raise RuleConfigError(f"rule {self.rule_id}: cooldown_ticks must be >= 1")
         if self.consecutive_required < 1:
             raise RuleConfigError(f"rule {self.rule_id}: consecutive_required must be >= 1")
+        object.__setattr__(self, "_metric", operator.attrgetter(self.metric_path))
+        object.__setattr__(self, "_holds", _OPERATORS[self.comparator])
 
     def predicate(self, snapshot: TelemetrySnapshot) -> bool:
-        return self.comparator.holds(resolve_metric(snapshot, self.metric_path), self.threshold)
+        return self._holds(self._metric(snapshot), self.threshold)
 
 
 @dataclass(frozen=True)

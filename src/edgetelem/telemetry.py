@@ -363,7 +363,7 @@ _SNAPSHOT_FIELDS = _typed_fields(TelemetrySnapshot)
 
 
 def _wire_layout():
-    """``(key, getter, member keys or None)`` per top-level wire key, in order.
+    """``(key, attribute path, member keys or None)`` per top-level wire key, in order.
 
     The order is the dataclass field order: the device identity's fields sit
     at the top level, each metric group is a nested object.
@@ -371,12 +371,11 @@ def _wire_layout():
     for name, hint in _SNAPSHOT_FIELDS:
         if hint is DeviceIdentity:
             for key, typ in _typed_fields(hint):
-                path = f"{name}.{key}.value" if issubclass(typ, Enum) else f"{name}.{key}"
-                yield key, attrgetter(path), None
+                yield key, f"{name}.{key}.value" if issubclass(typ, Enum) else f"{name}.{key}", None
         elif issubclass(hint, _Metrics):
-            yield name, attrgetter(name), tuple(f.name for f in fields(hint))
+            yield name, name, tuple(f.name for f in fields(hint))
         else:
-            yield name, attrgetter(name), None
+            yield name, name, None
 
 
 _WIRE_LAYOUT = tuple(_wire_layout())
@@ -409,10 +408,54 @@ def snapshot_to_wire(s: TelemetrySnapshot) -> dict:
     """Build the wire dict with keys in the documented order."""
     # A metric group's instance dict holds exactly its fields, in field
     # order: the generated __init__ sets them so, and the group is frozen.
-    return {key: get(s) if members is None else vars(get(s)).copy() for key, get, members in _WIRE_LAYOUT}
+    wire = {}
+    for key, path, members in _WIRE_LAYOUT:
+        value = attrgetter(path)(s)
+        wire[key] = value if members is None else vars(value).copy()
+    return wire
 
 
+#: The reference encoder of the wire dict; :func:`snapshot_text` produces its output.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+_str = json.encoder.encode_basestring
+
+
+def _leaf_type(path: str) -> type:
+    """The type of the value at a dotted attribute path of a snapshot."""
+    typ = TelemetrySnapshot
+    for part in path.split("."):
+        typ = str if issubclass(typ, str) else get_type_hints(typ)[part]  # a str enum's value is a str
+    return typ
+
+
+def _text_encoder():
+    """Generate ``snapshot_text(s)``, equal to ``_ENCODER.encode(snapshot_to_wire(s))``.
+
+    One ``%`` template holds every key, escaped here once; each leaf is
+    formatted as the C encoder formats it: a float by ``float.__repr__``, an
+    int by ``int.__repr__`` and a string by ``encode_basestring``, the escaper
+    ``_ENCODER`` uses with ``ensure_ascii=False``.
+    """
+    formats = {float: "_float", int: "_int", str: "_str"}
+    args = []
+
+    def key(name: str) -> str:
+        return _str(name).replace("%", "%%") + ":"
+
+    def leaf(path: str) -> str:
+        args.append(f"{formats[_leaf_type(path)]}(s.{path})")  # in template order
+        return "%s"
+
+    def group(path: str, members: tuple) -> str:
+        return "{" + ",".join(key(m) + leaf(f"{path}.{m}") for m in members) + "}"
+
+    items = [key(k) + (leaf(path) if members is None else group(path, members)) for k, path, members in _WIRE_LAYOUT]
+    namespace = {"_TEMPLATE": "{" + ",".join(items) + "}", "_float": float.__repr__, "_int": int.__repr__, "_str": _str}
+    exec(f"def snapshot_text(s):\n    return _TEMPLATE % ({', '.join(args)})", namespace)
+    return namespace["snapshot_text"]
+
+
+snapshot_text = _text_encoder()
 
 
 def encode_snapshot(s: TelemetrySnapshot) -> bytes:
@@ -423,7 +466,7 @@ def encode_snapshot(s: TelemetrySnapshot) -> bytes:
     mutated through non-public means is caught here.
     """
     s.validate()
-    return _ENCODER.encode(snapshot_to_wire(s)).encode("utf-8")
+    return snapshot_text(s).encode()
 
 
 def _check_keys(obj: dict, expected: tuple, where: str) -> None:

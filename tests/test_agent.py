@@ -64,6 +64,23 @@ class TestActionWire:
         for msg in messages:
             assert decode_action(encode_action(msg)) == msg
 
+    def test_bytes_match_json_dumps(self):
+        messages = [
+            action(ActionKind.STEP_FREQUENCY_DOWN, rule_id="r1-fps-cap", seq=2**40),
+            action(ActionKind.STEP_FREQUENCY_UP, rule_id='quote" back\\ é ☃ \U0001f600', seq=1),
+            action(ActionKind.SWAP_MODEL, model_id="ssd_résnet", expected_digest=SSD.artifact_digest),
+            action(ActionKind.SET_PLACEMENT, placement=Placement.DEVICE),
+        ]
+        for msg in messages:
+            doc = {"action": msg.action.value, "rule_id": msg.rule_id, "issued_at_ms": msg.issued_at_ms, "seq": msg.seq}
+            if msg.model_id is not None:
+                doc["model_id"] = msg.model_id
+            if msg.expected_digest is not None:
+                doc["expected_digest"] = msg.expected_digest
+            if msg.placement is not None:
+                doc["placement"] = msg.placement.value
+            assert encode_action(msg) == json.dumps(doc, separators=(",", ":")).encode("utf-8")
+
     def test_swap_requires_hex_digest(self):
         with pytest.raises(ActionError):
             action(ActionKind.SWAP_MODEL, model_id="x", expected_digest="nothex")

@@ -4,10 +4,13 @@ import random
 import numpy as np
 import pytest
 
+from edgetelem import bandwidth
 from edgetelem.bandwidth import (
     DEFAULT_SCALER,
     BandwidthPredictor,
+    FitError,
     LinearCoeffs,
+    NetTrace,
     NetTraceConfig,
     Placement,
     PredictorConfig,
@@ -96,6 +99,76 @@ class TestTraceGenerator:
     def test_last_regime_persists(self):
         cfg = NetTraceConfig(seed=2, regimes=(aligned_regime(duration=5),))
         assert len(gen_trace(cfg, 50)) == 50
+
+    @pytest.mark.parametrize("durations", [(1,), (5,), (1, 1), (3, 1, 2), (2, 7, 1, 4)])
+    def test_regime_sequence_matches_a_walk(self, durations):
+        regimes = tuple(aligned_regime(duration=d, coeffs=LinearCoeffs(b0=float(i))) for i, d in enumerate(durations))
+        trace = NetTrace(NetTraceConfig(seed=4, regimes=regimes))
+        seen = []
+        for _ in range(sum(durations) + 12):  # well past the last regime
+            trace.tick()
+            seen.append(trace._regime)
+        assert seen == [regime_at(regimes, tick) for tick in range(len(seen))]
+
+    def test_samples_match_the_reference_generator(self):
+        # The wild regime's spreads push every clamped metric past both of its bounds.
+        wild = RegimeSpec(
+            duration_ticks=40, rsrp_mean_dbm=-90.0, rsrp_std=60.0, rsrq_mean_db=-12.0, rsrq_std=15.0,
+            rssi_offset_db=40.0, true_coeffs=LinearCoeffs(b0=5.0, b_rsrp=2.0, b_hist=0.5), noise_std_mbps=8.0,
+            rssi_jitter_std=30.0,
+        )
+        cfg = NetTraceConfig(seed=12, regimes=switching_regimes() + (wild,))
+        n = sum(r.duration_ticks for r in cfg.regimes) + 50
+        assert [sample_bits(sample) for sample in gen_trace(cfg, n)] == [
+            sample_bits(sample) for sample in reference_trace(cfg, n)
+        ]
+
+
+def regime_at(regimes: tuple, tick: int) -> RegimeSpec:
+    """The regime of a tick by walking the durations; the last regime stays."""
+    remaining = tick
+    for regime in regimes:
+        if remaining < regime.duration_ticks:
+            return regime
+        remaining -= regime.duration_ticks
+    return regimes[-1]
+
+
+def reference_trace(cfg: NetTraceConfig, n: int) -> list:
+    """The trace generator as a regime walk per tick with min/max clamps."""
+
+    def z(x, mean, std):
+        return (x - mean) / std if std > 0 else 0.0
+
+    rng, ewma, out = random.Random(cfg.seed), 0.0, []
+    for tick in range(n):
+        r = regime_at(cfg.regimes, tick)
+        rsrp = min(-40.0, max(-140.0, rng.gauss(r.rsrp_mean_dbm, r.rsrp_std)))
+        rsrq = min(0.0, max(-25.0, rng.gauss(r.rsrq_mean_db, r.rsrq_std)))
+        rssi = min(0.0, max(-120.0, rsrp + r.rssi_offset_db + rng.gauss(0.0, r.rssi_jitter_std)))
+        dl_noise = rng.gauss(0.0, r.noise_std_mbps)
+        modem_temp = cfg.modem_temp_base_c + rng.gauss(0.0, 0.5)
+        c = r.true_coeffs
+        true_dl = max(0.0, (
+            c.b0
+            + c.b_rsrp * z(rsrp, r.rsrp_mean_dbm, r.rsrp_std)
+            + c.b_rsrq * z(rsrq, r.rsrq_mean_db, r.rsrq_std)
+            + c.b_rssi * z(rssi, r.rsrp_mean_dbm + r.rssi_offset_db, r.rsrp_std)
+            + c.b_hist * ewma
+            + dl_noise
+        ))
+        net = NetworkMetrics(
+            rssi_dbm=rssi, rsrq_db=rsrq, rsrp_dbm=rsrp, modem_temp_c=modem_temp,
+            dl_mbps=true_dl, ul_mbps=cfg.ul_fraction * true_dl,
+        )
+        ewma = cfg.ewma_alpha * true_dl + (1.0 - cfg.ewma_alpha) * ewma
+        out.append((net, true_dl))
+    return out
+
+
+def sample_bits(sample) -> tuple:
+    net, true_dl = sample
+    return tuple(map(float.hex, (*vars(net).values(), true_dl)))
 
 
 class TestPredictorFit:
@@ -302,3 +375,124 @@ class TestPlacementDecision:
                 history.append(new)
                 current = new
         assert history == [Placement.DEVICE, Placement.EDGE]
+
+
+# --- generated ridge kernels against the loops they unroll -----------------------
+
+_N = 5
+_UPPER = tuple((i, j) for i in range(_N) for j in range(i, _N))
+
+
+def loop_accumulate(xtx: list, xty: list, row: tuple, y: float, sign: float) -> None:
+    for k, (i, j) in enumerate(_UPPER):
+        xtx[k] += sign * row[i] * row[j]
+    for i in range(_N):
+        xty[i] += sign * row[i] * y
+
+
+def loop_solve(xtx: list, xty: list, lam: float) -> tuple:
+    a = [[0.0] * _N for _ in range(_N)]
+    for k, (i, j) in enumerate(_UPPER):
+        a[i][j] = xtx[k]
+    for i in range(_N):
+        a[i][i] += lam
+    b = list(xty)
+    for k in range(_N):
+        row_k = a[k]
+        pivot = row_k[k]
+        if not pivot > 0.0:
+            raise FitError("normal matrix lost positive definiteness")
+        for i in range(k + 1, _N):
+            f = row_k[i] / pivot
+            row_i = a[i]
+            for j in range(i, _N):
+                row_i[j] -= f * row_k[j]
+            b[i] -= f * b[k]
+    coeffs = [0.0] * _N
+    for i in range(_N - 1, -1, -1):
+        row_i = a[i]
+        acc = b[i]
+        for j in range(i + 1, _N):
+            acc -= row_i[j] * coeffs[j]
+        coeffs[i] = acc / row_i[i]
+    if not all(map(math.isfinite, coeffs)):
+        raise FitError("fit produced non-finite coefficients")
+    return tuple(coeffs)
+
+
+def bits(values) -> tuple:
+    return tuple(map(float.hex, values))
+
+
+def fit_history(trace, config: PredictorConfig) -> list:
+    """Per update: the coefficients' bits or the FitError, and the running sums' bits."""
+    predictor = BandwidthPredictor(config)
+    history = []
+    for net, _ in trace:
+        try:
+            predictor.update(net, net.dl_mbps)
+            outcome = bits(predictor.coefficients)
+        except FitError as e:
+            outcome = str(e)
+        history.append((outcome, bits(predictor._xtx), bits(predictor._xty)))
+    return history
+
+
+class TestGeneratedKernels:
+    # A ridge of 1e-15 is small enough for rounding to cost a short window its
+    # definiteness, so FitError points are compared too.
+    @pytest.mark.parametrize("lam", [1e-15, 1e-9, 1e-3, 5.0])
+    @pytest.mark.parametrize("window", [1, 3, 5, 30])
+    def test_predictor_matches_the_loops(self, monkeypatch, window, lam):
+        trace = gen_trace(NetTraceConfig(seed=61, regimes=switching_regimes() * 2), 240)
+        config = PredictorConfig(window=window, ridge_lambda=lam)
+        generated = fit_history(trace, config)
+        monkeypatch.setattr(bandwidth, "_ACCUMULATE", loop_accumulate)
+        monkeypatch.setattr(bandwidth, "_SOLVE", loop_solve)
+        assert generated == fit_history(trace, config)
+
+    def test_fit_errors_are_covered(self):
+        trace = gen_trace(NetTraceConfig(seed=61, regimes=switching_regimes() * 2), 240)
+        outcomes = [o for o, _, _ in fit_history(trace, PredictorConfig(window=3, ridge_lambda=1e-15))]
+        failed = sum(isinstance(o, str) for o in outcomes)
+        assert 0 < failed < len(outcomes)
+
+    def test_solve_on_arbitrary_systems(self):
+        rng = random.Random(3)
+        failures = set()
+        for _ in range(5000):
+            xtx = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in _UPPER]
+            if rng.random() < 0.5:  # diagonal, so the checks on the coefficients are reached
+                xtx = [10.0 ** rng.randint(-12, 8) if i == j else 0.0 for i, j in _UPPER]
+            xty = [rng.gauss(0.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(_N)]
+            if rng.random() < 0.5:
+                special = rng.choice([math.nan, math.inf, -math.inf, 1e308, 0.0])
+                if rng.random() < 0.5:
+                    xtx[rng.randrange(len(xtx))] = special
+                else:
+                    xty[rng.randrange(_N)] = special
+            lam = rng.choice([1e-9, 1e-3, 5.0])
+            if rng.random() < 0.1:  # the first pivot is exactly zero
+                xtx[0] = -lam
+            before = bits(xtx + xty)
+            outcomes = []
+            for solve in (bandwidth._SOLVE, loop_solve):
+                try:
+                    outcomes.append(bits(solve(xtx, xty, lam)))
+                except FitError as e:
+                    outcomes.append(str(e))
+                    failures.add(str(e))
+            assert outcomes[0] == outcomes[1]
+            assert bits(xtx + xty) == before  # the solve leaves the running sums alone
+        assert len(failures) == 2  # both kinds of FitError were reached
+
+    def test_accumulate_on_arbitrary_rows(self):
+        rng = random.Random(4)
+        ours = [[0.0] * len(_UPPER), [0.0] * _N]
+        loops = [[0.0] * len(_UPPER), [0.0] * _N]
+        for _ in range(2000):
+            row = tuple(rng.gauss(0.0, 1.0) * 10.0 ** rng.randint(-6, 6) for _ in range(_N))
+            y, sign = rng.gauss(0.0, 100.0), rng.choice([1.0, -1.0])
+            bandwidth._ACCUMULATE(*ours, row, y, sign)
+            loop_accumulate(*loops, row, y, sign)
+            assert bits(ours[0] + ours[1]) == bits(loops[0] + loops[1])

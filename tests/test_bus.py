@@ -917,6 +917,75 @@ class TestHttpServerWire:
             assert sock.recv(1) == b""
 
 
+def _ipv6_loopback() -> bool:
+    try:
+        socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+    except OSError:
+        return False
+    return True
+
+
+class TestHttpClientConnect:
+    @pytest.fixture
+    def no_resolver(self, monkeypatch):
+        def getaddrinfo(*args, **kwargs):
+            raise AssertionError("the resolver was called")
+
+        monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+
+    def test_numeric_host_skips_the_resolver(self, ingest_server, no_resolver):
+        server, bodies = ingest_server
+        assert http_post_snapshot(server.address, b"{}") == {"record_id": 0}
+        assert bodies == [b"{}"]
+
+    def test_host_name_is_resolved(self, ingest_server):
+        server, bodies = ingest_server
+        assert http_post_snapshot(("localhost", server.address[1]), b"{}") == {"record_id": 0}
+        assert bodies == [b"{}"]
+
+    def test_refused_port_raises_and_closes_the_socket(self, monkeypatch):
+        opened = []
+
+        class Tracked(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        with socket.socket() as bound:  # bound but not listening: a connect is refused
+            bound.bind(("127.0.0.1", 0))
+            monkeypatch.setattr(socket, "socket", Tracked)
+            with pytest.raises(ConnectionRefusedError):
+                bus._http_request(bound.getsockname(), "GET", "/")
+        assert len(opened) == 1
+        assert opened[0].fileno() == -1
+
+    @pytest.mark.skipif(not _ipv6_loopback(), reason="no IPv6 loopback")
+    def test_ipv6_literal(self, no_resolver):
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+        with socket.create_server(("::1", 0), family=socket.AF_INET6) as listener:
+            listener.settimeout(5.0)
+
+            def serve():
+                conn, _ = listener.accept()
+                with conn:
+                    while b"\r\n\r\n" not in request:
+                        request.extend(conn.recv(4096))
+                    conn.sendall(reply)
+
+            request = bytearray()
+
+            server = threading.Thread(target=serve)
+            server.start()
+            try:
+                port = listener.getsockname()[1]
+                status, _, body = bus._http_request(("::1", port), "GET", "/")
+            finally:
+                server.join(5.0)
+        assert not server.is_alive()
+        assert (status, body) == (200, b"ok")
+        assert f"\r\nHost: [::1]:{port}\r\n".encode() in request
+
+
 class TestLatencyProbe:
     def test_pubsub_loopback(self, broker):
         responder = EchoResponder(broker.address, "t1")

@@ -1,8 +1,10 @@
 import errno
 import json
+import math
 import random
 import shutil
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,7 +35,7 @@ from edgetelem.cloud import (
     rules_from_dict,
 )
 from edgetelem.simulator import builtin_profiles, make_model_blob
-from edgetelem.telemetry import encode_snapshot
+from edgetelem.telemetry import NUMERIC_PATHS, encode_snapshot
 
 STEP_DOWN = ActionTemplate(kind=ActionKind.STEP_FREQUENCY_DOWN)
 
@@ -247,6 +249,43 @@ class TestRuleValidation:
                 {"rules": [{"rule_id": "x", "metric_path": "app.fps", "comparator": "GT", "threshold": 1,
                             "action": {"action": "SwapModel"}}]}
             )
+
+
+def reference_holds(comparator: Comparator, value: float, threshold: float) -> bool:
+    """The comparison as written before rules bound an operator."""
+    if comparator is Comparator.GT:
+        return value > threshold
+    if comparator is Comparator.LT:
+        return value < threshold
+    if comparator is Comparator.GE:
+        return value >= threshold
+    return value <= threshold
+
+
+def with_leaf(path: tuple, value):
+    """A stand-in snapshot holding ``value`` at ``path``."""
+    for part in reversed(path):
+        value = SimpleNamespace(**{part: value})
+    return value
+
+
+class TestRulePredicate:
+    @pytest.mark.parametrize("path", NUMERIC_PATHS, ids=".".join)
+    @pytest.mark.parametrize("comparator", list(Comparator))
+    def test_predicate_matches_the_comparison(self, path, comparator):
+        threshold = 30.0
+        metric_path = ".".join(path)
+        rule = Rule(rule_id="r", metric_path=metric_path, comparator=comparator, threshold=threshold, action=STEP_DOWN)
+        for value in (29.0, threshold, 30, math.nextafter(threshold, math.inf), 31.0, math.nan):
+            expected = reference_holds(comparator, value, threshold)
+            assert rule.predicate(with_leaf(path, value)) is expected, value
+            assert comparator.holds(value, threshold) is expected, value
+
+    def test_bound_functions_stay_out_of_eq_hash_and_repr(self):
+        a, b = fps_rule(), fps_rule()
+        assert a == b and hash(a) == hash(b)
+        assert a != fps_rule(comparator=Comparator.GE)
+        assert repr(a) == repr(b) and "attrgetter" not in repr(a)
 
 
 class TestRuleSemantics:

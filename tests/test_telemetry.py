@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_snapshot, random_snapshot
-from edgetelem import telemetry
-from edgetelem.cloud import RECORD_KEYS, Lake, LakeRecord, Transport, decode_record
+from edgetelem import cloud, telemetry
+from edgetelem.cloud import RECORD_KEYS, Lake, LakeRecord, Transport, decode_record, encode_record
 from edgetelem.telemetry import (
     NUMERIC_PATHS,
     AppMetrics,
@@ -468,3 +468,107 @@ class TestCanonicalDecodeMatchesReference:
         with pytest.raises(ValidationError, match=r"^ee_latency_ms: must be a real number$"):
             AppMetrics(ee_latency_ms="25", fps=40.0)
         assert AppMetrics(ee_latency_ms=25, fps=40).fps == 40.0
+
+
+# --- generated text encoder against the reference encoder ------------------------
+
+
+class Real(float):
+    """A float subclass whose repr is not JSON."""
+
+    def __repr__(self):
+        return "Real()"
+
+
+class Count(int):
+    """An int subclass whose repr is not JSON."""
+
+    def __repr__(self):
+        return "Count()"
+
+
+#: Characters JSON escapes or that are easy to mishandle: quote, backslash,
+#: controls, the JS line separators, a non-BMP character and lone surrogates.
+AWKWARD = '"\\\x00\x08\x1f\x7f\x80\u2028\u2029\U0001f600\ud800\udfff%'
+MODEL_IDS = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(AWKWARD)), min_size=1, max_size=16)
+
+
+def reference_text(s: TelemetrySnapshot) -> str:
+    return telemetry._ENCODER.encode(telemetry.snapshot_to_wire(s))
+
+
+def reference_record_bytes(rec: LakeRecord) -> bytes:
+    head = cloud._RECORD_PREFIX % (rec.record_id, rec.ingest_time_ms, rec.transport.value)
+    return (head + reference_text(rec.snapshot) + "}").encode("utf-8")
+
+
+def encoded(encode, arg):
+    """The bytes ``encode`` returns, or its exception type and message."""
+    try:
+        return encode(arg)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@st.composite
+def odd_typed_snapshots(draw):
+    """Valid snapshots built from ints and float subclasses as well as floats."""
+    snap = draw(snapshots())
+    kwargs = {"model_id": draw(MODEL_IDS)}
+    for key, cls, _ in telemetry._GROUPS:
+        for name, *_ in cls._floats:
+            value = getattr(getattr(snap, key), name)
+            form = draw(st.sampled_from(["float", "subclass", "int"]))
+            if form == "subclass":
+                value = Real(value)
+            elif form == "int" and value == int(value):
+                value = int(value)
+            kwargs[name] = value
+    kwargs["latency_ms"] = kwargs.pop("ee_latency_ms")
+    del kwargs["fps_per_watt"]  # derived by make_snapshot
+    seq = draw(st.integers(0, 2**70))
+    return make_snapshot(
+        device_id=snap.device.device_id,
+        seq=Count(seq) if draw(st.booleans()) else seq,
+        device_time_ms=snap.device_time_ms,
+        **kwargs,
+    )
+
+
+class TestTextEncoderMatchesReference:
+    @given(st.one_of(snapshots(), odd_typed_snapshots()))
+    @settings(max_examples=400)
+    def test_snapshot_text(self, snap):
+        assert telemetry.snapshot_text(snap) == reference_text(snap)
+
+    @given(odd_typed_snapshots())
+    @settings(max_examples=300)
+    def test_encode_snapshot_bytes_or_error(self, snap):
+        def reference(s):
+            s.validate()
+            return reference_text(s).encode("utf-8")
+
+        assert encoded(encode_snapshot, snap) == encoded(reference, snap)
+
+    def test_lone_surrogate_raises_as_the_reference_does(self):
+        snap = make_snapshot(model_id="yolo\ud800")
+        error = encoded(encode_snapshot, snap)
+        assert error[0] is UnicodeEncodeError
+        assert error == encoded(lambda s: reference_text(s).encode("utf-8"), snap)
+
+    @given(st.one_of(snapshots(), odd_typed_snapshots()), st.sampled_from(list(Transport)))
+    @settings(max_examples=200)
+    def test_encode_record(self, snap, transport):
+        try:
+            decoded = decode_snapshot(encode_snapshot(snap))
+        except UnicodeEncodeError:
+            decoded = snap
+        for s in (snap, decoded):
+            rec = LakeRecord(snapshot=s, ingest_time_ms=2**41 + 7, transport=transport, record_id=12345)
+            assert encoded(encode_record, rec) == encoded(reference_record_bytes, rec)
+
+    def test_leaves_format_as_the_c_encoder(self):
+        snap = make_snapshot(seq=Count(7), model_id='m"\\\n\u2028')
+        assert type(snap.seq) is Count
+        assert telemetry.snapshot_text(snap) == reference_text(snap)
+        assert '"seq":7,' in telemetry.snapshot_text(snap)
