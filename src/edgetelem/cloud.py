@@ -20,6 +20,7 @@ import json
 import logging
 import operator
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -31,11 +32,14 @@ from .agent import ActionKind, ActionMessage, ModelNotFound, encode_action
 from .bandwidth import BandwidthPredictor, Placement, PredictorConfig, decide_placement
 from .bus import BusError, HttpServer, RequestRejected
 from .telemetry import (
+    INT_TOKEN,
     NUMERIC_PATHS,
+    SNAPSHOT_PATTERN,
     TelemetryError,
     TelemetrySnapshot,
+    _reference_from_wire,
     decode_snapshot,
-    snapshot_from_wire,
+    snapshot_from_tokens,
     snapshot_text,
 )
 
@@ -91,12 +95,35 @@ def encode_record(rec: LakeRecord) -> bytes:
     return (head + snapshot_text(rec.snapshot) + "}").encode()
 
 
+def _record_pattern() -> bytes:
+    """``_RECORD_PREFIX`` with a token per placeholder, then the snapshot pattern."""
+    tokens = {"%d": INT_TOKEN, "%s": b"(" + b"|".join(re.escape(t.value.encode()) for t in Transport) + b")"}
+    parts = re.split("(%[ds])", _RECORD_PREFIX)
+    return b"".join(tokens.get(part) or re.escape(part.encode()) for part in parts) + SNAPSHOT_PATTERN + rb"\}"
+
+
+_RECORD_RE = re.compile(_record_pattern())
+_TRANSPORTS = {t.value.encode(): t for t in Transport}
+
+
 def decode_record(line: bytes) -> LakeRecord:
+    """Parse one lake line.
+
+    A line as :func:`encode_record` writes it is built from the tokens of one
+    generated pattern; any other line, and one whose snapshot fails a check
+    there, goes through ``json.loads`` and the reference path.
+    """
+    match = _RECORD_RE.fullmatch(line)
+    if match is not None:
+        record_id, ingest_time_ms, transport, *tokens = match.groups()
+        snapshot = snapshot_from_tokens(tokens)
+        if snapshot is not None:
+            return LakeRecord(snapshot, int(ingest_time_ms), _TRANSPORTS[transport], int(record_id))
     doc = json.loads(line)
     if set(doc) != set(RECORD_KEYS):
         raise ValueError(f"unexpected record keys {sorted(doc)}")
     return LakeRecord(
-        snapshot=snapshot_from_wire(doc["snapshot"]),
+        snapshot=_reference_from_wire(doc["snapshot"]),
         ingest_time_ms=doc["ingest_time_ms"],
         transport=Transport(doc["transport"]),
         record_id=doc["record_id"],
@@ -322,26 +349,42 @@ class Firing:
     action: ActionTemplate
 
 
+def _rule_state(consecutive_hits: int, ticks_since_fire: int) -> RuleState:
+    """A :class:`RuleState` built without its check: :func:`evaluate_rules`
+    only counts up from valid states or resets to 0."""
+    state = object.__new__(RuleState)
+    object.__setattr__(state, "consecutive_hits", consecutive_hits)
+    object.__setattr__(state, "ticks_since_fire", ticks_since_fire)
+    return state
+
+
+_RULE_ID = operator.attrgetter("rule_id")
+
+
 def evaluate_rules(snapshot: TelemetrySnapshot, rules, states) -> tuple:
     """Evaluate one snapshot against a rule set.
 
     Pure function of its inputs.  A rule fires when its predicate has held
     for ``consecutive_required`` consecutive snapshots of the device and at
     least ``cooldown_ticks`` snapshots have passed since it last fired.
-    Returns (firings ordered by rule_id, new per-rule states).
+    Returns (firings ordered by rule_id, new per-rule states); the rules may
+    come in any order.
     """
     firings = []
     new_states = {}
-    for rule in sorted(rules, key=lambda r: r.rule_id):
-        state = states.get(rule.rule_id)
+    for rule in rules:
+        rule_id = rule.rule_id
+        state = states.get(rule_id)
         if state is None:
             state = initial_rule_state(rule)
         ticks_since_fire = state.ticks_since_fire + 1
         hits = state.consecutive_hits + 1 if rule.predicate(snapshot) else 0
         if hits >= rule.consecutive_required and ticks_since_fire >= rule.cooldown_ticks:
-            firings.append(Firing(rule_id=rule.rule_id, action=rule.action))
+            firings.append(Firing(rule_id, rule.action))
             ticks_since_fire = 0
-        new_states[rule.rule_id] = RuleState(consecutive_hits=hits, ticks_since_fire=ticks_since_fire)
+        new_states[rule_id] = _rule_state(hits, ticks_since_fire)
+    if len(firings) > 1:
+        firings.sort(key=_RULE_ID)  # stable, as sorting the rules was
     return firings, new_states
 
 

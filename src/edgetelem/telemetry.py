@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter, itemgetter
@@ -84,7 +85,10 @@ class ParseError(TelemetryError):
 def _as_float(field: str, value, ge=None, gt=None, le=None, lt=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(field, "must be a real number")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ValidationError(field, "out of float range") from None
     if not math.isfinite(v):
         raise ValidationError(field, "must be finite")
     if ge is not None and v < ge:
@@ -161,39 +165,58 @@ class _Metrics:
 
     ``_floats`` holds ``(name, ge, gt, le, lt)`` for each :func:`_real` field,
     and ``_check_floats`` checks those fields; :func:`_metric_group` builds
-    both once per class.
+    both once per class.  ``_check`` holds a group's checks across fields.
     """
 
     _floats = ()
 
     def __post_init__(self):
         self._check_floats()
+        self._check()
+
+    def _check(self):
+        pass
 
 
-def _float_checker(floats: tuple):
-    """Generate a ``_check_floats`` method for a ``_floats`` table.
+def _in_bounds(v: str, ge, gt, le, lt) -> str:
+    """The condition that the float named ``v`` is finite and within bounds."""
+    bounds = ((">=", ge), (">", gt), ("<=", le), ("<", lt))
+    terms = [f"{v} {op} {bound!r}" for op, bound in bounds if bound is not None]
+    # A bound on each side makes the value finite; every comparison is false for NaN.
+    if ge is None and gt is None:
+        terms.append(f"{v} > _NINF")
+    if le is None and lt is None:
+        terms.append(f"{v} < _INF")
+    return " and ".join(terms)
+
+
+def _float_lines(obj: str, floats: tuple) -> list:
+    """Lines that check ``obj``'s fields of a ``_floats`` table.
 
     Per field, a finite ``float`` within bounds passes inline; any other value
     goes to :func:`_as_float`, which converts an int and raises the message.
     """
-    lines = ["def _check_floats(self):"]
+    lines = []
     for name, ge, gt, le, lt in floats:
-        bounds = ((">=", ge), (">", gt), ("<=", le), ("<", lt))
-        terms = ["type(v) is float", *(f"v {op} {bound!r}" for op, bound in bounds if bound is not None)]
-        # A bound on each side makes the value finite; every comparison is false for NaN.
-        if ge is None and gt is None:
-            terms.append("v > _NINF")
-        if le is None and lt is None:
-            terms.append("v < _INF")
         lines += [
-            f"    v = self.{name}",
-            f"    if not ({' and '.join(terms)}):",
-            f"        _set(self, {name!r}, _as_float({name!r}, v, {ge!r}, {gt!r}, {le!r}, {lt!r}))",
+            f"    v = {obj}.{name}",
+            f"    if not (type(v) is float and {_in_bounds('v', ge, gt, le, lt)}):",
+            f"        _set({obj}, {name!r}, _as_float({name!r}, v, {ge!r}, {gt!r}, {le!r}, {lt!r}))",
         ]
-    lines.append("    pass")  # a table without floats
-    namespace = {"_INF": math.inf, "_NINF": -math.inf, "_as_float": _as_float, "_set": _set}
-    exec("\n".join(lines), namespace)
-    return namespace["_check_floats"]
+    return lines
+
+
+def _compile(source: str, name: str, **names):
+    """The function ``name`` that ``source`` defines, with these names global to it."""
+    namespace = {"_INF": math.inf, "_NINF": -math.inf, "_as_float": _as_float, "_set": _set, **names}
+    exec(source, namespace)
+    return namespace[name]
+
+
+def _float_checker(floats: tuple):
+    """Generate a ``_check_floats`` method for a ``_floats`` table."""
+    lines = ["def _check_floats(self):", *_float_lines("self", floats), "    pass"]  # pass: a table without floats
+    return _compile("\n".join(lines), "_check_floats")
 
 
 def _metric_group(cls):
@@ -211,8 +234,7 @@ class AppMetrics(_Metrics):
     ee_latency_ms: float = _real(gt=0.0)  # end-to-end latency per frame, milliseconds
     fps: float = _real(ge=0.0)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
         if self.fps > 0:
             derived = 1000.0 / self.ee_latency_ms
             if abs(self.fps - derived) / self.fps > FPS_COHERENCE_SLACK:
@@ -238,8 +260,7 @@ class ModelMetrics(_Metrics):
     model_efficiency: float = _real(ge=0.0)
     model_id: str
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
         _as_nonempty_str("model_id", self.model_id)
 
 
@@ -309,9 +330,20 @@ class TelemetrySnapshot:
     network: NetworkMetrics
 
     def __post_init__(self):
-        self.validate()
+        self._check_fields()
+        self._check_fps_per_watt()
 
     def validate(self) -> None:
+        """Re-run every check construction ran, the metric groups' own included.
+
+        Catches a snapshot mutated through non-public means, such as a NaN
+        set with ``object.__setattr__``.
+        """
+        self._check_fields()
+        _check_groups(self)
+        self._check_fps_per_watt()
+
+    def _check_fields(self) -> None:
         if not isinstance(self.device, DeviceIdentity):
             raise ValidationError("device", "must be a DeviceIdentity")
         _as_int("seq", self.seq, ge=0)
@@ -319,6 +351,8 @@ class TelemetrySnapshot:
         for name, typ, _ in _GROUPS:
             if not isinstance(getattr(self, name), typ):
                 raise ValidationError(name, f"must be a {typ.__name__}")
+
+    def _check_fps_per_watt(self) -> None:
         expected = self.app.fps / self.energy.power_w
         if not math.isclose(self.energy.fps_per_watt, expected, rel_tol=1e-9, abs_tol=1e-12):
             raise ValidationError(
@@ -389,6 +423,20 @@ _GROUPS = tuple(
     if issubclass(hint, _Metrics)
 )
 TOP_KEYS = tuple(key for key, _, _ in _WIRE_LAYOUT)
+
+
+def _groups_checker():
+    """Generate ``_check_groups(s)``: every metric group's ``__post_init__``
+    checks on a snapshot, in one function."""
+    lines = ["def _check_groups(s):"]
+    for key, cls, _ in _GROUPS:
+        lines += [f"    g = s.{key}", *_float_lines("g", cls._floats)]
+        if cls._check is not _Metrics._check:
+            lines.append("    g._check()")
+    return _compile("\n".join(lines), "_check_groups")
+
+
+_check_groups = _groups_checker()
 
 #: Every leaf of the wire document as a key path, in wire order.
 WIRE_PATHS = tuple(
@@ -489,74 +537,50 @@ def decode_snapshot(data) -> TelemetrySnapshot:
     """Parse and validate canonical snapshot bytes.
 
     Inverse of :func:`encode_snapshot` for all valid snapshots.  Rejects
-    unknown keys, wrong types, and any invariant violation.
+    unknown keys, wrong types, and any invariant violation, and raises only
+    :class:`TelemetryError`.  Bytes that :data:`SNAPSHOT_PATTERN` matches are
+    built from their tokens; any other input, and any whose tokens fail a
+    check, goes through ``json.loads`` and the reference path, which raises
+    the error.
     """
     if isinstance(data, (bytes, bytearray, memoryview)):
+        data = bytes(data)
+        match = _SNAPSHOT_RE.fullmatch(data)
+        if match is not None:
+            snapshot = snapshot_from_tokens(match.groups())
+            if snapshot is not None:
+                return snapshot
         try:
-            text = bytes(data).decode("utf-8")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as e:
             raise ParseError("invalid UTF-8", e.start) from None
     else:
         text = data
+    return _reference_from_wire(_loads(text))
+
+
+def _byte_offset(text: str, pos: int) -> int:
+    return len(text[:pos].encode("utf-8", "surrogatepass"))
+
+
+def _loads(text: str):
+    """``json.loads``, with every way it fails as a :class:`ParseError`."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(e.msg, len(text[: e.pos].encode("utf-8"))) from None
-    return snapshot_from_wire(obj)
+        raise ParseError(e.msg, _byte_offset(text, e.pos)) from None
+    except ValueError:  # an integer literal above the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        literal = re.search(r"(?<![\w.+-])-?[0-9]{%d}" % (limit + 1), text)
+        raise ParseError(f"integer literal longer than {limit} digits", _byte_offset(text, literal.start())) from None
+    except RecursionError:
+        raise ParseError("nested too deeply", 0) from None
 
 
-_PLATFORM_KINDS = {kind.value: kind for kind in PlatformKind}
-#: ``(key, dataclass, member keys)`` per snapshot field after the device, in
-#: field order; an int field has ``None`` for both.
-_AFTER_DEVICE = tuple(
-    (name, hint, tuple(f.name for f in fields(hint))) if issubclass(hint, _Metrics) else (name, None, None)
-    for name, hint in _SNAPSHOT_FIELDS[1:]
+#: ``(group key, member)`` of each string field of a metric group.
+_GROUP_STRINGS = tuple(
+    (key, member) for key, _, members in _GROUPS for member in members if _leaf_type(f"{key}.{member}") is str
 )
-
-
-def snapshot_from_wire(obj) -> TelemetrySnapshot:
-    """Validate an already-parsed wire document against the snapshot schema.
-
-    A document whose keys come in wire order at both levels is checked and
-    built straight through; any other document, and any that fails a check
-    there, goes through the reference path, which raises the error.
-    """
-    if type(obj) is dict and tuple(obj) == TOP_KEYS:
-        try:
-            return _canonical_from_wire(obj)
-        except TelemetryError:
-            pass
-    return _reference_from_wire(obj)
-
-
-def _canonical_from_wire(top: dict) -> TelemetrySnapshot:
-    """Build the snapshot of a document with its keys in wire order.
-
-    Builds the objects as their ``__init__`` would and runs the same
-    ``__post_init__`` checks; raises :class:`SchemaError` for anything the
-    reference path must judge.
-    """
-    device_id, kind = _device_values(top)
-    kind = _PLATFORM_KINDS.get(kind) if type(kind) is str else None
-    if kind is None or type(device_id) is not str or not DEVICE_ID_RE.fullmatch(device_id):
-        raise SchemaError("$", "not canonical")
-    device = object.__new__(DeviceIdentity)
-    device.__dict__.update(zip(_DEVICE_KEYS, (device_id, kind)))
-    snapshot = object.__new__(TelemetrySnapshot)
-    values = snapshot.__dict__
-    values["device"] = device
-    for key, cls, members in _AFTER_DEVICE:
-        value = top[key]
-        if cls is not None:
-            if type(value) is not dict or tuple(value) != members:
-                raise SchemaError(key, "not canonical")
-            group = object.__new__(cls)
-            group.__dict__.update(value)
-            group.__post_init__()
-            value = group
-        values[key] = value
-    snapshot.validate()
-    return snapshot
 
 
 def _reference_from_wire(obj) -> TelemetrySnapshot:
@@ -570,4 +594,122 @@ def _reference_from_wire(obj) -> TelemetrySnapshot:
         args[key] = top[key]
     for key, cls, _ in _GROUPS:
         args[key] = cls(**top[key])
-    return TelemetrySnapshot(**args)
+    snapshot = TelemetrySnapshot(**args)
+    # JSON's \u escapes can spell a lone surrogate, which no UTF-8 encoder takes.
+    for key, member in _GROUP_STRINGS:
+        try:
+            getattr(getattr(snapshot, key), member).encode()
+        except UnicodeEncodeError:
+            raise ValidationError(member, "must not contain a lone surrogate") from None
+    return snapshot
+
+
+# --- generated decoder of compact documents ----------------------------------
+
+#: Token patterns of :data:`SNAPSHOT_PATTERN`.  Each is bounded in length, so
+#: matching costs the same on any input; a longer token goes to ``json.loads``.
+#: A non-negative int of at most 18 digits.
+INT_TOKEN = rb"(0|[1-9][0-9]{0,17})"
+#: A JSON number with a fraction or an exponent, which ``json.loads`` also
+#: reads with ``float``, no longer than ``repr``'s longest float,
+#: ``-2.2250738585072014e-308``.  An int literal goes to ``json.loads``: it
+#: reads ``-0`` as the int 0, which a float field takes as 0.0, not -0.0.
+_FLOAT_TOKEN = rb"(?=[-+.0-9eE]{1,24}[,}])(-?(?:0|[1-9][0-9]{0,23})(?:\.[0-9]{1,23}(?:[eE][-+]?[0-9]{1,3})?|[eE][-+]?[0-9]{1,3}))"
+#: A non-empty string of at most 256 characters, each a byte other than a
+#: quote, a backslash or a control character, or one JSON escape.
+_STR_TOKEN = rb'"((?:[^"\\\x00-\x1f]|\\["\\/bfnrt]|\\u[0-9A-Fa-f]{4}){1,256})"'
+
+
+def _text(token: bytes) -> str:
+    """The string of a string token, as ``json.loads`` reads it.
+
+    A lone surrogate, which a ``\\u`` escape can spell, raises
+    ``UnicodeEncodeError`` as the reference path rejects it.
+    """
+    text = token.decode()
+    if "\\" in text:
+        text = json.decoder.scanstring(text + '"', 0)[0]
+        text.encode()
+    return text
+
+
+def _tokens_decoder():
+    """Generate the compact snapshot pattern and the builder of its tokens.
+
+    The pattern matches a snapshot as :func:`snapshot_text` writes it, keys in
+    wire order and no whitespace, and captures one token per leaf.
+    ``build(*tokens)`` converts the tokens with ``float``, ``int`` and strict
+    UTF-8 decoding, runs every check construction runs, and builds the objects
+    with their instance dicts in field order.  A failed check, and a string
+    that is not UTF-8, raise a ``ValueError``.
+    """
+    params, lines = [], []
+    namespace = {"_new": object.__new__, "_text": _text}
+
+    def key(name: str) -> bytes:
+        return re.escape((_str(name) + ":").encode())
+
+    def leaf(pattern: list, name: str, token: bytes) -> str:
+        pattern.append(key(name) + token)
+        params.append(f"t{len(params)}")
+        return params[-1]
+
+    def instance(var: str, cls, items: list) -> None:
+        namespace[cls.__name__] = cls
+        values = ", ".join(f"{name!r}: {value}" for name, value in items)
+        lines.append(f"    {var} = _new({cls.__name__})")
+        lines.append(f"    _set({var}, '__dict__', {{{values}}})")
+
+    top, snapshot_items, floats = [], [], []
+    for name, hint in _SNAPSHOT_FIELDS:
+        if hint is DeviceIdentity:  # its fields sit at the top level
+            items = []
+            for member, typ in _typed_fields(hint):
+                if issubclass(typ, Enum):  # the alternation is the check
+                    values = {_str(kind.value)[1:-1].encode(): kind for kind in typ}
+                    namespace[f"_{typ.__name__}"] = values
+                    t = leaf(top, member, b'"(' + b"|".join(map(re.escape, values)) + b')"')
+                    items.append((member, f"_{typ.__name__}[{t}]"))
+                else:  # the device id pattern is the check
+                    t = leaf(top, member, b'"(' + DEVICE_ID_RE.pattern.encode() + b')"')
+                    items.append((member, f"{t}.decode()"))
+            instance(name, hint, items)
+            snapshot_items.append((name, name))
+        elif hint is int:
+            snapshot_items.append((name, f"int({leaf(top, name, INT_TOKEN)})"))
+        else:
+            bounds = {member: b for member, *b in hint._floats}
+            members, items, checks = [], [], []
+            for member in (f.name for f in fields(hint)):
+                if member in bounds:
+                    t = leaf(members, member, _FLOAT_TOKEN)
+                    floats.append(t)
+                    checks.append(_in_bounds(t, *bounds[member]))
+                    items.append((member, t))
+                else:
+                    items.append((member, f"_text({leaf(members, member, _STR_TOKEN)})"))
+            lines += [f"    if not ({' and '.join(checks)}):", "        raise ValueError"]
+            instance(name, hint, items)
+            if hint._check is not _Metrics._check:
+                lines.append(f"    {name}._check()")
+            top.append(key(name) + rb"\{" + b",".join(members) + rb"\}")
+            snapshot_items.append((name, name))
+    instance("snapshot", TelemetrySnapshot, snapshot_items)
+    lines += ["    snapshot._check_fps_per_watt()", "    return snapshot"]
+    lines.insert(0, f"    {', '.join(floats)} = map(float, ({', '.join(floats)}))")  # one C loop, not a call per field
+    builder = _compile(f"def build({', '.join(params)}):\n" + "\n".join(lines), "build", **namespace)
+    return rb"\{" + b",".join(top) + rb"\}", builder
+
+
+#: The pattern of a compact snapshot with its keys in wire order.
+SNAPSHOT_PATTERN, _build_from_tokens = _tokens_decoder()
+_SNAPSHOT_RE = re.compile(SNAPSHOT_PATTERN)
+
+
+def snapshot_from_tokens(tokens) -> TelemetrySnapshot | None:
+    """The snapshot of the tokens :data:`SNAPSHOT_PATTERN` captured, or None
+    if it fails a check: the reference path then judges the input."""
+    try:
+        return _build_from_tokens(*tokens)
+    except ValueError:
+        return None

@@ -2,8 +2,10 @@ import errno
 import json
 import math
 import random
+import re
 import shutil
 from datetime import datetime, timezone
+from operator import attrgetter
 from types import SimpleNamespace
 
 import pytest
@@ -13,13 +15,14 @@ from oracle_rules import naive_fire_sequence
 from edgetelem.agent import ActionKind
 from edgetelem.bandwidth import Placement
 from edgetelem import cloud
-from edgetelem.bus import IngestHttpServer, http_post_snapshot
+from edgetelem.bus import IngestHttpServer, RequestRejected, http_post_snapshot
 from edgetelem.cloud import (
     ActionTemplate,
     BandwidthRuleConfig,
     CloudService,
     Comparator,
     DispatchDown,
+    Firing,
     IngestRejected,
     Lake,
     LakeError,
@@ -28,6 +31,7 @@ from edgetelem.cloud import (
     Rule,
     RuleConfigError,
     RuleSet,
+    RuleState,
     Transport,
     decode_record,
     encode_record,
@@ -35,7 +39,7 @@ from edgetelem.cloud import (
     rules_from_dict,
 )
 from edgetelem.simulator import builtin_profiles, make_model_blob
-from edgetelem.telemetry import NUMERIC_PATHS, encode_snapshot
+from edgetelem.telemetry import NUMERIC_PATHS, ParseError, ValidationError, decode_snapshot, encode_snapshot
 
 STEP_DOWN = ActionTemplate(kind=ActionKind.STEP_FREQUENCY_DOWN)
 
@@ -639,3 +643,102 @@ class TestLakeDurability:
             clock.now += 1000
             service.ingest(encode_snapshot(make_snapshot(seq=i, device_time_ms=i * 1000)), Transport.PUBSUB)
         return service.lake
+
+
+class TestEvaluateRulesInAnyOrder:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_shuffled_rule_sets_match_the_oracle(self, seed):
+        rng = random.Random(seed)
+        paths = [".".join(p) for p in NUMERIC_PATHS]
+        snapshots = [random_snapshot(rng, seq=i, device_id="dev0") for i in range(rng.randint(20, 120))]
+        rules = [
+            Rule(
+                rule_id=f"r{idx}",  # "r10" sorts before "r2"
+                metric_path=(path := rng.choice(paths)),
+                comparator=rng.choice(list(Comparator)),
+                threshold=float(attrgetter(path)(rng.choice(snapshots))),
+                action=STEP_DOWN,
+                cooldown_ticks=rng.randint(1, 6),
+                consecutive_required=rng.randint(1, 4),
+            )
+            for idx in range(rng.randint(2, 14))
+        ]
+        shuffled = rng.sample(rules, len(rules))
+        assert drive(shuffled, snapshots) == naive_fire_sequence(shuffled, snapshots)
+        ordered = sorted(rules, key=lambda r: r.rule_id)
+        states_shuffled, states_ordered = {}, {}
+        for snap in snapshots:
+            firings_a, states_shuffled = evaluate_rules(snap, shuffled, states_shuffled)
+            firings_b, states_ordered = evaluate_rules(snap, ordered, states_ordered)
+            assert firings_a == firings_b
+            assert states_shuffled == states_ordered
+            assert all(type(s) is RuleState for s in states_shuffled.values())
+
+    def test_states_count_as_a_validated_state_would(self):
+        rule = fps_rule(cooldown=2, consecutive=2)
+        _, states = evaluate_rules(fps_snapshot(35.0), [rule], {})
+        assert states == {"r1": RuleState(consecutive_hits=1, ticks_since_fire=3)}
+        firings, states = evaluate_rules(fps_snapshot(35.0), [rule], states)
+        assert firings == [Firing(rule_id="r1", action=STEP_DOWN)]
+        assert states == {"r1": RuleState(consecutive_hits=2, ticks_since_fire=0)}
+        _, states = evaluate_rules(fps_snapshot(20.0), [rule], states)
+        assert states == {"r1": RuleState(consecutive_hits=0, ticks_since_fire=1)}
+
+
+#: Payloads that decode used to let escape as something other than a
+#: TelemetryError: stored and then failing to encode, or raising from json.loads
+#: or float(); ingest then answered 503 and dead-lettered nothing.
+GOLDEN_RAW = encode_snapshot(make_snapshot())
+SEQ_AT = GOLDEN_RAW.index(b'"seq":') + len(b'"seq":')
+TEMP_AT = GOLDEN_RAW.index(b'"temp_c":') + len(b'"temp_c":')
+DEFECTS = {
+    "lone_surrogate": (
+        GOLDEN_RAW.replace(b'"yolov3"', b'"yolo\\ud800"'),
+        ValidationError, "model_id: must not contain a lone surrogate",
+    ),
+    "int_over_digit_limit": (
+        GOLDEN_RAW.replace(b'"seq":0', b'"seq":' + b"1" * 5000),
+        ParseError, f"integer literal longer than 4300 digits (byte {SEQ_AT})",
+    ),
+    "negative_int_over_digit_limit_in_float_field": (
+        GOLDEN_RAW.replace(b'"temp_c":45.0', b'"temp_c":-' + b"1" * 4301),
+        ParseError, f"integer literal longer than 4300 digits (byte {TEMP_AT})",
+    ),
+    "int_beyond_float_range": (
+        GOLDEN_RAW.replace(b'"temp_c":45.0', b'"temp_c":' + b"1" * 400),
+        ValidationError, "temp_c: out of float range",
+    ),
+    "nested_too_deeply": (b"[" * 100_000, ParseError, "nested too deeply (byte 0)"),
+}
+
+
+class TestDecodeRaisesOnlyTelemetryError:
+    @pytest.mark.parametrize("name", DEFECTS)
+    def test_decode(self, name):
+        payload, error, message = DEFECTS[name]
+        with pytest.raises(error) as exc:
+            decode_snapshot(payload)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name", DEFECTS)
+    def test_ingest_dead_letters(self, tmp_path, name):
+        payload, _, message = DEFECTS[name]
+        service = make_service(tmp_path)
+        with pytest.raises(IngestRejected, match=re.escape(message)):
+            service.ingest(payload, Transport.PUBSUB)
+        assert service.dead_letters == 1
+        assert service.lake.scan("dev0") == []
+        [entry] = (service.lake.root / "dead_letter.jsonl").read_text().splitlines()
+        assert bytes.fromhex(json.loads(entry)["payload_hex"]) == payload
+
+    @pytest.mark.parametrize("name", ["lone_surrogate", "int_over_digit_limit", "int_beyond_float_range"])
+    def test_http_answers_400(self, tmp_path, name):
+        payload, _, message = DEFECTS[name]
+        service = make_service(tmp_path)
+        server = IngestHttpServer(service.http_backend).start()
+        try:
+            with pytest.raises(RequestRejected, match=re.escape(message)):
+                http_post_snapshot(server.address, payload)
+        finally:
+            server.stop()
+        assert service.dead_letters == 1

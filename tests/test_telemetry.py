@@ -409,8 +409,9 @@ class TestCanonicalDecodeMatchesReference:
     @given(snapshots())
     @settings(max_examples=100)
     def test_valid_documents_take_the_canonical_path(self, snap):
-        doc = json.loads(encode_snapshot(snap))
-        assert telemetry._canonical_from_wire(doc) == snap
+        match = telemetry._SNAPSHOT_RE.fullmatch(encode_snapshot(snap))
+        assert match is not None
+        assert telemetry.snapshot_from_tokens(match.groups()) == snap
 
     @given(snapshots(), st.data())
     @settings(max_examples=150)
@@ -572,3 +573,251 @@ class TestTextEncoderMatchesReference:
         assert type(snap.seq) is Count
         assert telemetry.snapshot_text(snap) == reference_text(snap)
         assert '"seq":7,' in telemetry.snapshot_text(snap)
+
+
+# --- generated decoder against the reference, byte by byte -------------------
+
+
+def compact(text: str) -> bytes:
+    """The compact serialization of a JSON document, keys in the order given."""
+    return json.dumps(json.loads(text), separators=(",", ":"), ensure_ascii=False).encode("utf-8", "surrogatepass")
+
+
+def reference_bytes(raw: bytes) -> TelemetrySnapshot:
+    """decode_snapshot on bytes without the generated decoder: str input skips it."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError("invalid UTF-8", e.start) from None
+    return decode_snapshot(text)
+
+
+def takes_generated_path(raw: bytes) -> bool:
+    match = telemetry._SNAPSHOT_RE.fullmatch(raw)
+    return match is not None and telemetry.snapshot_from_tokens(match.groups()) is not None
+
+
+def record_line(snapshot_bytes: bytes, prefix: bytes = b'{"record_id":7,"ingest_time_ms":86400000,"transport":"Http",') -> bytes:
+    return prefix + b'"snapshot":' + snapshot_bytes + b"}"
+
+
+def replace_value(raw: bytes, key: str, value: bytes) -> bytes:
+    """``raw`` with the value of the leaf ``key`` (a unique key) replaced."""
+    head, sep, tail = raw.partition(b'"%s":' % key.encode())
+    assert sep, key
+    end = min(i for i in (tail.find(b","), tail.find(b"}")) if i >= 0) if not tail.startswith(b'"') else tail.index(b'"', 1) + 1
+    return head + sep + value + tail[end:]
+
+
+FLOAT_KEYS = [name for _, cls, _ in telemetry._GROUPS for name, *_ in cls._floats]
+LONGEST_REPR = repr(-2.2250738585072014e-308).encode()
+FLOAT_VALUES = [
+    b"25", b"0", b"-0", b"1", b"-1", b"1" * 19,  # int tokens in a float field
+    b"2.5e1", b"2.5E+1", b"25e0", b"250e-1", b"1e400", b"-1e400", b"1e-400", b"5e-324", b"1e0005",
+    b"-0.0", b"0.0", b"-0.0e0", b"025.0", b"00.5", b"0.50", b"1.", b".5", b"+1.0", b"1_0.0", b"0x10",
+    b"NaN", b"-NaN", b"Infinity", b"-Infinity", b"true", b"null", b'"1.0"', b"[1.0]", b"{}",
+    LONGEST_REPR, b"-" + LONGEST_REPR[1:].replace(b"e", b"0e"), b"1." + b"0" * 22, b"1." + b"0" * 23,
+]
+INT_VALUES = [
+    b"0", b"-0", b"-1", b"01", b"00", b"1" + b"0" * 17, b"9" * 18, b"1" + b"0" * 18, b"9" * 19, b"9" * 4301,
+    b"1.0", b"1e3", b"true", b"null", b'"1"',
+]
+STRING_VALUES = {
+    "model_id": [
+        b'"yo\\"lo"', b'"yolo\\u0041"', b'"yolo\\ud800"', b'"\\udfff"', b'"\\ud83d\\ude00"', b'"a\\\\b"', b'"a\\/b"',
+        '"y\u00f6lo"'.encode(), '"\U0001f600"'.encode(), '"\u2028"'.encode(), b'"\x7f"', b'"%s"', b'"yo\xfflo"', b'"\xed\xa0\x80"',
+        b'"\xc3"', b'"\x01"', b'"\t"', b'""', b'"' + b"a" * 256 + b'"', b'"' + b"a" * 257 + b'"',
+        '"{}"'.format("é" * 128).encode(), '"{}"'.format("é" * 129).encode(), b"7", b"null",
+    ],
+    "device_id": [
+        b'"dev\\u0031"', b'""', b'"' + b"a" * 64 + b'"', b'"' + b"a" * 65 + b'"', b'"dev 1"', '"dé"'.encode(), b"1",
+    ],
+    "platform_kind": [rb'"SimulatedDPU"', b'"Other"', b'"simulateddpu"', b'"SimulatedDPU "', b"null"],
+}
+
+
+def byte_mutations(raw: bytes) -> list:
+    """Edits of canonical snapshot text that a compact-only decoder must judge."""
+    out = [raw]
+    for key in FLOAT_KEYS:
+        out += [replace_value(raw, key, value) for value in FLOAT_VALUES]
+    for key in telemetry._INT_KEYS:
+        out += [replace_value(raw, key, value) for value in INT_VALUES]
+    for key, values in STRING_VALUES.items():
+        out += [replace_value(raw, key, value) for value in values]
+    seq = raw[raw.index(b'"seq":') : raw.index(b',"device_time_ms"')]
+    app = raw[raw.index(b'"app":') : raw.index(b',"model":')]
+    out += [
+        raw.replace(seq, seq + b"," + seq),  # duplicate keys
+        raw.replace(app, app + b"," + app),
+        raw.replace(b'"seq":', b'"\\u0073eq":'),  # an escaped key
+        raw + b" ", raw + b"\n", raw + b"\r\n", b" " + raw, b"\xef\xbb\xbf" + raw,
+        raw.replace(b'"seq":', b'"seq": '), raw.replace(b",", b", ", 1),
+        raw[:-1] + b',"extra":1}', raw[:-1] + b",}", raw[:-1], raw + b"}", raw[:-2] + b"}",
+    ]
+    return out
+
+
+RECORD_PREFIXES = [
+    b'{"record_id":0,"ingest_time_ms":0,"transport":"PubSub",',
+    b'{"record_id":' + b"9" * 18 + b',"ingest_time_ms":' + b"9" * 18 + b',"transport":"Http",',
+    b'{"record_id":' + b"9" * 19 + b',"ingest_time_ms":1,"transport":"Http",',
+    b'{"record_id":-1,"ingest_time_ms":1,"transport":"Http",',
+    b'{"record_id":01,"ingest_time_ms":1,"transport":"Http",',
+    b'{"record_id":1.0,"ingest_time_ms":1,"transport":"Http",',
+    b'{"record_id":1,"ingest_time_ms":1,"transport":"Mqtt",',
+    b'{"record_id":1,"ingest_time_ms":1,"transport":"\\u0048ttp",',
+    b'{"ingest_time_ms":1,"record_id":1,"transport":"Http",',
+    b'{"record_id":1,"record_id":2,"ingest_time_ms":1,"transport":"Http",',
+    b'{"record_id": 1,"ingest_time_ms":1,"transport":"Http",',
+]
+
+
+class TestGeneratedDecodeMatchesReference:
+    @given(snapshots(), st.data())
+    @settings(max_examples=300)
+    def test_compact_mutated_documents(self, snap, data):
+        raw = compact(mutate(json.loads(encode_snapshot(snap)), data))
+        assert outcome(decode_snapshot, raw) == outcome(reference_bytes, raw)
+        line = record_line(raw)
+        assert outcome(decode_record, line) == outcome(reference_record, line)
+
+    @given(snapshots())
+    @settings(max_examples=25, deadline=None)
+    def test_byte_mutations_of_canonical_text(self, snap):
+        generated = 0
+        for raw in byte_mutations(encode_snapshot(snap)):
+            assert outcome(decode_snapshot, raw) == outcome(reference_bytes, raw), raw
+            line = record_line(raw)
+            assert outcome(decode_record, line) == outcome(reference_record, line), line
+            generated += takes_generated_path(raw)
+        assert generated >= 10  # the edits reach the generated path, not only json.loads
+
+    def test_byte_mutations_reach_both_paths_and_every_error_type(self):
+        raws = byte_mutations(GOLDEN_BYTES)
+        generated = [raw for raw in raws if takes_generated_path(raw)]
+        outcomes = {outcome(decode_snapshot, raw)[0] for raw in raws}
+        assert {"ok", ParseError, SchemaError, ValidationError} <= outcomes
+        # exponents, -0.0, a trailing zero, the longest repr, raw non-ASCII, 18-digit ints and 256 bytes
+        for value in (b"2.5e1", b"-0.0", b"0.50", b"1." + b"0" * 22, '"yölo"'.encode(), b"9" * 18, b'"' + b"a" * 256 + b'"'):
+            assert any(value in raw for raw in generated), value
+        # one past each token's bound: a 25-character float, a 19-digit int, 257 bytes
+        for value in (b"1." + b"0" * 23, b"1" + b"0" * 18, b'"' + b"a" * 257 + b'"'):
+            assert any(value in raw for raw in raws) and not any(value in raw for raw in generated), value
+        for raw in generated:
+            assert outcome(decode_snapshot, raw) == outcome(reference_bytes, raw)
+
+    @given(snapshots(), st.data())
+    @settings(max_examples=400)
+    def test_random_byte_edits(self, snap, data):
+        raw = bytearray(encode_snapshot(snap))
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(raw) - 1))
+            edit = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+            byte = data.draw(st.sampled_from(b'0123456789.-+eE",:{}\\ u\x00\xff\xc3'))
+            if edit == "replace":
+                raw[at] = byte
+            elif edit == "insert":
+                raw.insert(at, byte)
+            else:
+                del raw[at]
+        raw = bytes(raw)
+        assert outcome(decode_snapshot, raw) == outcome(reference_bytes, raw)
+        assert outcome(decode_snapshot, memoryview(raw)) == outcome(reference_bytes, raw)
+
+    @given(snapshots())
+    @settings(max_examples=20, deadline=None)
+    def test_record_prefix_mutations(self, snap):
+        for prefix in RECORD_PREFIXES:
+            line = record_line(encode_snapshot(snap), prefix)
+            assert outcome(decode_record, line) == outcome(reference_record, line), line
+
+    @given(snapshots(), st.data())
+    @settings(max_examples=100)
+    def test_compact_records_over_a_lake(self, tmp_path_factory, snap, data):
+        lake = Lake(tmp_path_factory.mktemp("lake"))
+        lake.append(LakeRecord(snapshot=snap, ingest_time_ms=1000, transport=Transport.HTTP, record_id=3))
+        [path] = lake._partitions(snap.device.device_id)
+        record = json.loads(path.read_bytes())
+        record["snapshot"] = json.loads(mutate(record["snapshot"], data))
+        line = compact(json.dumps(record))
+        assert outcome(decode_record, line) == outcome(reference_record, line)
+
+
+def hostile(size: int) -> dict:
+    """Payloads of ``size`` bytes that run one token, or the tail, out to the end."""
+    def fill(head: bytes, unit: bytes) -> bytes:
+        return head + (unit * size)[: size - len(head)]
+
+    cut = GOLDEN_BYTES.index
+    return {
+        "device_id": fill(b'{"device_id":"', b"a"),
+        "seq": fill(GOLDEN_BYTES[: cut(b'"seq":') + 6], b"1"),
+        "float": fill(GOLDEN_BYTES[: cut(b'"ee_latency_ms":') + 16], b"1"),
+        "fraction": fill(GOLDEN_BYTES[: cut(b'"ee_latency_ms":') + 16] + b"1.", b"0"),
+        "model_id": fill(GOLDEN_BYTES[: cut(b'"model_id":') + 12], b"a"),
+        "model_id_utf8": fill(GOLDEN_BYTES[: cut(b'"model_id":') + 12], "é".encode()),
+        "tail": fill(GOLDEN_BYTES, b" "),
+    }
+
+
+class TestGeneratedDecodeIsBounded:
+    @pytest.mark.parametrize("pattern", [telemetry.SNAPSHOT_PATTERN, cloud._RECORD_RE.pattern], ids=["snapshot", "record"])
+    def test_patterns_match_a_bounded_length(self, pattern):
+        try:
+            from re import _parser
+        except ImportError:  # Python 3.10
+            import sre_parse as _parser
+
+        _, high = _parser.parse(pattern).getwidth()
+        assert high < 4096
+
+    def test_one_mib_payloads_cost_what_one_kib_payloads_cost(self):
+        import timeit
+
+        small, big = hostile(1024), hostile(1 << 20)
+        match = telemetry._SNAPSHOT_RE.fullmatch
+        for name in small:
+            assert len(big[name]) == 1 << 20
+            assert match(big[name]) is None
+            result = outcome(decode_snapshot, big[name])
+            assert result == outcome(reference_bytes, big[name])
+            assert result[0] == "ok" or issubclass(result[0], TelemetryError)
+            t_small = min(timeit.repeat(lambda: match(small[name]), number=20, repeat=5))
+            t_big = min(timeit.repeat(lambda: match(big[name]), number=20, repeat=5))
+            # Scanning 1 MiB costs milliseconds; a bounded token stops within a few hundred bytes.
+            assert t_big < 10 * t_small + 20 * 50e-6, (name, t_small, t_big)
+
+
+class TestValidateRerunsGroupChecks:
+    @pytest.mark.parametrize("path", [p for p in NUMERIC_PATHS if len(p) == 2], ids=".".join)
+    def test_nan_set_after_construction_is_not_encoded(self, path):
+        snap = make_snapshot()
+        object.__setattr__(getattr(snap, path[0]), path[1], math.nan)
+        with pytest.raises(ValidationError) as exc:
+            encode_snapshot(snap)
+        assert str(exc.value) == f"{path[1]}: must be finite"
+
+    @pytest.mark.parametrize(
+        "group, name, value",
+        [("model", "accel_utilization", 1.5), ("network", "rsrq_db", 0.5), ("model", "model_id", ""),
+         ("app", "fps", 500.0), ("energy", "power_w", -1.0), ("energy", "temp_c", "hot")],
+    )
+    def test_raises_what_construction_raises(self, group, name, value):
+        snap = make_snapshot()
+        values = dict(vars(getattr(snap, group)))
+        values[name] = value
+        with pytest.raises(ValidationError) as constructed:
+            type(getattr(snap, group))(**values)
+        object.__setattr__(getattr(snap, group), name, value)
+        with pytest.raises(ValidationError) as validated:
+            snap.validate()
+        assert str(validated.value) == str(constructed.value)
+
+    def test_construction_checks_each_group_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(telemetry.AppMetrics, "_check", lambda self: calls.append(self))
+        snap = make_snapshot()
+        assert len(calls) == 1
+        snap.validate()
+        assert len(calls) == 2
