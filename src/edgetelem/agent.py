@@ -20,7 +20,7 @@ from enum import Enum
 from . import bus
 from .bandwidth import DEFAULT_TRACE_CONFIG, NetTrace, Placement
 from .simulator import Platform, builtin_profiles
-from .telemetry import DeviceIdentity, SHA256_HEX_RE, TelemetrySnapshot, encode_snapshot
+from .telemetry import DeviceIdentity, SHA256_HEX_RE, TelemetrySnapshot, encode_snapshot, from_doc, to_doc
 
 log = logging.getLogger(__name__)
 
@@ -86,48 +86,15 @@ _ACTION_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def encode_action(msg: ActionMessage) -> bytes:
-    doc = {
-        "action": msg.action.value,
-        "rule_id": msg.rule_id,
-        "issued_at_ms": msg.issued_at_ms,
-        "seq": msg.seq,
-    }
-    if msg.model_id is not None:
-        doc["model_id"] = msg.model_id
-    if msg.expected_digest is not None:
-        doc["expected_digest"] = msg.expected_digest
-    if msg.placement is not None:
-        doc["placement"] = msg.placement.value
-    return _ACTION_ENCODER.encode(doc).encode("utf-8")
+    return _ACTION_ENCODER.encode(to_doc(msg)).encode("utf-8")
 
 
 def decode_action(data: bytes) -> ActionMessage:
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise ActionError(f"invalid action JSON: {e.msg}") from None
-    if not isinstance(doc, dict):
-        raise ActionError("action message must be a JSON object")
-    allowed = {"action", "rule_id", "issued_at_ms", "seq", "model_id", "expected_digest", "placement"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ActionError(f"unknown action field {sorted(unknown)[0]!r}")
-    try:
-        kind = ActionKind(doc["action"])
-        placement = Placement(doc["placement"]) if "placement" in doc else None
-        return ActionMessage(
-            action=kind,
-            rule_id=doc["rule_id"],
-            issued_at_ms=doc["issued_at_ms"],
-            seq=doc["seq"],
-            model_id=doc.get("model_id"),
-            expected_digest=doc.get("expected_digest"),
-            placement=placement,
-        )
-    except KeyError as e:
-        raise ActionError(f"missing action field {e.args[0]!r}") from None
-    except ValueError as e:
-        raise ActionError(str(e)) from None
+    except (ValueError, RecursionError) as e:  # also bytes in no UTF encoding, and deep nesting
+        raise ActionError(f"invalid action JSON: {e}") from None
+    return from_doc(ActionMessage, doc, ActionError)
 
 
 @dataclass(frozen=True)
@@ -146,8 +113,6 @@ class ActionResult:
 class AgentConfig:
     device: DeviceIdentity
     sample_period_ms: int = 1000
-    broker_address: tuple | None = None
-    model_store_address: tuple | None = None
     initial_model_id: str = "yolov3"
     max_ticks: int | None = None
 
@@ -169,19 +134,6 @@ class AgentReport:
     final_power_w: float
     final_model_id: str
     placement: str | None
-
-    def to_dict(self) -> dict:
-        return {
-            "ticks": self.ticks,
-            "published": self.published,
-            "dropped_snapshots": self.dropped_snapshots,
-            "actions_applied": self.actions_applied,
-            "actions_rejected": self.actions_rejected,
-            "final_fps": self.final_fps,
-            "final_power_w": self.final_power_w,
-            "final_model_id": self.final_model_id,
-            "placement": self.placement,
-        }
 
 
 class PublishDown(Exception):

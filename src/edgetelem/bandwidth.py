@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .telemetry import NetworkMetrics
+from .telemetry import NetworkMetrics, from_doc
 
 __all__ = [
     "Placement",
@@ -112,7 +112,7 @@ class RegimeSpec:
 @dataclass(frozen=True)
 class NetTraceConfig:
     seed: int
-    regimes: tuple
+    regimes: tuple[RegimeSpec, ...]
     ewma_alpha: float = 0.3
     modem_temp_base_c: float = 38.0
     ul_fraction: float = 0.12
@@ -364,35 +364,7 @@ def decide_placement(
 
 def trace_config_from_dict(d: dict) -> NetTraceConfig:
     """Build a NetTraceConfig from parsed JSON."""
-    regimes = []
-    for r in d["regimes"]:
-        c = r["true_coeffs"]
-        regimes.append(
-            RegimeSpec(
-                duration_ticks=r["duration_ticks"],
-                rsrp_mean_dbm=r["rsrp_mean_dbm"],
-                rsrp_std=r["rsrp_std"],
-                rsrq_mean_db=r["rsrq_mean_db"],
-                rsrq_std=r["rsrq_std"],
-                rssi_offset_db=r["rssi_offset_db"],
-                true_coeffs=LinearCoeffs(
-                    b0=c["b0"],
-                    b_rsrp=c.get("b_rsrp", 0.0),
-                    b_rsrq=c.get("b_rsrq", 0.0),
-                    b_rssi=c.get("b_rssi", 0.0),
-                    b_hist=c.get("b_hist", 0.0),
-                ),
-                noise_std_mbps=r["noise_std_mbps"],
-                rssi_jitter_std=r.get("rssi_jitter_std", 2.0),
-            )
-        )
-    return NetTraceConfig(
-        seed=d["seed"],
-        regimes=tuple(regimes),
-        ewma_alpha=d.get("ewma_alpha", 0.3),
-        modem_temp_base_c=d.get("modem_temp_base_c", 38.0),
-        ul_fraction=d.get("ul_fraction", 0.12),
-    )
+    return from_doc(NetTraceConfig, d, ValueError)
 
 
 #: Default single-regime trace used when an agent is started without one.

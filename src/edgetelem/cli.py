@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import asdict
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -191,7 +192,7 @@ def cmd_agent(args) -> int:
         report = agent.run()
     except KeyboardInterrupt:
         report = agent.report()
-    print(json.dumps(report.to_dict()))
+    print(json.dumps(asdict(report)))
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -37,8 +37,10 @@ from .telemetry import (
     SNAPSHOT_PATTERN,
     TelemetryError,
     TelemetrySnapshot,
+    _doc_value,
     _reference_from_wire,
     decode_snapshot,
+    from_doc,
     snapshot_from_tokens,
     snapshot_text,
 )
@@ -119,14 +121,19 @@ def decode_record(line: bytes) -> LakeRecord:
         snapshot = snapshot_from_tokens(tokens)
         if snapshot is not None:
             return LakeRecord(snapshot, int(ingest_time_ms), _TRANSPORTS[transport], int(record_id))
-    doc = json.loads(line)
+    try:
+        doc = json.loads(line)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise ValueError("a record must be a JSON object")
     if set(doc) != set(RECORD_KEYS):
         raise ValueError(f"unexpected record keys {sorted(doc)}")
     return LakeRecord(
         snapshot=_reference_from_wire(doc["snapshot"]),
-        ingest_time_ms=doc["ingest_time_ms"],
+        ingest_time_ms=_doc_value(int, doc["ingest_time_ms"], "ingest_time_ms", ValueError),
         transport=Transport(doc["transport"]),
-        record_id=doc["record_id"],
+        record_id=_doc_value(int, doc["record_id"], "record_id", ValueError),
     )
 
 
@@ -284,10 +291,16 @@ _PATH_SET = {".".join(p) for p in NUMERIC_PATHS}
 class ActionTemplate:
     """The command a rule emits when it fires; digest may be resolved at dispatch."""
 
-    kind: ActionKind
+    action: ActionKind
     model_id: str | None = None
     expected_digest: str | None = None
     placement: Placement | None = None
+
+    def __post_init__(self):
+        if self.action == ActionKind.SWAP_MODEL and not self.model_id:
+            raise RuleConfigError("SwapModel action requires model_id")
+        if self.action == ActionKind.SET_PLACEMENT and self.placement is None:
+            raise RuleConfigError("SetPlacement action requires placement")
 
 
 @dataclass(frozen=True)
@@ -416,7 +429,7 @@ class BandwidthRuleConfig:
 
 @dataclass(frozen=True)
 class RuleSet:
-    rules: tuple = ()
+    rules: tuple[Rule, ...] = ()
     bandwidth: BandwidthRuleConfig | None = None
 
     def __post_init__(self):
@@ -427,61 +440,22 @@ class RuleSet:
             raise RuleConfigError("bandwidth rule_id collides with a threshold rule")
 
 
-def _template_from_dict(d: dict, rule_id: str) -> ActionTemplate:
-    try:
-        kind = ActionKind(d["action"])
-    except KeyError:
-        raise RuleConfigError(f"rule {rule_id}: action requires an 'action' kind") from None
-    except ValueError as e:
-        raise RuleConfigError(f"rule {rule_id}: {e}") from None
-    placement = Placement(d["placement"]) if "placement" in d else None
-    if kind == ActionKind.SWAP_MODEL and not d.get("model_id"):
-        raise RuleConfigError(f"rule {rule_id}: SwapModel action requires model_id")
-    if kind == ActionKind.SET_PLACEMENT and placement is None:
-        raise RuleConfigError(f"rule {rule_id}: SetPlacement action requires placement")
-    return ActionTemplate(
-        kind=kind,
-        model_id=d.get("model_id"),
-        expected_digest=d.get("expected_digest"),
-        placement=placement,
-    )
+_PREDICTOR_KEYS = frozenset(f.name for f in fields(PredictorConfig))
 
 
 def rules_from_dict(doc: dict) -> RuleSet:
-    """Load a rule set from parsed JSON config."""
-    rules = []
-    for rd in doc.get("rules", ()):
-        try:
-            rule = Rule(
-                rule_id=rd["rule_id"],
-                metric_path=rd["metric_path"],
-                comparator=Comparator(rd["comparator"]),
-                threshold=float(rd["threshold"]),
-                action=_template_from_dict(rd["action"], rd.get("rule_id", "?")),
-                cooldown_ticks=rd.get("cooldown_ticks", 3),
-                consecutive_required=rd.get("consecutive_required", 2),
-            )
-        except KeyError as e:
-            raise RuleConfigError(f"rule is missing field {e.args[0]!r}") from None
-        except ValueError as e:
-            raise RuleConfigError(str(e)) from None
-        rules.append(rule)
-    bandwidth = None
-    if "bandwidth" in doc:
-        bd = doc["bandwidth"]
-        bandwidth = BandwidthRuleConfig(
-            rule_id=bd.get("rule_id", "r3-placement"),
-            required_mbps=bd.get("required_mbps", 6.0),
-            reentry_margin=bd.get("reentry_margin", 1.25),
-            consecutive_required=bd.get("consecutive_required", 2),
-            predictor=PredictorConfig(
-                window=bd.get("window", 30),
-                ridge_lambda=bd.get("ridge_lambda", 1e-3),
-                ewma_alpha=bd.get("ewma_alpha", 0.3),
-                min_window=bd.get("min_window", 5),
-            ),
-        )
-    return RuleSet(rules=tuple(rules), bandwidth=bandwidth)
+    """Load a rule set from parsed JSON config.
+
+    The bandwidth block spells its predictor's fields flat, beside its own.
+    """
+    bandwidth = doc.get("bandwidth") if isinstance(doc, dict) else None
+    if isinstance(bandwidth, dict):
+        if "predictor" in bandwidth:
+            raise RuleConfigError("bandwidth.predictor: unknown key")
+        own = {k: v for k, v in bandwidth.items() if k not in _PREDICTOR_KEYS}
+        own["predictor"] = {k: v for k, v in bandwidth.items() if k in _PREDICTOR_KEYS}
+        doc = {**doc, "bandwidth": own}
+    return from_doc(RuleSet, doc, RuleConfigError)
 
 
 # --- model store ----------------------------------------------------------------
@@ -670,11 +644,11 @@ class CloudService:
             return None
         device.placement = target
         device.switch_hits = 0
-        return (cfg.rule_id, ActionTemplate(kind=ActionKind.SET_PLACEMENT, placement=target))
+        return (cfg.rule_id, ActionTemplate(ActionKind.SET_PLACEMENT, placement=target))
 
     def _dispatch(self, device_id: str, rule_id: str, template: ActionTemplate, now_ms: int) -> None:
         expected_digest = template.expected_digest
-        if template.kind == ActionKind.SWAP_MODEL and expected_digest is None:
+        if template.action == ActionKind.SWAP_MODEL and expected_digest is None:
             if self.store is None:
                 log.error("rule %s: no model store to resolve digest for %s", rule_id, template.model_id)
                 self.dropped_dispatches += 1
@@ -686,7 +660,7 @@ class CloudService:
                 self.dropped_dispatches += 1
                 return
         message = ActionMessage(
-            action=template.kind,
+            action=template.action,
             rule_id=rule_id,
             issued_at_ms=now_ms,
             seq=self._action_seq,

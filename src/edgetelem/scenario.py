@@ -18,7 +18,7 @@ from .bandwidth import NetTrace, trace_config_from_dict
 from .bus import DelaySpec
 from .cloud import CloudService, Lake, ModelStore, RuleSet, Transport, rules_from_dict
 from .simulator import Platform, builtin_profiles, config_from_dict, make_model_blob
-from .telemetry import DeviceIdentity
+from .telemetry import DeviceIdentity, from_doc, to_doc
 
 __all__ = ["ScenarioError", "FaultSpec", "ScenarioSpec", "load_scenario", "run_scenario"]
 
@@ -52,13 +52,13 @@ class ScenarioSpec:
     name: str
     seed: int
     ticks: int
-    platform: dict
-    rules: dict
     trace: dict
+    platform: dict = field(default_factory=dict)
+    rules: dict = field(default_factory=dict)
     sample_period_ms: int = 1000
     device_id: str = "dev0"
     initial_model_id: str = "yolov3"
-    faults: tuple = ()
+    faults: tuple[FaultSpec, ...] = ()
 
     def __post_init__(self):
         if self.ticks <= 0:
@@ -72,46 +72,36 @@ class ScenarioSpec:
                 )
 
 
-def _resolve_ref(value, base_dir: Path, what: str) -> dict:
-    if isinstance(value, str):
-        path = base_dir / value
-        try:
-            return json.loads(path.read_text())
-        except OSError as e:
-            raise ScenarioError(f"{what} ref {value!r}: {e}") from None
-        except json.JSONDecodeError as e:
-            raise ScenarioError(f"{what} ref {value!r} is not valid JSON: {e}") from None
-    if isinstance(value, dict):
-        return value
-    raise ScenarioError(f"{what} must be an object or a file reference")
+def _load_ref(ref: str, base_dir: Path, what: str):
+    try:
+        return json.loads((base_dir / ref).read_text())
+    except OSError as e:
+        raise ScenarioError(f"{what} ref {ref!r}: {e}") from None
+    except json.JSONDecodeError as e:
+        raise ScenarioError(f"{what} ref {ref!r} is not valid JSON: {e}") from None
+
+
+def _fault_doc(fault):
+    if isinstance(fault, dict) and isinstance(fault.get("dist"), str):
+        return {**fault, "dist": to_doc(DelaySpec.parse(fault["dist"]))}
+    return fault
 
 
 def scenario_from_dict(doc: dict, base_dir: Path, default_name: str = "scenario") -> ScenarioSpec:
-    try:
-        faults = []
-        for fd in doc.get("faults", ()):
-            faults.append(
-                FaultSpec(
-                    at_tick=fd["at_tick"],
-                    kind=fd["kind"],
-                    duration_ticks=fd.get("duration_ticks", 0),
-                    dist=DelaySpec.parse(fd["dist"]) if "dist" in fd else None,
-                )
-            )
-        return ScenarioSpec(
-            name=doc.get("name", default_name),
-            seed=doc["seed"],
-            ticks=doc["ticks"],
-            platform=_resolve_ref(doc.get("platform", {}), base_dir, "platform"),
-            rules=_resolve_ref(doc.get("rules", {}), base_dir, "rules"),
-            trace=_resolve_ref(doc["trace"], base_dir, "trace"),
-            sample_period_ms=doc.get("sample_period_ms", 1000),
-            device_id=doc.get("device_id", "dev0"),
-            initial_model_id=doc.get("initial_model_id", "yolov3"),
-            faults=tuple(faults),
-        )
-    except KeyError as e:
-        raise ScenarioError(f"scenario spec is missing field {e.args[0]!r}") from None
+    """Build a ScenarioSpec from parsed JSON.
+
+    ``platform``, ``rules`` and ``trace`` may be file names relative to
+    ``base_dir``, and a fault's ``dist`` a delay spec string such as
+    ``normal:50:5``; ``name`` defaults to ``default_name``.
+    """
+    if isinstance(doc, dict):
+        doc = {"name": default_name, **doc}
+        for what in ("platform", "rules", "trace"):
+            if isinstance(doc.get(what), str):
+                doc[what] = _load_ref(doc[what], base_dir, what)
+        if isinstance(doc.get("faults"), list):
+            doc["faults"] = [_fault_doc(fault) for fault in doc["faults"]]
+    return from_doc(ScenarioSpec, doc, ScenarioError)
 
 
 def load_scenario(path) -> ScenarioSpec:

@@ -27,6 +27,7 @@ from .telemetry import (
     NetworkMetrics,
     TelemetrySnapshot,
     fps_per_watt,
+    from_doc,
     model_efficiency,
 )
 
@@ -75,7 +76,7 @@ class PlatformConfig:
     """Simulator constants.  Defaults reproduce the shipped calibration."""
 
     peak_gops_per_s: float = 4460.0
-    levels: tuple = field(default_factory=lambda: _levels_from_ratios(DEFAULT_LEVEL_RATIOS))
+    levels: tuple[FrequencyLevel, ...] = field(default_factory=lambda: _levels_from_ratios(DEFAULT_LEVEL_RATIOS))
     static_power_w: float = 8.0
     dynamic_power_max_w: float = 14.98
     power_exponent: float = 3.0
@@ -158,35 +159,17 @@ def builtin_profiles() -> dict:
 
 
 def config_from_dict(d: dict) -> PlatformConfig:
-    """Build a PlatformConfig from parsed JSON, applying defaults."""
-    kwargs = {}
-    simple = (
-        "peak_gops_per_s",
-        "static_power_w",
-        "dynamic_power_max_w",
-        "power_exponent",
-        "cpu_overhead_ms",
-        "noise_seed",
-        "utilization_noise",
-        "mem_gbit_per_gop",
-        "mem_utilization_nominal",
-    )
-    unknown = set(d) - set(simple) - {"level_ratios", "thermal"}
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown config field")
-    for key in simple:
-        if key in d:
-            kwargs[key] = d[key]
-    if "level_ratios" in d:
-        kwargs["levels"] = _levels_from_ratios(d["level_ratios"])
-    if "thermal" in d:
-        t = d["thermal"]
-        kwargs["thermal"] = ThermalConfig(
-            ambient_c=t.get("ambient_c", 25.0),
-            heating_coeff_c_per_w=t.get("heating_coeff_c_per_w", 1.0),
-            time_constant_s=t.get("time_constant_s", 30.0),
-        )
-    return PlatformConfig(**kwargs)
+    """Build a PlatformConfig from parsed JSON.
+
+    ``level_ratios`` lists the levels' ratios; given beside ``levels``, it is
+    an unknown key.
+    """
+    if isinstance(d, dict) and "level_ratios" in d and "levels" not in d:
+        d = dict(d)
+        ratios = d.pop("level_ratios")
+        d["levels"] = [{"index": i, "ratio": r} for i, r in enumerate(ratios)] if isinstance(ratios, list) else ratios
+    # A ConfigError takes the key path and the problem apart.
+    return from_doc(PlatformConfig, d, lambda message: ConfigError(*message.split(": ", 1)))
 
 
 class Platform:

@@ -22,10 +22,11 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
+from functools import cache
 from operator import attrgetter, itemgetter
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 __all__ = [
     "TelemetryError",
@@ -44,6 +45,8 @@ __all__ = [
     "fps_per_watt",
     "encode_snapshot",
     "decode_snapshot",
+    "from_doc",
+    "to_doc",
 ]
 
 DEVICE_ID_RE = re.compile(r"[A-Za-z0-9_-]{1,64}")
@@ -391,6 +394,101 @@ def _typed_fields(cls) -> tuple:
     """``(name, type)`` of each dataclass field, in declaration order."""
     hints = get_type_hints(cls)
     return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
+# --- typed JSON documents: configs and the action message ----------------------
+
+@cache
+def _doc_fields(cls) -> dict:
+    """``name -> (type, required)`` per dataclass field, in declaration order."""
+    required = {f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(cls)}
+    return {name: (typ, required[name]) for name, typ in _typed_fields(cls)}
+
+
+#: What a JSON value must be for each plain annotation; a bool is no int.
+_PLAIN = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string"), dict: (dict, "an object")}
+
+
+def _doc_value(typ, value, path: str, error):
+    """``value`` of a parsed JSON document, checked against the annotation ``typ``."""
+    where = path or "document"
+    args = get_args(typ)
+    if type(None) in args:  # X | None
+        return None if value is None else _doc_value(args[0], value, path, error)
+    plain = _PLAIN.get(typ)
+    if plain is not None:
+        if isinstance(value, bool) or not isinstance(value, plain[0]):
+            raise error(f"{where}: must be {plain[1]}")
+        if typ is not float:
+            return value
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            raise error(f"{where}: out of float range") from None
+        if not math.isfinite(value):
+            raise error(f"{where}: must be finite")
+        return value
+    if isinstance(typ, type) and issubclass(typ, Enum):
+        try:
+            return typ(value)
+        except ValueError:
+            raise error(f"{where}: must be one of {', '.join(repr(m.value) for m in typ)}") from None
+    if is_dataclass(typ):
+        if not isinstance(value, dict):
+            raise error(f"{where}: must be an object")
+        table = _doc_fields(typ)
+        prefix = f"{path}." if path else ""
+        for key in value:
+            if key not in table:
+                raise error(f"{prefix}{key}: unknown key")
+        kwargs = {}
+        for name, (hint, required) in table.items():
+            if name in value:
+                kwargs[name] = _doc_value(hint, value[name], prefix + name, error)
+            elif required:
+                raise error(f"{prefix}{name}: required key missing")
+        try:
+            return typ(**kwargs)
+        except ValueError as e:
+            if not path:
+                raise
+            raise error(f"{path}: {e}") from None
+    if not isinstance(value, list):  # tuple[X, ...], the one annotation left
+        raise error(f"{where}: must be an array")
+    return tuple(_doc_value(args[0], v, f"{path}[{i}]", error) for i, v in enumerate(value))
+
+
+def from_doc(cls, doc, error):
+    """An instance of the frozen dataclass ``cls`` from a parsed JSON object.
+
+    The dataclass is the schema: a key must name a field, a value must match
+    the field's annotation (``float`` also takes an int), and an absent key
+    takes the field's default.  A failed check raises ``error(message)``
+    with the message led by the key path (``rules[0].cooldown_ticks: ...``).
+    A nested dataclass's own ``ValueError`` is raised the same way; the
+    top-level one's propagates as it is.
+    """
+    return _doc_value(cls, doc, "", error)
+
+
+def _to_doc_value(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (int, float, str, dict)):
+        return value
+    if isinstance(value, tuple):
+        return [_to_doc_value(v) for v in value]
+    return to_doc(value)  # a dataclass, the one annotation left
+
+
+def to_doc(obj) -> dict:
+    """The JSON object :func:`from_doc` reads back: fields in order, ``None`` left out."""
+    doc = {}
+    for name in _doc_fields(type(obj)):
+        value = getattr(obj, name)
+        if value is not None:
+            doc[name] = _to_doc_value(value)
+    return doc
 
 
 _SNAPSHOT_FIELDS = _typed_fields(TelemetrySnapshot)

@@ -198,7 +198,7 @@ def test_6_rules_engine_matches_naive_oracle():
             "network.dl_mbps": (0.0, 60.0),
             "app.ee_latency_ms": (5.0, 500.0),
         }
-        template = ActionTemplate(kind=ActionKind.STEP_FREQUENCY_DOWN)
+        template = ActionTemplate(action=ActionKind.STEP_FREQUENCY_DOWN)
         for _case in range(1000):
             rules = [
                 Rule(

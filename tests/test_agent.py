@@ -11,6 +11,7 @@ from edgetelem.agent import (
     ActionKind,
     ActionMessage,
     AgentConfig,
+    BusPublisher,
     DirectPublisher,
     ModelNotFound,
     TelemetryAgent,
@@ -65,13 +66,21 @@ class TestActionWire:
             assert decode_action(encode_action(msg)) == msg
 
     def test_bytes_match_json_dumps(self):
+        # The reference spells the wire format out by hand: keys in field order, absent options left out.
         messages = [
             action(ActionKind.STEP_FREQUENCY_DOWN, rule_id="r1-fps-cap", seq=2**40),
             action(ActionKind.STEP_FREQUENCY_UP, rule_id='quote" back\\ é ☃ \U0001f600', seq=1),
             action(ActionKind.SWAP_MODEL, model_id="ssd_résnet", expected_digest=SSD.artifact_digest),
             action(ActionKind.SET_PLACEMENT, placement=Placement.DEVICE),
+            action(ActionKind.SET_PLACEMENT, rule_id="r3-placement", placement=Placement.EDGE, seq=7),
+            action(ActionKind.STEP_FREQUENCY_DOWN, rule_id="\x00\x1f", model_id="m", expected_digest="x", seq=3),
+            action(
+                ActionKind.SWAP_MODEL, rule_id="ré\"", model_id="yolov3", expected_digest=YOLO.artifact_digest,
+                placement=Placement.DEVICE, seq=2**63,
+            ),
         ]
         for msg in messages:
+            assert decode_action(encode_action(msg)) == msg
             doc = {"action": msg.action.value, "rule_id": msg.rule_id, "issued_at_ms": msg.issued_at_ms, "seq": msg.seq}
             if msg.model_id is not None:
                 doc["model_id"] = msg.model_id
@@ -104,6 +113,51 @@ class TestActionWire:
     def test_decode_rejects_garbage(self):
         with pytest.raises(ActionError):
             decode_action(b"not json")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("issued_at_ms", "x"),
+            ("issued_at_ms", 1.5),
+            ("seq", [1]),
+            ("seq", True),
+            ("rule_id", 5),
+            ("action", "Explode"),
+            ("placement", 1),
+        ],
+    )
+    def test_decode_rejects_wrong_types(self, key, value):
+        raw = json.loads(encode_action(action(ActionKind.STEP_FREQUENCY_DOWN)))
+        raw[key] = value
+        with pytest.raises(ActionError, match=f"^{key}: "):
+            decode_action(json.dumps(raw).encode())
+
+    @pytest.mark.parametrize("key, value", [("model_id", 7), ("model_id", ["x"]), ("expected_digest", 5)])
+    def test_decode_rejects_wrong_swap_types(self, key, value):
+        raw = json.loads(encode_action(action(ActionKind.SWAP_MODEL, model_id="yolov3", expected_digest=YOLO.artifact_digest)))
+        raw[key] = value
+        with pytest.raises(ActionError, match=f"^{key}: "):
+            decode_action(json.dumps(raw).encode())
+
+    @pytest.mark.parametrize(
+        "data", [b"[" * 100_000, b"\xff\xfe\x00", b"1", b"null", b"[]"], ids=["deep", "utf16", "int", "null", "array"]
+    )
+    def test_decode_rejects_non_objects(self, data):
+        with pytest.raises(ActionError):
+            decode_action(data)
+
+    def test_malformed_action_from_the_bus_is_dropped_and_the_loop_runs(self, caplog):
+        agent, captured, _ = build_agent()
+        publisher = BusPublisher(("127.0.0.1", 1), "dev0", on_action=agent.enqueue_action)
+        payload = json.dumps(
+            {"action": "SwapModel", "rule_id": "r2", "issued_at_ms": 0, "seq": 0,
+             "model_id": ["x"], "expected_digest": YOLO.artifact_digest}
+        ).encode()
+        with caplog.at_level("WARNING", logger="edgetelem.agent"):
+            publisher._handle_action("actions/dev0", payload)
+        assert "dropping malformed action for dev0: model_id: must be a string" in caplog.text
+        agent.tick()
+        assert agent.action_log == [] and len(captured) == 1
 
 
 class TestSamplingLoop:

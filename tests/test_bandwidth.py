@@ -15,8 +15,10 @@ from edgetelem.bandwidth import (
     Placement,
     PredictorConfig,
     RegimeSpec,
+    DEFAULT_TRACE_CONFIG,
     decide_placement,
     gen_trace,
+    trace_config_from_dict,
 )
 from edgetelem.telemetry import NetworkMetrics
 
@@ -496,3 +498,38 @@ class TestGeneratedKernels:
             bandwidth._ACCUMULATE(*ours, row, y, sign)
             loop_accumulate(*loops, row, y, sign)
             assert bits(ours[0] + ours[1]) == bits(loops[0] + loops[1])
+
+
+DEFAULT_REGIME_DOC = {
+    "duration_ticks": 1_000_000,
+    "rsrp_mean_dbm": -95,
+    "rsrp_std": 4,
+    "rsrq_mean_db": -10,
+    "rsrq_std": 1.5,
+    "rssi_offset_db": 17,
+    "true_coeffs": {"b0": 20, "b_rsrp": 2, "b_rsrq": 1, "b_rssi": 0.5, "b_hist": 0.2},
+    "noise_std_mbps": 1,
+}
+
+
+class TestTraceConfigLoading:
+    def test_defaults_come_from_the_dataclasses(self):
+        assert trace_config_from_dict({"seed": 7, "regimes": [DEFAULT_REGIME_DOC]}) == DEFAULT_TRACE_CONFIG
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({}, "seed: required key missing"),
+            ({"seed": 7}, "regimes: required key missing"),
+            ({"seed": "1", "regimes": [DEFAULT_REGIME_DOC]}, "seed: must be an integer"),
+            ({"seed": 7, "regimes": [DEFAULT_REGIME_DOC], "ewma_alpfa": 0.5}, "ewma_alpfa: unknown key"),
+            ({"seed": 7, "regimes": [{**DEFAULT_REGIME_DOC, "true_coeffs": {"b_0": 1}}]},
+             r"regimes\[0\]\.true_coeffs\.b_0: unknown key"),
+            ({"seed": 7, "regimes": [{**DEFAULT_REGIME_DOC, "duration_ticks": 0}]},
+             r"regimes\[0\]: duration_ticks must be > 0"),
+            ({"seed": 7, "regimes": []}, "regimes must be non-empty"),
+        ],
+    )
+    def test_rejects_bad_documents(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            trace_config_from_dict(doc)

@@ -234,6 +234,24 @@ class TestDeployedRoles:
             broker.stop()
             stop_role(proc)
 
+    def test_agent_trace_without_regimes_exits_config_error(self, tmp_path):
+        trace = tmp_path / "trace.json"
+        trace.write_text("{}")
+        result = run_cli("agent", "--broker", "127.0.0.1:1", "--trace", str(trace), "--max-ticks", "1")
+        assert result.returncode == 1
+        assert "config error: seed: required key missing" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_cloud_rules_with_wrong_type_exits_config_error(self, tmp_path):
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps({"rules": [{"rule_id": "x", "metric_path": "app.fps", "comparator": "GT",
+                                                "threshold": 1, "action": {"action": "StepFrequencyDown"},
+                                                "cooldown_ticks": "3"}]}))
+        result = run_cli("cloud", "--broker", "127.0.0.1:1", "--rules", str(rules), "--lake", str(tmp_path / "lake"))
+        assert result.returncode == 1
+        assert r"config error: rules[0].cooldown_ticks: must be an integer" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_cloud_bad_rules_exits_config_error(self, tmp_path):
         rules = tmp_path / "rules.json"
         rules.write_text(json.dumps({"rules": [{"rule_id": "x", "metric_path": "no.such", "comparator": "GT",

@@ -41,7 +41,7 @@ from edgetelem.cloud import (
 from edgetelem.simulator import builtin_profiles, make_model_blob
 from edgetelem.telemetry import NUMERIC_PATHS, ParseError, ValidationError, decode_snapshot, encode_snapshot
 
-STEP_DOWN = ActionTemplate(kind=ActionKind.STEP_FREQUENCY_DOWN)
+STEP_DOWN = ActionTemplate(action=ActionKind.STEP_FREQUENCY_DOWN)
 
 
 def fps_rule(rule_id="r1", threshold=30.0, cooldown=3, consecutive=2, comparator=Comparator.GT) -> Rule:
@@ -253,6 +253,74 @@ class TestRuleValidation:
                 {"rules": [{"rule_id": "x", "metric_path": "app.fps", "comparator": "GT", "threshold": 1,
                             "action": {"action": "SwapModel"}}]}
             )
+
+
+def rule_doc(**overrides) -> dict:
+    doc = {"rule_id": "x", "metric_path": "app.fps", "comparator": "GT", "threshold": 30.0,
+           "action": {"action": "StepFrequencyDown"}}
+    doc.update(overrides)
+    return doc
+
+
+class TestStrictRulesConfig:
+    """A typo or a wrongly typed value is an error, not a silent default."""
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"bandwidth": {"requred_mbps": 1}}, "bandwidth.requred_mbps: unknown key"),
+            ({"bandwidth": {"predictor": {"window": 10}}}, "bandwidth.predictor: unknown key"),
+            ({"rules": [rule_doc(cooldown_tick=0)]}, r"rules\[0\]\.cooldown_tick: unknown key"),
+            ({"rules": [rule_doc(action={"action": "SwapModel", "modle_id": "yolov3"})]},
+             r"rules\[0\]\.action\.modle_id: unknown key"),
+            ({"rulez": []}, "rulez: unknown key"),
+        ],
+    )
+    def test_unknown_keys_rejected(self, doc, path):
+        with pytest.raises(RuleConfigError, match=path):
+            rules_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"rules": [rule_doc(threshold="30")]}, r"rules\[0\]\.threshold: must be a number"),
+            ({"rules": [rule_doc(threshold=10**400)]}, r"rules\[0\]\.threshold: out of float range"),
+            ({"rules": [rule_doc(cooldown_ticks="3")]}, r"rules\[0\]\.cooldown_ticks: must be an integer"),
+            ({"rules": [rule_doc(consecutive_required=2.0)]}, r"rules\[0\]\.consecutive_required: must be an integer"),
+            ({"rules": [rule_doc(comparator="gt")]}, r"rules\[0\]\.comparator: must be one of 'GT'"),
+            ({"rules": [rule_doc(action="StepFrequencyDown")]}, r"rules\[0\]\.action: must be an object"),
+            ({"rules": [rule_doc(), rule_doc(rule_id=None)]}, r"rules\[1\]\.rule_id: must be a string"),
+            ({"rules": {}}, "rules: must be an array"),
+            ({"bandwidth": {"window": True}}, "bandwidth.predictor.window: must be an integer"),
+            ({"bandwidth": []}, "bandwidth: must be an object"),
+            ([], "document: must be an object"),
+        ],
+    )
+    def test_wrong_types_rejected(self, doc, path):
+        with pytest.raises(RuleConfigError, match=path):
+            rules_from_dict(doc)
+
+    def test_template_check_names_its_rule(self):
+        with pytest.raises(RuleConfigError, match=r"rules\[0\]\.action: SetPlacement action requires placement"):
+            rules_from_dict({"rules": [rule_doc(action={"action": "SetPlacement"})]})
+
+    def test_defaults_come_from_the_dataclasses(self):
+        ruleset = rules_from_dict({"rules": [rule_doc(threshold=30)], "bandwidth": {}})
+        assert ruleset.rules[0] == Rule(
+            rule_id="x", metric_path="app.fps", comparator=Comparator.GT, threshold=30.0, action=STEP_DOWN
+        )
+        assert isinstance(ruleset.rules[0].threshold, float)
+        assert ruleset.bandwidth == BandwidthRuleConfig()
+        assert rules_from_dict({}) == RuleSet()
+
+    def test_predictor_keys_sit_flat_in_the_bandwidth_block(self):
+        bandwidth = rules_from_dict(
+            {"bandwidth": {"required_mbps": 8, "window": 12, "scaler": {"rsrp_center": -90}}}
+        ).bandwidth
+        assert bandwidth.required_mbps == 8.0
+        assert bandwidth.predictor.window == 12
+        assert bandwidth.predictor.scaler.rsrp_center == -90.0
+        assert bandwidth.predictor.scaler.rsrp_scale == 20.0
 
 
 def reference_holds(comparator: Comparator, value: float, threshold: float) -> bool:
@@ -635,6 +703,37 @@ class TestLakeDurability:
         assert [f.name for f in files_a] == [f.name for f in files_b]
         for fa, fb in zip(files_a, files_b):
             assert fa.read_bytes() == fb.read_bytes()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"[" * 100_000,
+            b"1",
+            b"null",
+            b'"record"',
+            b'{"record_id":"0"}',
+        ],
+        ids=["deep", "int", "null", "string", "partial"],
+    )
+    def test_any_corrupt_line_is_storage_error(self, tmp_path, line):
+        lake = self._make_lake_with_records(tmp_path, 2)
+        path = next((lake.root / "dev0").glob("*.jsonl"))
+        first, second = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(first + line + b"\n" + second)
+        with pytest.raises(LakeError, match="corrupt record at line 2"):
+            lake.scan("dev0")
+
+    @pytest.mark.parametrize(
+        "key, value", [("record_id", "0"), ("record_id", 0.0), ("ingest_time_ms", True), ("ingest_time_ms", None)]
+    )
+    def test_wrongly_typed_enrichment_is_storage_error(self, tmp_path, key, value):
+        lake = self._make_lake_with_records(tmp_path, 1)
+        path = next((lake.root / "dev0").glob("*.jsonl"))
+        doc = json.loads(path.read_bytes())
+        doc[key] = value
+        path.write_bytes(json.dumps(doc).encode() + b"\n")
+        with pytest.raises(LakeError, match=f"corrupt record at line 1: {key}: must be"):
+            lake.scan("dev0")
 
     def _make_lake_with_records(self, tmp_path, n, subdir="lake"):
         clock = LogicalClock()

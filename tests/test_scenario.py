@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,10 @@ from edgetelem.scenario import (
     run_scenario,
     scenario_from_dict,
 )
+from edgetelem.bandwidth import trace_config_from_dict
+from edgetelem.cloud import rules_from_dict
+from edgetelem.simulator import config_from_dict
+from edgetelem.telemetry import from_doc, to_doc
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "src" / "edgetelem" / "scenarios"
 
@@ -66,6 +72,32 @@ class TestSpecValidation:
         doc = {"seed": 1, "ticks": 3, "platform": {}, "rules": {}, "trace": "trace.json"}
         spec = scenario_from_dict(doc, tmp_path)
         assert spec.trace == BASE_TRACE
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"tickz": 10}, "tickz: unknown key"),
+            ({"faults": [{"at_tick": 1, "kind": "BrokerDown", "duration_tick": 1}]},
+             r"faults\[0\]\.duration_tick: unknown key"),
+            ({"faults": [{"at_tick": 1, "kind": "Meteor"}]}, r"faults\[0\]: unknown fault kind 'Meteor'"),
+            ({"ticks": "10"}, "ticks: must be an integer"),
+            ({"platform": 3}, "platform: must be an object"),
+        ],
+    )
+    def test_bad_spec_is_scenario_error(self, overrides, message):
+        with pytest.raises(ScenarioError, match=message):
+            simple_spec(**overrides)
+
+    def test_spec_defaults(self):
+        spec = scenario_from_dict({"seed": 1, "ticks": 3, "trace": BASE_TRACE}, Path("."), default_name="stem")
+        assert (spec.name, spec.platform, spec.rules, spec.faults) == ("stem", {}, {}, ())
+
+    def test_delay_dist_as_string_or_object(self):
+        as_string = simple_spec(faults=[{"at_tick": 1, "kind": "DelayShim", "dist": "normal:50:5"}])
+        as_object = simple_spec(
+            faults=[{"at_tick": 1, "kind": "DelayShim", "dist": {"kind": "normal", "mean_ms": 50, "std_ms": 5}}]
+        )
+        assert as_string == as_object
 
     def test_missing_ref_is_scenario_error(self, tmp_path):
         doc = {"seed": 1, "ticks": 3, "platform": {}, "rules": {}, "trace": "nope.json"}
@@ -195,3 +227,32 @@ def output_digests(out: Path) -> dict:
 def test_outputs_match_golden_digests(tmp_path, name):
     run_scenario(golden_spec(name), tmp_path)
     assert output_digests(tmp_path) == GOLDEN_DIGESTS[name]
+
+
+def readme_rules_config() -> dict:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"\*\*Rules config\*\*:\s*```json\n(.*?)```", readme, re.S)
+    return json.loads(block.group(1))
+
+
+def bench_fleet_rules() -> dict:
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "fleet.py"
+    spec = importlib.util.spec_from_file_location("_bench_fleet", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.RULES
+
+
+def test_documented_and_bundled_configs_load_strictly():
+    """README's example, the bundled scenarios and the benchmark's rules all load."""
+    assert rules_from_dict(readme_rules_config()).rules[0].rule_id == "r1-fps-cap"
+    assert len(rules_from_dict(bench_fleet_rules()).rules) == 3
+    paths = sorted(SCENARIO_DIR.glob("*.json"))
+    assert paths
+    for path in paths:
+        spec = load_scenario(path)
+        assert spec.name == json.loads(path.read_text()).get("name", path.stem)
+        config_from_dict(spec.platform)
+        rules_from_dict(spec.rules)
+        trace_config_from_dict({"seed": spec.seed, **spec.trace})
+        assert from_doc(ScenarioSpec, to_doc(spec), ScenarioError) == spec

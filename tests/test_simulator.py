@@ -10,7 +10,7 @@ from edgetelem.simulator import (
     make_model_blob,
     _levels_from_ratios,
 )
-from edgetelem.telemetry import DeviceIdentity, ModelProfile, encode_snapshot
+from edgetelem.telemetry import DeviceIdentity, ModelProfile, encode_snapshot, to_doc
 
 DEVICE = DeviceIdentity(device_id="dev0")
 
@@ -272,6 +272,35 @@ class TestConfigLoading:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
             config_from_dict({"bogus": 1})
+
+    def test_unknown_nested_field_rejected(self):
+        # It used to load with the ambient default of 25 C.
+        with pytest.raises(ConfigError, match=r"^thermal\.ambiant_c: unknown key$") as err:
+            config_from_dict({"thermal": {"ambiant_c": 1}})
+        assert err.value.field == "thermal.ambiant_c"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"level_ratios": ["0.5", 1.0]}, r"levels\[0\]\.ratio: must be a number"),
+            ({"level_ratios": 1.0}, "levels: must be an array"),
+            ({"noise_seed": 1.5}, "noise_seed: must be an integer"),
+            ({"thermal": None}, "thermal: must be an object"),
+            ({"static_power_w": float("nan")}, "static_power_w: must be finite"),
+            ({"level_ratios": [0.5, 1.0], "levels": []}, "level_ratios: unknown key"),
+        ],
+    )
+    def test_wrong_types_rejected(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(doc)
+
+    def test_defaults_come_from_the_dataclass(self):
+        assert config_from_dict({}) == PlatformConfig()
+        assert config_from_dict({"thermal": {"ambient_c": 30}}).thermal.time_constant_s == 30.0
+
+    def test_written_config_reads_back(self):
+        cfg = PlatformConfig(levels=_levels_from_ratios((0.5, 1.0)), noise_seed=3)
+        assert config_from_dict(to_doc(cfg)) == cfg
 
     def test_builtin_profiles_digests_match_blobs(self):
         import hashlib

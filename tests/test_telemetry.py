@@ -386,6 +386,12 @@ def reference_decode(text: str) -> TelemetrySnapshot:
     return telemetry._reference_from_wire(json.loads(text))
 
 
+def reference_int(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key}: must be an integer")
+    return value
+
+
 def reference_record(line: bytes) -> LakeRecord:
     """decode_record with the snapshot built by the reference path."""
     doc = json.loads(line)
@@ -393,9 +399,9 @@ def reference_record(line: bytes) -> LakeRecord:
         raise ValueError(f"unexpected record keys {sorted(doc)}")
     return LakeRecord(
         snapshot=telemetry._reference_from_wire(doc["snapshot"]),
-        ingest_time_ms=doc["ingest_time_ms"],
+        ingest_time_ms=reference_int("ingest_time_ms", doc["ingest_time_ms"]),
         transport=Transport(doc["transport"]),
-        record_id=doc["record_id"],
+        record_id=reference_int("record_id", doc["record_id"]),
     )
 
 
