@@ -9,7 +9,8 @@ being persisted or silently dropped.
 The lake is newline-delimited JSON partitioned as
 ``<root>/<device_id>/<yyyymmdd>.jsonl`` (UTC day of the ingest time) --
 append-only, greppable, and byte-reproducible when driven from a logical
-clock.
+clock.  A line holds the snapshot payload as received when the compact
+snapshot pattern validated it, and the payload re-encoded otherwise.
 """
 
 from __future__ import annotations
@@ -88,32 +89,38 @@ class LakeRecord:
 
 RECORD_KEYS = ("record_id", "ingest_time_ms", "transport", "snapshot")
 # A JSON object's compact encoding is the concatenation of its members'
-# encodings, so the enrichment members are a literal prefix.
-_RECORD_PREFIX = '{"record_id":%d,"ingest_time_ms":%d,"transport":"%s","snapshot":'
+# encodings, so a record line is the enrichment members around the snapshot's.
+_RECORD_LINE = b'{"record_id":%d,"ingest_time_ms":%d,"transport":"%s","snapshot":%s}'
+_TRANSPORT_TEXT = {t: t.value.encode() for t in Transport}
+
+
+def _record_line(rec: LakeRecord, snapshot: bytes) -> bytes:
+    """The lake line of ``rec`` around its snapshot's compact JSON, without the newline."""
+    return _RECORD_LINE % (rec.record_id, rec.ingest_time_ms, _TRANSPORT_TEXT[rec.transport], snapshot)
 
 
 def encode_record(rec: LakeRecord) -> bytes:
-    head = _RECORD_PREFIX % (rec.record_id, rec.ingest_time_ms, rec.transport.value)
-    return (head + snapshot_text(rec.snapshot) + "}").encode()
+    return _record_line(rec, snapshot_text(rec.snapshot).encode())
 
 
 def _record_pattern() -> bytes:
-    """``_RECORD_PREFIX`` with a token per placeholder, then the snapshot pattern."""
-    tokens = {"%d": INT_TOKEN, "%s": b"(" + b"|".join(re.escape(t.value.encode()) for t in Transport) + b")"}
-    parts = re.split("(%[ds])", _RECORD_PREFIX)
-    return b"".join(tokens.get(part) or re.escape(part.encode()) for part in parts) + SNAPSHOT_PATTERN + rb"\}"
+    """``_RECORD_LINE`` with a token per placeholder: the two ints, the transport, the snapshot."""
+    transport = b"(" + b"|".join(map(re.escape, _TRANSPORT_TEXT.values())) + b")"
+    tokens = iter((INT_TOKEN, INT_TOKEN, transport, SNAPSHOT_PATTERN))
+    parts = re.split(b"(%[ds])", _RECORD_LINE)
+    return b"".join(next(tokens) if part.startswith(b"%") else re.escape(part) for part in parts)
 
 
 _RECORD_RE = re.compile(_record_pattern())
-_TRANSPORTS = {t.value.encode(): t for t in Transport}
+_TRANSPORTS = {text: t for t, text in _TRANSPORT_TEXT.items()}
 
 
 def decode_record(line: bytes) -> LakeRecord:
     """Parse one lake line.
 
-    A line as :func:`encode_record` writes it is built from the tokens of one
-    generated pattern; any other line, and one whose snapshot fails a check
-    there, goes through ``json.loads`` and the reference path.
+    A line as the lake writes it is built from the tokens of one generated
+    pattern; any other line, and one whose snapshot fails a check there, goes
+    through ``json.loads`` and the reference path.
     """
     match = _RECORD_RE.fullmatch(line)
     if match is not None:
@@ -193,8 +200,15 @@ class Lake:
         self._days[device_id] = (start, start + _DAY_MS, path)
         return path
 
-    def append(self, rec: LakeRecord) -> None:
-        line = encode_record(rec) + b"\n"
+    def append(self, rec: LakeRecord, wire: bytes | None = None) -> None:
+        """Store one record as one line.
+
+        ``wire`` is the snapshot's payload as ``decode_snapshot(..., wire=True)``
+        returned it: compact JSON that :data:`SNAPSHOT_PATTERN` matched and
+        that decodes to ``rec.snapshot``.  It is written as received;
+        without it, the line is :func:`encode_record`'s.
+        """
+        line = (encode_record(rec) if wire is None else _record_line(rec, wire)) + b"\n"
         device_id = rec.snapshot.device.device_id
         try:
             _append_line(self._partition(device_id, rec.ingest_time_ms), line)
@@ -548,8 +562,10 @@ class CloudService:
 
     ``dispatcher(device_id, ActionMessage)`` sends feedback; raising
     :class:`DispatchDown` drops the action (control actions are never
-    replayed stale).  ``clock_ms`` defaults to the wall clock; scenario runs
-    inject a logical clock for byte-exact replay.
+    replayed stale).  Any other failure of the feedback loop is logged and
+    counted in ``feedback_errors``; it never raises out of :meth:`ingest`
+    once the record is stored.  ``clock_ms`` defaults to the wall clock;
+    scenario runs inject a logical clock for byte-exact replay.
     """
 
     def __init__(
@@ -571,6 +587,7 @@ class CloudService:
         self._action_seq = 0
         self.dispatched = 0
         self.dropped_dispatches = 0
+        self.feedback_errors = 0
         self.dispatch_log: list = []  # (device_id, ActionMessage)
 
     @property
@@ -589,7 +606,7 @@ class CloudService:
         with self._lock:
             now = int(self._clock_ms())
             try:
-                snapshot = decode_snapshot(payload)
+                snapshot, wire = decode_snapshot(payload, wire=True)
             except TelemetryError as e:
                 self.lake.dead_letter(now, transport, str(e), bytes(payload))
                 raise IngestRejected(str(e)) from None
@@ -601,11 +618,16 @@ class CloudService:
                 transport=transport,
                 record_id=self._record_id,
             )
-            self.lake.append(record)
+            self.lake.append(record, wire)
             # Committed only once the record is stored: a failed write leaves no id gap.
             self._record_id += 1
             device.last_ingest_ms = ingest_time
-            self._feedback(snapshot, device, ingest_time)
+            try:
+                self._feedback(snapshot, device, ingest_time)
+            except Exception:
+                # The record is stored: raising would make a client that retries store it twice.
+                log.exception("feedback failed for record %d of %s", record.record_id, snapshot.device.device_id)
+                self.feedback_errors += 1
             return record
 
     def http_backend(self, payload: bytes) -> dict:

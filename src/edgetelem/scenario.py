@@ -16,7 +16,7 @@ from pathlib import Path
 from .agent import AgentConfig, DirectPublisher, TelemetryAgent
 from .bandwidth import NetTrace, trace_config_from_dict
 from .bus import DelaySpec
-from .cloud import CloudService, Lake, ModelStore, RuleSet, Transport, rules_from_dict
+from .cloud import CloudService, Lake, ModelStore, Transport, rules_from_dict
 from .simulator import Platform, builtin_profiles, config_from_dict, make_model_blob
 from .telemetry import DeviceIdentity, from_doc, to_doc
 
@@ -101,7 +101,9 @@ def scenario_from_dict(doc: dict, base_dir: Path, default_name: str = "scenario"
                 doc[what] = _load_ref(doc[what], base_dir, what)
         if isinstance(doc.get("faults"), list):
             doc["faults"] = [_fault_doc(fault) for fault in doc["faults"]]
-    return from_doc(ScenarioSpec, doc, ScenarioError)
+    spec = from_doc(ScenarioSpec, doc, ScenarioError)
+    _configs(spec)  # a bad nested document fails the load, before any output
+    return spec
 
 
 def load_scenario(path) -> ScenarioSpec:
@@ -113,6 +115,26 @@ def load_scenario(path) -> ScenarioSpec:
     except json.JSONDecodeError as e:
         raise ScenarioError(f"scenario spec is not valid JSON: {e}") from None
     return scenario_from_dict(doc, spec_path.parent, default_name=spec_path.stem)
+
+
+def _configs(spec: ScenarioSpec) -> tuple:
+    """The spec's ``platform``, ``trace`` and ``rules`` documents, loaded.
+
+    The platform's noise and the trace are seeded from the scenario's seed
+    unless the document sets its own.
+    """
+    loads = (
+        ("platform", config_from_dict, {"noise_seed": spec.seed, **spec.platform}),
+        ("trace", trace_config_from_dict, {"seed": spec.seed + 1, **spec.trace}),
+        ("rules", rules_from_dict, spec.rules),
+    )
+    configs = []
+    for what, load, doc in loads:
+        try:
+            configs.append(load(doc))
+        except ValueError as e:
+            raise ScenarioError(f"{what}: {e}") from None
+    return tuple(configs)
 
 
 class _LogicalClock:
@@ -144,26 +166,19 @@ def _plan_faults(spec: ScenarioSpec) -> _Faults:
 
 def run_scenario(spec: ScenarioSpec, out_dir) -> dict:
     """Run a scenario to completion; returns the report and writes report.json."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
+    platform_cfg, trace_cfg, rules = _configs(spec)
     profiles = builtin_profiles()
     if spec.initial_model_id not in profiles:
         raise ScenarioError(f"unknown initial_model_id {spec.initial_model_id!r}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     store = ModelStore.create(
         out / "models",
         {p.model_id: make_model_blob(p.model_id, p.artifact_size_bytes) for p in profiles.values()},
     )
 
-    platform_cfg = dict(spec.platform)
-    platform_cfg.setdefault("noise_seed", spec.seed)
-    platform = Platform(config_from_dict(platform_cfg), profiles[spec.initial_model_id])
-
-    trace_cfg = dict(spec.trace)
-    trace_cfg.setdefault("seed", spec.seed + 1)
-    trace = NetTrace(trace_config_from_dict(trace_cfg))
-
-    rules: RuleSet = rules_from_dict(spec.rules)
+    platform = Platform(platform_cfg, profiles[spec.initial_model_id])
+    trace = NetTrace(trace_cfg)
     clock = _LogicalClock()
     faults = _plan_faults(spec)
     state = {"tick": 0}

@@ -631,7 +631,7 @@ def _as_object(value, where: str) -> dict:
     return value
 
 
-def decode_snapshot(data) -> TelemetrySnapshot:
+def decode_snapshot(data, *, wire: bool = False) -> TelemetrySnapshot | tuple[TelemetrySnapshot, bytes | None]:
     """Parse and validate canonical snapshot bytes.
 
     Inverse of :func:`encode_snapshot` for all valid snapshots.  Rejects
@@ -640,6 +640,10 @@ def decode_snapshot(data) -> TelemetrySnapshot:
     built from their tokens; any other input, and any whose tokens fail a
     check, goes through ``json.loads`` and the reference path, which raises
     the error.
+
+    With ``wire=True`` it returns ``(snapshot, payload)``: ``payload`` is the
+    input as bytes when the pattern path built the snapshot, so it is one
+    line of compact JSON that the pattern matches, and None otherwise.
     """
     if isinstance(data, (bytes, bytearray, memoryview)):
         data = bytes(data)
@@ -647,14 +651,15 @@ def decode_snapshot(data) -> TelemetrySnapshot:
         if match is not None:
             snapshot = snapshot_from_tokens(match.groups())
             if snapshot is not None:
-                return snapshot
+                return (snapshot, data) if wire else snapshot
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as e:
             raise ParseError("invalid UTF-8", e.start) from None
     else:
         text = data
-    return _reference_from_wire(_loads(text))
+    snapshot = _reference_from_wire(_loads(text))
+    return (snapshot, None) if wire else snapshot
 
 
 def _byte_offset(text: str, pos: int) -> int:

@@ -78,6 +78,17 @@ class TestScenarioCommand:
         result = run_cli("scenario", str(bad))
         assert result.returncode == 1
 
+    def test_bad_nested_document_is_invalid_before_any_output(self, tmp_path):
+        doc = json.loads((SCENARIO_DIR / "scenario_fps_cap.json").read_text())
+        doc["rules"] = {"rulez": []}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = run_cli("scenario", str(bad), "--out", str(out))
+        assert result.returncode == 1
+        assert "invalid scenario: rules: rulez: unknown key" in result.stderr
+        assert not out.exists()  # no models/ directory and no partial report.json
+
 
 class TestBenchLatency:
     def test_pubsub_csv_row(self):

@@ -4,17 +4,22 @@ import math
 import random
 import re
 import shutil
+import tempfile
 from datetime import datetime, timezone
+from decimal import Decimal
 from operator import attrgetter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_snapshot, random_snapshot
 from oracle_rules import naive_fire_sequence
 from edgetelem.agent import ActionKind
-from edgetelem.bandwidth import Placement
-from edgetelem import cloud
+from edgetelem.bandwidth import BandwidthPredictor, FitError, Placement
+from edgetelem import cloud, telemetry
 from edgetelem.bus import IngestHttpServer, RequestRejected, http_post_snapshot
 from edgetelem.cloud import (
     ActionTemplate,
@@ -153,11 +158,11 @@ class TestIngest:
         real_append = Lake.append
         failures = []
 
-        def append_failing_once(lake, rec):
+        def append_failing_once(lake, rec, wire=None):
             if not failures:
                 failures.append(rec.record_id)
                 raise OSError(errno.ENOSPC, "No space left on device")
-            real_append(lake, rec)
+            real_append(lake, rec, wire)
 
         monkeypatch.setattr(Lake, "append", append_failing_once)
         clock.now = 5_000
@@ -170,6 +175,26 @@ class TestIngest:
         assert [r.record_id for r in records] == [0, 1]
         assert [r.snapshot.seq for r in records] == [0, 2]
         assert rec.ingest_time_ms == 3_000  # the failed record's time was not committed
+
+    def test_feedback_failure_after_a_stored_record_is_counted_not_raised(self, tmp_path, monkeypatch, caplog):
+        service = make_service(tmp_path, rules=RuleSet(bandwidth=BandwidthRuleConfig()))
+        real_update = BandwidthPredictor.update
+        calls = []
+
+        def update_failing_on_second_ingest(predictor, net, dl_mbps):
+            calls.append(None)
+            if len(calls) == 2:
+                raise FitError("normal matrix lost positive definiteness")
+            real_update(predictor, net, dl_mbps)
+
+        monkeypatch.setattr(BandwidthPredictor, "update", update_failing_on_second_ingest)
+        payloads = [encode_snapshot(make_snapshot(seq=seq)) for seq in range(3)]
+        returned = [service.ingest(payload, Transport.HTTP).record_id for payload in payloads]
+        records = service.lake.scan("dev0")
+        assert returned == [r.record_id for r in records] == [0, 1, 2]
+        assert [r.snapshot.seq for r in records] == [0, 1, 2]  # nothing for a client to retry
+        assert service.feedback_errors == 1
+        assert "feedback failed for record 1 of dev0" in caplog.text
 
 
 class TestRecordCodec:
@@ -202,6 +227,109 @@ class TestRecordCodec:
             }
             expected = json.dumps(doc, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
             assert encode_record(rec) == expected
+
+
+def ingest_and_read_line(payload: bytes, ingest_time_ms: int = 5_000):
+    """Ingest one payload into a fresh lake; returns the record and the partition's bytes."""
+    with tempfile.TemporaryDirectory() as root:
+        service = CloudService(Lake(root), clock_ms=lambda: ingest_time_ms)
+        rec = service.ingest(payload, Transport.PUBSUB)
+        [partition] = Path(root).glob("*/*.jsonl")
+        return rec, partition.read_bytes()
+
+
+def respell_number(token: bytes, how: int) -> bytes:
+    """Another spelling of a JSON float token with the same decimal value; an int token is kept."""
+    if b"." not in token and b"e" not in token:
+        return token
+    if how <= 3:  # trailing zeros: 12.5 -> 12.50
+        return token + b"0" * how if b"e" not in token and len(token) + how <= 24 else token
+    sign, digits, exponent = Decimal(token.decode()).as_tuple()  # 12.5 -> 125e-1, 0.0 -> 0e-1
+    return b"%s%se%d" % (b"-" * sign, "".join(map(str, digits)).encode(), exponent)
+
+
+def compact(doc) -> str:
+    return json.dumps(doc, separators=(",", ":"))
+
+
+_FLOAT_LEAF = re.compile(rb"(?<=:)-?[0-9][0-9.eE+-]*(?=[,}])")
+
+
+class TestLakeStoresValidatedPayload:
+    """A payload the snapshot pattern accepts is stored as received; any
+    other valid payload is stored as :func:`encode_record` writes it."""
+
+    PREFIX = b'{"record_id":0,"ingest_time_ms":5000,"transport":"PubSub","snapshot":'
+
+    def assert_stored_verbatim(self, payload: bytes) -> None:
+        assert telemetry._SNAPSHOT_RE.fullmatch(payload), "the pattern must accept the payload"
+        rec, stored = ingest_and_read_line(payload)
+        assert stored == self.PREFIX + payload + b"}\n"
+        line = stored[:-1]
+        assert cloud._RECORD_RE.fullmatch(line)
+        assert decode_record(line) == rec
+        assert rec.snapshot == decode_snapshot(payload)
+
+    @pytest.mark.parametrize(
+        "canonical, respelled",
+        [
+            (b'"mem_throughput_gbps":12.5,', b'"mem_throughput_gbps":12.50,'),
+            (b'"mem_throughput_gbps":12.5,', b'"mem_throughput_gbps":1.25e1,'),
+            (b'"ul_mbps":0.0}', b'"ul_mbps":-0.0}'),
+            (b'"model_id":"yolov3"', b'"model_id":"yolov\\u0033"'),
+            (b'"model_id":"yolov3"', b'"model_id":"\\u0079olov\\u0033"'),
+        ],
+    )
+    def test_non_canonical_payload_the_pattern_accepts_is_stored_verbatim(self, canonical, respelled):
+        payload = encode_snapshot(make_snapshot(mem_throughput_gbps=12.5, ul_mbps=0.0))
+        assert canonical in payload
+        self.assert_stored_verbatim(payload.replace(canonical, respelled))
+
+    @given(st.integers(0, 2**32), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_respelled_numbers_and_escaped_strings_are_stored_verbatim(self, seed, data):
+        payload = encode_snapshot(random_snapshot(random.Random(seed), seq=seed % 1000, device_id="dev0"))
+        hows = iter(data.draw(st.lists(st.integers(0, 4), min_size=18, max_size=18)))
+        payload = _FLOAT_LEAF.sub(lambda m: respell_number(m.group(), next(hows, 0)), payload)
+        model_id = re.search(rb'"model_id":"([^"]*)"', payload).group(1)
+        escape = data.draw(st.lists(st.booleans(), min_size=len(model_id), max_size=len(model_id)))
+        spelled = b"".join(b"\\u%04x" % c if e else bytes([c]) for c, e in zip(model_id, escape))
+        self.assert_stored_verbatim(payload.replace(b'"model_id":"%s"' % model_id, b'"model_id":"%s"' % spelled))
+
+    @pytest.mark.parametrize(
+        "respell",
+        [
+            pytest.param(lambda doc: json.dumps(doc, indent=2), id="pretty-printed"),
+            pytest.param(lambda doc: compact(dict(reversed(doc.items()))), id="keys-reordered"),
+            pytest.param(lambda doc: compact({**doc, "seq": 10**18 + 7}), id="19-digit-seq"),
+            pytest.param(lambda doc: compact(doc).replace('"dev0"', '"dev\\u0030"'), id="escaped-device-id"),
+        ],
+    )
+    def test_payload_only_the_fallback_accepts_is_stored_re_encoded(self, respell):
+        payload = respell(json.loads(encode_snapshot(make_snapshot()))).encode()
+        assert not telemetry._SNAPSHOT_RE.fullmatch(payload)
+        rec, stored = ingest_and_read_line(payload)
+        assert stored == encode_record(rec) + b"\n"  # one line
+        assert decode_record(stored[:-1]) == rec
+        assert rec.snapshot == decode_snapshot(payload)
+
+    def test_one_pattern_match_per_ingest(self, tmp_path, monkeypatch):
+        calls = []
+
+        class Counting:
+            def __init__(self, pattern):
+                self.pattern = pattern
+
+            def fullmatch(self, data):
+                calls.append(self.pattern.pattern)
+                return self.pattern.fullmatch(data)
+
+        monkeypatch.setattr(telemetry, "_SNAPSHOT_RE", Counting(telemetry._SNAPSHOT_RE))
+        monkeypatch.setattr(cloud, "_RECORD_RE", Counting(cloud._RECORD_RE))
+        service = make_service(tmp_path)
+        for seq in range(3):
+            service.ingest(encode_snapshot(make_snapshot(seq=seq)), Transport.PUBSUB)
+        assert calls == [telemetry.SNAPSHOT_PATTERN] * 3
 
 
 class TestRuleValidation:

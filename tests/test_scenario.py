@@ -82,6 +82,12 @@ class TestSpecValidation:
             ({"faults": [{"at_tick": 1, "kind": "Meteor"}]}, r"faults\[0\]: unknown fault kind 'Meteor'"),
             ({"ticks": "10"}, "ticks: must be an integer"),
             ({"platform": 3}, "platform: must be an object"),
+            ({"rules": {"rulez": []}}, "rules: rulez: unknown key"),
+            ({"rules": {"rules": [{"rule_id": "r1"}]}}, r"rules: rules\[0\]\.metric_path: required key missing"),
+            ({"platform": {"tdp_w": 5}}, "platform: tdp_w: unknown key"),
+            ({"platform": {"noise_seed": "1"}}, "platform: noise_seed: must be an integer"),
+            ({"trace": {}}, "trace: regimes: required key missing"),
+            ({"trace": {**BASE_TRACE, "seed": 1.5}}, "trace: seed: must be an integer"),
         ],
     )
     def test_bad_spec_is_scenario_error(self, overrides, message):

@@ -505,8 +505,11 @@ def reference_text(s: TelemetrySnapshot) -> str:
 
 
 def reference_record_bytes(rec: LakeRecord) -> bytes:
-    head = cloud._RECORD_PREFIX % (rec.record_id, rec.ingest_time_ms, rec.transport.value)
-    return (head + reference_text(rec.snapshot) + "}").encode("utf-8")
+    """The record envelope around the reference snapshot text, encoded on its own as the lake encodes it."""
+    head = '{"record_id":%d,"ingest_time_ms":%d,"transport":"%s","snapshot":' % (
+        rec.record_id, rec.ingest_time_ms, rec.transport.value
+    )
+    return head.encode("utf-8") + reference_text(rec.snapshot).encode("utf-8") + b"}"
 
 
 def encoded(encode, arg):
