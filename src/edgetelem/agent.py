@@ -113,7 +113,6 @@ class ActionResult:
 class AgentConfig:
     device: DeviceIdentity
     sample_period_ms: int = 1000
-    initial_model_id: str = "yolov3"
     max_ticks: int | None = None
 
     def __post_init__(self):
@@ -189,9 +188,7 @@ class BusPublisher:
     def publish(self, topic: str, payload: bytes) -> None:
         try:
             self._ensure_session().publish(topic, payload)
-        except bus.BusError as e:
-            raise PublishDown(str(e)) from e
-        except OSError as e:
+        except (bus.BusError, OSError) as e:
             raise PublishDown(str(e)) from e
 
     def close(self) -> None:

@@ -23,12 +23,12 @@ serves the HTTP endpoints (snapshot ingest, the model store, the latency
 probe) as route functions.  :func:`connect` opens a client :class:`Session`;
 :func:`_http_request` is the one HTTP client, a fresh connection per call.
 
-PUBLISH, the frame every message travels in, takes a shorter path than the
-rest: the broker and a session parse it in place in their receive buffer
-(:func:`_parse_publish`) and look its topic up in a table of the peers or
-handlers it goes to, and a session builds it from a cached topic header.
-:class:`Frame`, :func:`encode_frame` and :func:`decode_frame` remain the
-codec for every other use.
+Every frame reader (the broker's and a session's loops, :func:`_read_frame`
+and :func:`decode_frame`) reads a header through :func:`_frame_end` and a
+length-prefixed string through :func:`_u16_bytes`.  PUBLISH, the frame every
+message travels in, is read in place in the broker's and a session's receive
+buffer and its topic looked up in a table of the peers or handlers it goes
+to; every other frame is parsed into a validated :class:`Frame`.
 """
 
 from __future__ import annotations
@@ -142,9 +142,15 @@ class Frame:
             raise FrameError("code must fit in one byte")
 
 
+_HEADER = struct.Struct(">BI")  # kind, body length
+_STR_LEN = struct.Struct(">H")  # the length before a client id, filter or topic
+_KINDS = {int(kind): kind for kind in FrameKind}  # a header's kind byte -> its FrameKind
+_PUBLISH = FrameKind.PUBLISH
+
+
 def _u16_str(value: str) -> bytes:
     raw = value.encode("utf-8")
-    return struct.pack(">H", len(raw)) + raw
+    return _STR_LEN.pack(len(raw)) + raw
 
 
 def encode_frame(f: Frame) -> bytes:
@@ -158,82 +164,78 @@ def encode_frame(f: Frame) -> bytes:
         body = _u16_str(f.topic) + f.payload
     else:
         body = b""
-    return bytes([f.kind]) + struct.pack(">I", len(body)) + body
+    return _HEADER.pack(f.kind, len(body)) + body
 
 
-def _take_u16_str(body: bytes, what: str) -> tuple:
-    if len(body) < 2:
+def _frame_end(buf, start: int) -> tuple:
+    """``(kind, end)`` of the frame whose 5-byte header is at ``buf[start]``; it is whole once ``len(buf) >= end``.
+
+    Raises :class:`FrameError` for an unknown kind and a body above ``MAX_BODY``.
+    """
+    byte, body_len = _HEADER.unpack_from(buf, start)
+    kind = _KINDS.get(byte)
+    if kind is None:
+        raise FrameError(f"unknown frame kind {byte}")
+    if body_len > MAX_BODY:
+        raise FrameError(f"body length {body_len} exceeds limit")
+    return kind, start + 5 + body_len
+
+
+def _u16_bytes(buf, body: int, end: int, what: str) -> tuple:
+    """``(raw, rest)``: the length-prefixed string at ``buf[body]`` of a body ending at ``end``, and the offset after it.
+
+    ``raw`` is bytes; a PUBLISH topic's UTF-8 and shape are checked by
+    :func:`_topic_text`.  Raises :class:`FrameError` for a truncated length
+    or string and for more than ``MAX_PAYLOAD`` bytes after the string.
+    """
+    if end - body < 2:
         raise FrameError(f"truncated {what} length")
-    (n,) = struct.unpack(">H", body[:2])
-    if len(body) < 2 + n:
+    rest = body + 2 + _STR_LEN.unpack_from(buf, body)[0]
+    if rest > end:
         raise FrameError(f"truncated {what}")
+    if end - rest > MAX_PAYLOAD:
+        raise FrameError(f"payload exceeds {MAX_PAYLOAD} bytes")
+    return bytes(buf[body + 2 : rest]), rest
+
+
+def _utf8(raw: bytes, what: str) -> str:
     try:
-        return body[2 : 2 + n].decode("utf-8"), body[2 + n :]
+        return raw.decode("utf-8")
     except UnicodeDecodeError:
         raise FrameError(f"{what} is not valid UTF-8") from None
 
 
-def _parse_body(kind: FrameKind, body: bytes) -> Frame:
+def _topic_text(topic: bytes) -> str:
+    """The topic of a received PUBLISH, checked as :class:`Frame` checks it."""
+    text = _utf8(topic, "topic")
+    validate_topic(text)
+    return text
+
+
+def _parse_body(kind: FrameKind, buf, body: int, end: int) -> Frame:
+    """The validated :class:`Frame` of kind ``kind`` whose body is ``buf[body:end]``."""
     if kind == FrameKind.CONNECT:
-        client_id, rest = _take_u16_str(body, "client_id")
-        if rest:
+        raw, rest = _u16_bytes(buf, body, end, "client_id")
+        client_id = _utf8(raw, "client_id")
+        if rest != end:
             raise FrameError("trailing bytes after client_id")
         return Frame(kind=kind, client_id=client_id)
     if kind in (FrameKind.CONNACK, FrameKind.SUBACK):
-        if len(body) != 1:
+        if end - body != 1:
             raise FrameError("ack body must be exactly one byte")
-        return Frame(kind=kind, code=body[0])
+        return Frame(kind=kind, code=buf[body])
     if kind == FrameKind.SUBSCRIBE:
-        topic, rest = _take_u16_str(body, "filter")
-        if rest:
+        raw, rest = _u16_bytes(buf, body, end, "filter")
+        filter_ = _utf8(raw, "filter")
+        if rest != end:
             raise FrameError("trailing bytes after filter")
-        return Frame(kind=kind, topic=topic)
+        return Frame(kind=kind, topic=filter_)
     if kind == FrameKind.PUBLISH:
-        topic, rest = _take_u16_str(body, "topic")
-        return Frame(kind=kind, topic=topic, payload=rest)
-    if body:
+        topic, payload = _u16_bytes(buf, body, end, "topic")
+        return Frame(kind=kind, topic=_utf8(topic, "topic"), payload=bytes(buf[payload:end]))
+    if end != body:
         raise FrameError(f"{kind.name} carries no body")
     return Frame(kind=kind)
-
-
-_BODY_LEN = struct.Struct(">I")
-_TOPIC_LEN = struct.Struct(">H")
-_PUBLISH_HEAD = struct.Struct(">BI")
-_PUBLISH = int(FrameKind.PUBLISH)
-
-
-def _parse_publish(buf: bytearray, start: int):
-    """``(topic, payload_start, end)`` of the PUBLISH frame at ``buf[start]``, or None while it is incomplete.
-
-    ``topic`` is the raw topic bytes; the caller checks its UTF-8 and shape
-    (see :func:`_topic_text`).  At least the 5 header bytes must be in
-    ``buf``.  Raises :class:`FrameError` for a body above ``MAX_BODY``, a
-    truncated topic length or topic, and a payload above ``MAX_PAYLOAD``.
-    """
-    (body_len,) = _BODY_LEN.unpack_from(buf, start + 1)
-    if body_len > MAX_BODY:
-        raise FrameError(f"body length {body_len} exceeds limit")
-    end = start + 5 + body_len
-    if len(buf) < end:
-        return None
-    if body_len < 2:
-        raise FrameError("truncated topic length")
-    topic_end = start + 7 + _TOPIC_LEN.unpack_from(buf, start + 5)[0]
-    if topic_end > end:
-        raise FrameError("truncated topic")
-    if end - topic_end > MAX_PAYLOAD:
-        raise FrameError(f"payload exceeds {MAX_PAYLOAD} bytes")
-    return bytes(buf[start + 7 : topic_end]), topic_end, end
-
-
-def _topic_text(topic: bytes) -> str:
-    """The topic of a received PUBLISH, checked as :class:`Frame` checks it."""
-    try:
-        text = topic.decode("utf-8")
-    except UnicodeDecodeError:
-        raise FrameError("topic is not valid UTF-8") from None
-    validate_topic(text)
-    return text
 
 
 def _remember(table: dict, key, value):
@@ -244,26 +246,14 @@ def _remember(table: dict, key, value):
     return value
 
 
-def _parse_header(header: bytes) -> tuple:
-    """``(kind, body_len)`` of a 5-byte frame header."""
-    try:
-        kind = FrameKind(header[0])
-    except ValueError:
-        raise FrameError(f"unknown frame kind {header[0]}") from None
-    (body_len,) = _BODY_LEN.unpack_from(header, 1)
-    if body_len > MAX_BODY:
-        raise FrameError(f"body length {body_len} exceeds limit")
-    return kind, body_len
-
-
 def decode_frame(data: bytes) -> Frame:
     """Parse exactly one frame; inverse of :func:`encode_frame`."""
     if len(data) < 5:
         raise FrameError("truncated header")
-    kind, body_len = _parse_header(data[:5])
-    if len(data) != 5 + body_len:
+    kind, end = _frame_end(data, 0)
+    if len(data) != end:
         raise FrameError("frame length mismatch")
-    return _parse_body(kind, data[5:])
+    return _parse_body(kind, data, 5, end)
 
 
 def _read_exact(sock: socket.socket, n: int):
@@ -281,11 +271,11 @@ def _read_frame(sock: socket.socket):
     header = _read_exact(sock, 5)
     if header is None:
         return None
-    kind, body_len = _parse_header(header)
-    body = _read_exact(sock, body_len) if body_len else b""
+    kind, end = _frame_end(header, 0)
+    body = _read_exact(sock, end - 5) if end > 5 else b""
     if body is None:
         raise FrameError("connection closed mid-frame")
-    return _parse_body(kind, body)
+    return _parse_body(kind, body, 0, len(body))
 
 
 class _Peer:
@@ -479,11 +469,11 @@ class Broker(_LoopServer):
         buf, start, touched = peer.inbuf, 0, {peer}
         try:
             while len(buf) - start >= 5 and not peer.closing:
-                if buf[start] == _PUBLISH and peer.client_id:
-                    parsed = _parse_publish(buf, start)
-                    if parsed is None:
-                        break
-                    topic, _, end = parsed
+                kind, end = _frame_end(buf, start)
+                if len(buf) < end:
+                    break
+                if kind is _PUBLISH and peer.client_id:
+                    topic, _ = _u16_bytes(buf, start + 5, end, "topic")
                     targets = self._routes.get(topic)
                     if targets is None:
                         targets = self._route(topic)
@@ -492,30 +482,25 @@ class Broker(_LoopServer):
                         for target in targets:
                             self._push(target, raw)
                         touched.update(targets)
-                    start = end
-                    continue
-                kind, body_len = _parse_header(buf[start : start + 5])
-                end = start + 5 + body_len
-                if len(buf) < end:
-                    break
-                frame = _parse_body(kind, buf[start + 5 : end])
-                if not peer.client_id:
-                    if kind != FrameKind.CONNECT:
-                        raise FrameError(f"{kind.name} before CONNECT")
-                    peer.closing = frame.client_id in self._clients  # a duplicate gets CONNACK 2
-                    if not peer.closing:
-                        peer.client_id = frame.client_id
-                        self._clients[peer.client_id] = peer
-                    self._push(peer, encode_frame(Frame(kind=FrameKind.CONNACK, code=2 if peer.closing else 0)))
-                elif kind == FrameKind.SUBSCRIBE:
-                    self._subs.append((frame.topic, peer))
-                    self._routes.clear()
-                    self._push(peer, encode_frame(Frame(kind=FrameKind.SUBACK, code=0)))
-                elif kind == FrameKind.PINGREQ:
-                    self._push(peer, encode_frame(Frame(kind=FrameKind.PINGRESP)))
-                elif kind == FrameKind.DISCONNECT:
-                    self._close(peer)
-                    break
+                else:
+                    frame = _parse_body(kind, buf, start + 5, end)
+                    if not peer.client_id:
+                        if kind != FrameKind.CONNECT:
+                            raise FrameError(f"{kind.name} before CONNECT")
+                        peer.closing = frame.client_id in self._clients  # a duplicate gets CONNACK 2
+                        if not peer.closing:
+                            peer.client_id = frame.client_id
+                            self._clients[peer.client_id] = peer
+                        self._push(peer, encode_frame(Frame(kind=FrameKind.CONNACK, code=2 if peer.closing else 0)))
+                    elif kind == FrameKind.SUBSCRIBE:
+                        self._subs.append((frame.topic, peer))
+                        self._routes.clear()
+                        self._push(peer, encode_frame(Frame(kind=FrameKind.SUBACK, code=0)))
+                    elif kind == FrameKind.PINGREQ:
+                        self._push(peer, encode_frame(Frame(kind=FrameKind.PINGRESP)))
+                    elif kind == FrameKind.DISCONNECT:
+                        self._close(peer)
+                        break
                 start = end
         except FrameError as e:
             log.debug("broker peer %r dropped: %s", peer.client_id, e)
@@ -585,7 +570,7 @@ class Session:
         payload = bytes(payload)
         if len(payload) > MAX_PAYLOAD:
             raise FrameError(f"payload exceeds {MAX_PAYLOAD} bytes")
-        self._send(b"".join((_PUBLISH_HEAD.pack(_PUBLISH, len(head) + len(payload)), head, payload)))
+        self._send(b"".join((_HEADER.pack(_PUBLISH, len(head) + len(payload)), head, payload)))
 
     def subscribe(self, filter_: str, handler, timeout: float = 5.0) -> None:
         """Register ``handler(topic, payload)`` for every message matching the filter."""
@@ -626,11 +611,11 @@ class Session:
                 buf += data
                 start = 0
                 while len(buf) - start >= 5:
-                    if buf[start] == _PUBLISH:
-                        parsed = _parse_publish(buf, start)
-                        if parsed is None:
-                            break
-                        topic, payload_start, end = parsed
+                    kind, end = _frame_end(buf, start)
+                    if len(buf) < end:
+                        break
+                    if kind is _PUBLISH:
+                        topic, payload_start = _u16_bytes(buf, start + 5, end, "topic")
                         text, handlers = self._routes.get(topic) or self._route(topic)
                         payload = bytes(buf[payload_start:end])
                         for handler in handlers:
@@ -639,11 +624,7 @@ class Session:
                             except Exception:
                                 log.exception("subscription handler failed for %s", text)
                     else:
-                        kind, body_len = _parse_header(buf[start : start + 5])
-                        end = start + 5 + body_len
-                        if len(buf) < end:
-                            break
-                        frame = _parse_body(kind, bytes(buf[start + 5 : end]))
+                        frame = _parse_body(kind, buf, start + 5, end)
                         if frame.kind == FrameKind.SUBACK:
                             self._subacks.put(frame.code)
                     start = end
@@ -677,17 +658,15 @@ def connect(address: tuple, client_id: str, timeout: float = 5.0) -> Session:
     except (OSError, FrameError) as e:
         sock.close()
         raise ConnectRefused(f"handshake failed: {e}") from e
+    if ack is not None and ack.kind == FrameKind.CONNACK and ack.code == 0:
+        sock.settimeout(None)
+        return Session(sock, client_id)
+    sock.close()
     if ack is None or ack.kind != FrameKind.CONNACK:
-        sock.close()
         raise ConnectRefused("expected CONNACK")
     if ack.code == 2:
-        sock.close()
         raise DuplicateClientId(f"client_id {client_id!r} already connected")
-    if ack.code != 0:
-        sock.close()
-        raise ConnectRefused(f"connection rejected with code {ack.code}")
-    sock.settimeout(None)
-    return Session(sock, client_id)
+    raise ConnectRefused(f"connection rejected with code {ack.code}")
 
 
 # --- HTTP: one selectors loop serves, one raw-socket client asks ---------------

@@ -159,7 +159,6 @@ def cmd_agent(args) -> int:
         cfg = agent_mod.AgentConfig(
             device=DeviceIdentity(device_id=args.device),
             sample_period_ms=args.period,
-            initial_model_id=args.model,
             max_ticks=args.max_ticks,
         )
         platform = Platform(config, profiles[args.model])

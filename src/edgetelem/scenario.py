@@ -17,7 +17,7 @@ from .agent import AgentConfig, DirectPublisher, TelemetryAgent
 from .bandwidth import NetTrace, trace_config_from_dict
 from .bus import DelaySpec
 from .cloud import CloudService, Lake, ModelStore, Transport, rules_from_dict
-from .simulator import Platform, builtin_profiles, config_from_dict, make_model_blob
+from .simulator import BUILTIN_MODEL_IDS, Platform, builtin_profiles, config_from_dict, make_model_blob
 from .telemetry import DeviceIdentity, from_doc, to_doc
 
 __all__ = ["ScenarioError", "FaultSpec", "ScenarioSpec", "load_scenario", "run_scenario"]
@@ -65,6 +65,8 @@ class ScenarioSpec:
             raise ScenarioError("ticks must be > 0")
         if self.sample_period_ms < 10:
             raise ScenarioError("sample_period_ms must be >= 10")
+        if self.initial_model_id not in BUILTIN_MODEL_IDS:
+            raise ScenarioError(f"unknown initial_model_id {self.initial_model_id!r}")
         for fault in self.faults:
             if fault.at_tick >= self.ticks:
                 raise ScenarioError(
@@ -168,8 +170,6 @@ def run_scenario(spec: ScenarioSpec, out_dir) -> dict:
     """Run a scenario to completion; returns the report and writes report.json."""
     platform_cfg, trace_cfg, rules = _configs(spec)
     profiles = builtin_profiles()
-    if spec.initial_model_id not in profiles:
-        raise ScenarioError(f"unknown initial_model_id {spec.initial_model_id!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     store = ModelStore.create(
@@ -221,7 +221,6 @@ def run_scenario(spec: ScenarioSpec, out_dir) -> dict:
         cfg=AgentConfig(
             device=DeviceIdentity(device_id=spec.device_id),
             sample_period_ms=spec.sample_period_ms,
-            initial_model_id=spec.initial_model_id,
         ),
         platform=platform,
         publisher=publisher,

@@ -37,6 +37,7 @@ __all__ = [
     "ThermalConfig",
     "PlatformConfig",
     "Platform",
+    "BUILTIN_MODEL_IDS",
     "builtin_profiles",
     "make_model_blob",
     "config_from_dict",
@@ -128,6 +129,7 @@ _BUILTIN_SPECS = {
     "yolov3": (65.63, 29.4, 1.0, 65_630),
     "ssd_resnet50_fpn": (178.4, 200.0, 0.368, 178_400),
 }
+BUILTIN_MODEL_IDS = tuple(_BUILTIN_SPECS)  # the keys of builtin_profiles(), known without hashing a blob
 
 
 def make_model_blob(model_id: str, size_bytes: int) -> bytes:

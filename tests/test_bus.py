@@ -629,6 +629,126 @@ class TestSessionPublishBytes:
             session.publish("t/x", b"x" * (bus.MAX_PAYLOAD + 1))
 
 
+def subscribed_session(subscriptions):
+    """A session on one end of a fresh socket pair, subscribed to ``(filter, handler)`` pairs, and the other end."""
+    ours, theirs = socket.socketpair()
+    theirs.settimeout(5.0)
+    theirs.sendall(encode_frame(Frame(kind=FrameKind.SUBACK, code=0)) * len(subscriptions))  # ahead of the SUBSCRIBEs
+    session = bus.Session(ours, "wire")
+    for filter_, handler in subscriptions:
+        session.subscribe(filter_, handler)
+    return session, theirs
+
+
+class TestSessionReceiveChecks:
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            struct.pack(">BI", 9, 0),
+            struct.pack(">BI", 5, bus.MAX_BODY + 1),
+            struct.pack(">BI", 4, 2) + b"\x00\x00",
+            struct.pack(">BI", 7, 1) + b"\x00",
+            struct.pack(">BI", 5, 1) + b"\x00",
+            struct.pack(">BI", 5, 4) + b"\x00\x05t/",
+            struct.pack(">BI", 5, 6) + b"\x00\x03t/\xffp",
+            struct.pack(">BI", 5, 8) + b"\x00\x05t/x yp",
+        ],
+        ids=[
+            "unknown_kind",
+            "oversized_body",
+            "suback_with_two_byte_body",
+            "pingresp_with_body",
+            "truncated_topic_length",
+            "topic_longer_than_body",
+            "invalid_utf8_topic",
+            "topic_with_a_space",
+        ],
+    )
+    def test_malformed_frame_closes_the_session_and_runs_no_handler(self, raw):
+        calls = []
+        session, theirs = subscribed_session([("t/+", lambda t, p: calls.append((t, p)))])
+        try:
+            assert not session.closed
+            # A well-formed PUBLISH after the bad frame must not be delivered either.
+            theirs.sendall(raw + encode_frame(Frame(kind=FrameKind.PUBLISH, topic="t/x", payload=b"after")))
+            assert wait_for(lambda: session.closed)
+            assert calls == []
+        finally:
+            session.close()
+            theirs.close()
+
+
+_SEGMENT = st.from_regex(r"[A-Za-z0-9_-]{1,4}", fullmatch=True)
+_WIRE_FRAMES = st.one_of(
+    st.builds(
+        Frame,
+        kind=st.just(FrameKind.CONNECT),
+        client_id=st.text(st.characters(codec="utf-8", exclude_characters="/"), min_size=1, max_size=8),
+    ),
+    st.builds(Frame, kind=st.sampled_from([FrameKind.CONNACK, FrameKind.SUBACK]), code=st.integers(0, 255)),
+    st.builds(
+        Frame,
+        kind=st.just(FrameKind.SUBSCRIBE),
+        topic=st.lists(st.one_of(_SEGMENT, st.just("+")), min_size=1, max_size=3).map("/".join),
+    ),
+    st.builds(
+        Frame,
+        kind=st.just(FrameKind.PUBLISH),
+        topic=st.lists(_SEGMENT, min_size=1, max_size=3).map("/".join),
+        payload=st.binary(max_size=32).map(lambda b: b.replace(b"/", b"")),
+    ),
+    st.builds(Frame, kind=st.sampled_from([FrameKind.PINGREQ, FrameKind.PINGRESP, FrameKind.DISCONNECT])),
+)
+
+
+class TestOneFrameReader:
+    # Generated topics and filters have at most 3 segments, client ids and
+    # payloads hold no "/", and one flipped byte adds at most one segment, so
+    # these filters match any topic a flip can produce (also one that a longer
+    # topic length extends into the payload); the 5-segment sentinel matches
+    # none of them.
+    FILTERS = ("+", "+/+", "+/+/+", "+/+/+/+")
+    SENTINEL = "end/of/the/test/frames"
+
+    @given(frame=_WIRE_FRAMES, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_readers_agree_on_a_frame_with_one_flipped_byte(self, frame, data):
+        raw = bytearray(encode_frame(frame))
+        at = data.draw(st.sampled_from([0, *range(5, len(raw))]), label="flipped byte")  # not the body length
+        raw[at] ^= data.draw(st.integers(1, 255), label="xor")
+        raw = bytes(raw)
+        try:
+            decoded = decode_frame(raw)
+        except FrameError:
+            decoded = None
+
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            theirs.settimeout(5.0)
+            ours.sendall(raw)
+            ours.close()
+            if decoded is None:
+                with pytest.raises(FrameError):
+                    bus._read_frame(theirs)
+            else:
+                assert bus._read_frame(theirs) == decoded
+
+        calls, sentinel = [], threading.Event()
+        subscriptions = [(f, lambda t, p: calls.append((t, p))) for f in self.FILTERS]
+        session, theirs = subscribed_session([*subscriptions, (self.SENTINEL, lambda t, p: sentinel.set())])
+        try:
+            theirs.sendall(raw + encode_frame(Frame(kind=FrameKind.PUBLISH, topic=self.SENTINEL)))
+            assert wait_for(lambda: session.closed or sentinel.is_set())
+            assert session.closed == (decoded is None)
+            if decoded is not None and decoded.kind == FrameKind.PUBLISH:
+                assert calls == [(decoded.topic, decoded.payload)]
+            else:
+                assert calls == []
+        finally:
+            session.close()
+            theirs.close()
+
+
 def _can_connect(address, client_id) -> bool:
     try:
         s = connect(address, client_id, timeout=1.0)

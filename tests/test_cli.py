@@ -89,6 +89,17 @@ class TestScenarioCommand:
         assert "invalid scenario: rules: rulez: unknown key" in result.stderr
         assert not out.exists()  # no models/ directory and no partial report.json
 
+    def test_unknown_initial_model_is_invalid_before_any_output(self, tmp_path):
+        doc = json.loads((SCENARIO_DIR / "scenario_fps_cap.json").read_text())
+        doc["initial_model_id"] = "nope"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = run_cli("scenario", str(bad), "--out", str(out))
+        assert result.returncode == 1
+        assert "invalid scenario: unknown initial_model_id 'nope'" in result.stderr
+        assert not (out / "report.json").exists()
+
 
 class TestBenchLatency:
     def test_pubsub_csv_row(self):

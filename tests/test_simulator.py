@@ -5,6 +5,7 @@ from edgetelem.simulator import (
     ConfigError,
     Platform,
     PlatformConfig,
+    BUILTIN_MODEL_IDS,
     builtin_profiles,
     config_from_dict,
     make_model_blob,
@@ -308,3 +309,6 @@ class TestConfigLoading:
         for profile in builtin_profiles().values():
             blob = make_model_blob(profile.model_id, profile.artifact_size_bytes)
             assert hashlib.sha256(blob).hexdigest() == profile.artifact_digest
+
+    def test_builtin_model_ids_are_the_profile_keys(self):
+        assert BUILTIN_MODEL_IDS == tuple(builtin_profiles())
