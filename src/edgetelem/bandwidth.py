@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .telemetry import NetworkMetrics, from_doc
@@ -206,7 +206,6 @@ class PredictorConfig:
     ridge_lambda: float = 1e-3
     ewma_alpha: float = 0.3
     min_window: int = 5
-    scaler: FeatureScaler = field(default_factory=FeatureScaler)
 
     def __post_init__(self):
         if self.window < 1:
@@ -301,7 +300,7 @@ class BandwidthPredictor:
         return len(self._rows)
 
     def _feature_row(self, net: NetworkMetrics) -> tuple:
-        z1, z2, z3 = self.config.scaler.standardize(net)
+        z1, z2, z3 = DEFAULT_SCALER.standardize(net)
         return (1.0, z1, z2, z3, self.ewma_throughput)
 
     def update(self, net: NetworkMetrics, observed_dl_mbps: float) -> None:
@@ -334,7 +333,7 @@ class BandwidthPredictor:
         if len(self._rows) < self.config.min_window:
             return max(0.0, self.ewma_throughput)
         b0, b1, b2, b3, b4 = self.coefficients
-        z1, z2, z3 = self.config.scaler.standardize(net)
+        z1, z2, z3 = DEFAULT_SCALER.standardize(net)
         return max(0.0, b0 + b1 * z1 + b2 * z2 + b3 * z3 + b4 * self.ewma_throughput)
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import queue
 import random
 import re
@@ -629,8 +630,11 @@ class Session:
                             self._subacks.put(frame.code)
                     start = end
                 del buf[:start]
-        except (FrameError, OSError):
-            pass
+        except FrameError as e:
+            log.warning("session %s: malformed frame from the broker: %s", self.client_id, e)
+        except OSError as e:
+            if not self._closed.is_set():  # not the session's own close()
+                log.warning("session %s: receive failed: %s", self.client_id, e)
         finally:
             self._closed.set()
 
@@ -914,8 +918,8 @@ class DelaySpec:
     def __post_init__(self):
         if self.kind not in ("normal", "constant"):
             raise ValueError(f"unknown delay kind {self.kind!r}")
-        if self.mean_ms < 0 or self.std_ms < 0:
-            raise ValueError("delay parameters must be >= 0")
+        if not (0 <= self.mean_ms < math.inf and 0 <= self.std_ms < math.inf):  # NaN fails too
+            raise ValueError("delay parameters must be finite and >= 0")
 
     @classmethod
     def parse(cls, text: str) -> "DelaySpec":

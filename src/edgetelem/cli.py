@@ -155,7 +155,7 @@ def cmd_agent(args) -> int:
         trace_cfg = trace_config_from_dict(_read_json(args.trace)) if args.trace else DEFAULT_TRACE_CONFIG
         profiles = builtin_profiles()
         if args.model not in profiles:
-            raise ConfigError("initial_model_id", f"unknown model {args.model!r}")
+            raise ConfigError("--model", f"unknown model {args.model!r}")
         cfg = agent_mod.AgentConfig(
             device=DeviceIdentity(device_id=args.device),
             sample_period_ms=args.period,

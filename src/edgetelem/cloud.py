@@ -24,7 +24,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -224,9 +224,8 @@ class Lake:
             "error": error,
             "payload_hex": payload.hex(),
         }
-        with open(self.root / self.DEAD_LETTER_FILE, "ab") as fh:
-            fh.write(json.dumps(entry, separators=(",", ":")).encode("utf-8") + b"\n")
-            fh.flush()
+        line = json.dumps(entry, separators=(",", ":")).encode("utf-8") + b"\n"
+        _append_line(str(self.root / self.DEAD_LETTER_FILE), line)
         self.dead_letters += 1
 
     def _partitions(self, device_id: str) -> list:
@@ -416,23 +415,24 @@ def evaluate_rules(snapshot: TelemetrySnapshot, rules, states) -> tuple:
 
 
 @dataclass(frozen=True)
-class BandwidthRuleConfig:
+class BandwidthRuleConfig(PredictorConfig):
     """Placement feedback driven by the bandwidth predictor.
 
     The device is sent to local inference when the predicted downlink rate
     stays below ``required_mbps`` for ``consecutive_required`` snapshots, and
     back to the edge when it clears ``required_mbps * reentry_margin`` the
     same way.  Inactive until the predictor window holds ``min_window``
-    samples, so cold-start fallback predictions never flip placement.
+    samples, so cold-start fallback predictions never flip placement.  The
+    predictor's own fields are inherited, so they sit flat beside these.
     """
 
     rule_id: str = "r3-placement"
     required_mbps: float = 6.0
     reentry_margin: float = 1.25
     consecutive_required: int = 2
-    predictor: PredictorConfig = field(default_factory=PredictorConfig)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.required_mbps <= 0:
             raise RuleConfigError("required_mbps must be > 0")
         if self.reentry_margin < 1.0:
@@ -454,21 +454,8 @@ class RuleSet:
             raise RuleConfigError("bandwidth rule_id collides with a threshold rule")
 
 
-_PREDICTOR_KEYS = frozenset(f.name for f in fields(PredictorConfig))
-
-
 def rules_from_dict(doc: dict) -> RuleSet:
-    """Load a rule set from parsed JSON config.
-
-    The bandwidth block spells its predictor's fields flat, beside its own.
-    """
-    bandwidth = doc.get("bandwidth") if isinstance(doc, dict) else None
-    if isinstance(bandwidth, dict):
-        if "predictor" in bandwidth:
-            raise RuleConfigError("bandwidth.predictor: unknown key")
-        own = {k: v for k, v in bandwidth.items() if k not in _PREDICTOR_KEYS}
-        own["predictor"] = {k: v for k, v in bandwidth.items() if k in _PREDICTOR_KEYS}
-        doc = {**doc, "bandwidth": own}
+    """Load a rule set from parsed JSON config."""
     return from_doc(RuleSet, doc, RuleConfigError)
 
 
@@ -552,7 +539,7 @@ class _DeviceState:
     def __init__(self, bandwidth: BandwidthRuleConfig | None):
         self.rule_states: dict = {}
         self.last_ingest_ms = 0
-        self.predictor = BandwidthPredictor(bandwidth.predictor) if bandwidth else None
+        self.predictor = BandwidthPredictor(bandwidth) if bandwidth else None
         self.placement = Placement.EDGE
         self.switch_hits = 0
 
@@ -652,7 +639,7 @@ class CloudService:
         if cfg is None or device.predictor is None:
             return None
         net = snapshot.network
-        warm = len(device.predictor) >= cfg.predictor.min_window
+        warm = len(device.predictor) >= cfg.min_window
         predicted = device.predictor.predict(net)
         device.predictor.update(net, net.dl_mbps)
         if not warm:

@@ -18,7 +18,7 @@ from .bandwidth import NetTrace, trace_config_from_dict
 from .bus import DelaySpec
 from .cloud import CloudService, Lake, ModelStore, Transport, rules_from_dict
 from .simulator import BUILTIN_MODEL_IDS, Platform, builtin_profiles, config_from_dict, make_model_blob
-from .telemetry import DeviceIdentity, from_doc, to_doc
+from .telemetry import DeviceIdentity, from_doc
 
 __all__ = ["ScenarioError", "FaultSpec", "ScenarioSpec", "load_scenario", "run_scenario"]
 
@@ -31,10 +31,16 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class FaultSpec:
+    """One injected fault.
+
+    ``dist`` is a delay spec string such as ``normal:50:5``; construction
+    parses it into ``delay_spec``, an attribute outside the dataclass fields.
+    """
+
     at_tick: int
     kind: str
     duration_ticks: int = 0
-    dist: DelaySpec | None = None
+    dist: str | None = None
 
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
@@ -45,6 +51,7 @@ class FaultSpec:
             raise ScenarioError("BrokerDown requires duration_ticks >= 1")
         if self.kind == "DelayShim" and self.dist is None:
             raise ScenarioError("DelayShim requires a delay distribution")
+        object.__setattr__(self, "delay_spec", None if self.dist is None else DelaySpec.parse(self.dist))
 
 
 @dataclass(frozen=True)
@@ -83,26 +90,17 @@ def _load_ref(ref: str, base_dir: Path, what: str):
         raise ScenarioError(f"{what} ref {ref!r} is not valid JSON: {e}") from None
 
 
-def _fault_doc(fault):
-    if isinstance(fault, dict) and isinstance(fault.get("dist"), str):
-        return {**fault, "dist": to_doc(DelaySpec.parse(fault["dist"]))}
-    return fault
-
-
 def scenario_from_dict(doc: dict, base_dir: Path, default_name: str = "scenario") -> ScenarioSpec:
     """Build a ScenarioSpec from parsed JSON.
 
     ``platform``, ``rules`` and ``trace`` may be file names relative to
-    ``base_dir``, and a fault's ``dist`` a delay spec string such as
-    ``normal:50:5``; ``name`` defaults to ``default_name``.
+    ``base_dir``; ``name`` defaults to ``default_name``.
     """
     if isinstance(doc, dict):
         doc = {"name": default_name, **doc}
         for what in ("platform", "rules", "trace"):
             if isinstance(doc.get(what), str):
                 doc[what] = _load_ref(doc[what], base_dir, what)
-        if isinstance(doc.get("faults"), list):
-            doc["faults"] = [_fault_doc(fault) for fault in doc["faults"]]
     spec = from_doc(ScenarioSpec, doc, ScenarioError)
     _configs(spec)  # a bad nested document fails the load, before any output
     return spec
@@ -191,7 +189,7 @@ def run_scenario(spec: ScenarioSpec, out_dir) -> dict:
 
     cloud_clock = clock
     if faults.delay is not None:
-        sampler = faults.delay.dist.sampler(spec.seed + 2)
+        sampler = faults.delay.delay_spec.sampler(spec.seed + 2)
         delay_from = faults.delay.at_tick
 
         def cloud_clock() -> int:

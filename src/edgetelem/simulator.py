@@ -68,16 +68,16 @@ class ThermalConfig:
 DEFAULT_LEVEL_RATIOS = (0.25, 0.4, 0.55, 0.7, 0.85, 1.0)
 
 
-def _levels_from_ratios(ratios) -> tuple:
-    return tuple(FrequencyLevel(index=i, ratio=float(r)) for i, r in enumerate(ratios))
-
-
 @dataclass(frozen=True)
 class PlatformConfig:
-    """Simulator constants.  Defaults reproduce the shipped calibration."""
+    """Simulator constants.  Defaults reproduce the shipped calibration.
+
+    Construction derives ``levels``, one :class:`FrequencyLevel` per entry
+    of ``level_ratios``, as an attribute outside the dataclass fields.
+    """
 
     peak_gops_per_s: float = 4460.0
-    levels: tuple[FrequencyLevel, ...] = field(default_factory=lambda: _levels_from_ratios(DEFAULT_LEVEL_RATIOS))
+    level_ratios: tuple[float, ...] = DEFAULT_LEVEL_RATIOS
     static_power_w: float = 8.0
     dynamic_power_max_w: float = 14.98
     power_exponent: float = 3.0
@@ -91,17 +91,15 @@ class PlatformConfig:
     def __post_init__(self):
         if self.peak_gops_per_s <= 0:
             raise ConfigError("peak_gops_per_s", "must be > 0")
-        if not self.levels:
-            raise ConfigError("levels", "must contain at least one frequency level")
+        if not self.level_ratios:
+            raise ConfigError("level_ratios", "must contain at least one frequency level")
         prev = 0.0
-        for i, lvl in enumerate(self.levels):
-            if lvl.index != i:
-                raise ConfigError("levels", f"index {lvl.index} out of order at position {i}")
-            if not prev < lvl.ratio <= 1.0:
-                raise ConfigError("levels", "ratios must strictly increase within (0, 1]")
-            prev = lvl.ratio
-        if self.levels[-1].ratio != 1.0:
-            raise ConfigError("levels", "top level must have ratio exactly 1.0")
+        for ratio in self.level_ratios:
+            if not prev < ratio <= 1.0:
+                raise ConfigError("level_ratios", "ratios must strictly increase within (0, 1]")
+            prev = ratio
+        if prev != 1.0:
+            raise ConfigError("level_ratios", "top level must have ratio exactly 1.0")
         if self.static_power_w <= 0:
             raise ConfigError("static_power_w", "must be > 0")
         if self.dynamic_power_max_w <= 0:
@@ -120,6 +118,8 @@ class PlatformConfig:
             raise ConfigError("thermal.time_constant_s", "must be > 0")
         if self.thermal.heating_coeff_c_per_w < 0:
             raise ConfigError("thermal.heating_coeff_c_per_w", "must be >= 0")
+        levels = tuple(FrequencyLevel(index=i, ratio=float(r)) for i, r in enumerate(self.level_ratios))
+        object.__setattr__(self, "levels", levels)
 
 
 # Built-in profiles: (workload Gops/frame, top-frequency latency ms,
@@ -161,15 +161,7 @@ def builtin_profiles() -> dict:
 
 
 def config_from_dict(d: dict) -> PlatformConfig:
-    """Build a PlatformConfig from parsed JSON.
-
-    ``level_ratios`` lists the levels' ratios; given beside ``levels``, it is
-    an unknown key.
-    """
-    if isinstance(d, dict) and "level_ratios" in d and "levels" not in d:
-        d = dict(d)
-        ratios = d.pop("level_ratios")
-        d["levels"] = [{"index": i, "ratio": r} for i, r in enumerate(ratios)] if isinstance(ratios, list) else ratios
+    """Build a PlatformConfig from parsed JSON."""
     # A ConfigError takes the key path and the problem apart.
     return from_doc(PlatformConfig, d, lambda message: ConfigError(*message.split(": ", 1)))
 

@@ -264,9 +264,17 @@ def raw_subscribe(sock: socket.socket, filter_: str) -> None:
     assert bus._read_frame(sock) == Frame(kind=FrameKind.SUBACK, code=0)
 
 
-def publish_in_background(session, topic: str, payload: bytes, n: int) -> threading.Thread:
-    """Publish from a daemon thread, so a broker that blocks the publisher fails a test instead of hanging it."""
-    thread = threading.Thread(target=lambda: [session.publish(topic, payload) for _ in range(n)], daemon=True)
+def publish_in_background(session, topic: str, payload: bytes, n: int, until=lambda: False) -> threading.Thread:
+    """Publish ``n`` times, or until ``until()`` holds, from a daemon thread, so a
+    broker that blocks the publisher fails a test instead of hanging it."""
+
+    def flood():
+        for _ in range(n):
+            if until():
+                return
+            session.publish(topic, payload)
+
+    thread = threading.Thread(target=flood, daemon=True)
     thread.start()
     return thread
 
@@ -304,8 +312,9 @@ class TestBrokerWire:
         pub = connect(broker.address, "pub")
         try:
             raw_subscribe(stalled, "t/+")
-            # 16 MB: more than MAX_PEER_QUEUE plus the kernel's socket buffers can hold for the stalled peer
-            publish_in_background(pub, "t/x", b"x" * 1024, 16_000).join(timeout=10.0)
+            # Until the first drop: past MAX_PEER_QUEUE plus the kernel's socket buffers for the
+            # stalled peer, 12-16 MB on loopback; the cap bounds a run in which no drop comes.
+            publish_in_background(pub, "t/x", b"x" * 1024, 48_000, until=lambda: broker.dropped).join(timeout=30.0)
             assert broker.dropped > 0
             assert wait_for(lambda: _can_connect(broker.address, "stalled"), timeout=4.0)
         finally:
@@ -676,6 +685,24 @@ class TestSessionReceiveChecks:
         finally:
             session.close()
             theirs.close()
+
+    def test_malformed_frame_is_logged_and_an_own_close_is_not(self, caplog):
+        with caplog.at_level("DEBUG", logger="edgetelem.bus"):
+            session, theirs = subscribed_session([])
+            theirs.sendall(struct.pack(">BI", 9, 0))
+            session._reader.join(timeout=5.0)
+            assert [r.getMessage() for r in caplog.records] == [
+                "session wire: malformed frame from the broker: unknown frame kind 9"
+            ]
+            assert caplog.records[0].levelname == "WARNING"
+            session.close()
+            theirs.close()
+            caplog.clear()
+            session, theirs = subscribed_session([])
+            session.close()
+            session._reader.join(timeout=5.0)
+            theirs.close()
+            assert caplog.records == []
 
 
 _SEGMENT = st.from_regex(r"[A-Za-z0-9_-]{1,4}", fullmatch=True)

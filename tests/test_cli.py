@@ -206,6 +206,11 @@ class TestDeployedRoles:
         result = run_cli("agent", "--broker", "127.0.0.1:1", "--platform", str(bad), "--max-ticks", "1")
         assert result.returncode == 1
 
+    def test_agent_unknown_model_names_the_option(self):
+        result = run_cli("agent", "--broker", "127.0.0.1:1", "--model", "nope", "--max-ticks", "1")
+        assert result.returncode == 1
+        assert "config error: --model: unknown model 'nope'" in result.stderr
+
     def test_broker_port_in_use_exits_network_error(self):
         holder = socket.socket()
         holder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

@@ -115,6 +115,17 @@ class TestIngest:
         assert bytes.fromhex(entry["payload_hex"]) == b"{broken"
         assert entry["transport"] == "Http"
 
+    def test_each_dead_letter_is_one_write(self, tmp_path, monkeypatch):
+        service = make_service(tmp_path)
+        writes = []
+        real_write = cloud.os.write
+        monkeypatch.setattr(cloud.os, "write", lambda fd, data: writes.append(bytes(data)) or real_write(fd, data))
+        for payload in (b"{broken", b"[]", b"\xff" * 5000):
+            with pytest.raises(IngestRejected):
+                service.ingest(payload, Transport.PUBSUB)
+        assert (service.lake.root / "dead_letter.jsonl").read_bytes() == b"".join(writes)
+        assert [w.count(b"\n") for w in writes] == [1, 1, 1]
+
     def test_ingest_time_non_decreasing_per_device(self, tmp_path):
         clock = LogicalClock()
         service = make_service(tmp_path, clock_ms=clock)
@@ -402,6 +413,7 @@ class TestStrictRulesConfig:
             ({"rules": [rule_doc(action={"action": "SwapModel", "modle_id": "yolov3"})]},
              r"rules\[0\]\.action\.modle_id: unknown key"),
             ({"rulez": []}, "rulez: unknown key"),
+            ({"bandwidth": {"scaler": {"rsrp_center": -90}}}, "bandwidth.scaler: unknown key"),
         ],
     )
     def test_unknown_keys_rejected(self, doc, path):
@@ -419,7 +431,7 @@ class TestStrictRulesConfig:
             ({"rules": [rule_doc(action="StepFrequencyDown")]}, r"rules\[0\]\.action: must be an object"),
             ({"rules": [rule_doc(), rule_doc(rule_id=None)]}, r"rules\[1\]\.rule_id: must be a string"),
             ({"rules": {}}, "rules: must be an array"),
-            ({"bandwidth": {"window": True}}, "bandwidth.predictor.window: must be an integer"),
+            ({"bandwidth": {"window": True}}, "bandwidth.window: must be an integer"),
             ({"bandwidth": []}, "bandwidth: must be an object"),
             ([], "document: must be an object"),
         ],
@@ -442,13 +454,9 @@ class TestStrictRulesConfig:
         assert rules_from_dict({}) == RuleSet()
 
     def test_predictor_keys_sit_flat_in_the_bandwidth_block(self):
-        bandwidth = rules_from_dict(
-            {"bandwidth": {"required_mbps": 8, "window": 12, "scaler": {"rsrp_center": -90}}}
-        ).bandwidth
+        bandwidth = rules_from_dict({"bandwidth": {"required_mbps": 8, "window": 12}}).bandwidth
         assert bandwidth.required_mbps == 8.0
-        assert bandwidth.predictor.window == 12
-        assert bandwidth.predictor.scaler.rsrp_center == -90.0
-        assert bandwidth.predictor.scaler.rsrp_scale == 20.0
+        assert bandwidth.window == 12
 
 
 def reference_holds(comparator: Comparator, value: float, threshold: float) -> bool:

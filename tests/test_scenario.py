@@ -14,9 +14,10 @@ from edgetelem.scenario import (
     run_scenario,
     scenario_from_dict,
 )
-from edgetelem.bandwidth import trace_config_from_dict
-from edgetelem.cloud import rules_from_dict
-from edgetelem.simulator import config_from_dict
+from edgetelem.bandwidth import DEFAULT_TRACE_CONFIG, trace_config_from_dict
+from edgetelem.bus import DelaySpec
+from edgetelem.cloud import BandwidthRuleConfig, RuleSet, rules_from_dict
+from edgetelem.simulator import PlatformConfig, config_from_dict
 from edgetelem.telemetry import from_doc, to_doc
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "src" / "edgetelem" / "scenarios"
@@ -88,6 +89,10 @@ class TestSpecValidation:
             ({"platform": {"noise_seed": "1"}}, "platform: noise_seed: must be an integer"),
             ({"trace": {}}, "trace: regimes: required key missing"),
             ({"trace": {**BASE_TRACE, "seed": 1.5}}, "trace: seed: must be an integer"),
+            ({"faults": [{"at_tick": 1, "kind": "DelayShim", "dist": "normal:50"}]},
+             r"faults\[0\]: cannot parse delay spec 'normal:50'"),
+            ({"faults": [{"at_tick": 1, "kind": "DelayShim", "dist": "constant:nan"}]},
+             r"faults\[0\]: delay parameters must be finite and >= 0"),
         ],
     )
     def test_bad_spec_is_scenario_error(self, overrides, message):
@@ -100,10 +105,11 @@ class TestSpecValidation:
 
     def test_delay_dist_as_string_or_object(self):
         as_string = simple_spec(faults=[{"at_tick": 1, "kind": "DelayShim", "dist": "normal:50:5"}])
-        as_object = simple_spec(
-            faults=[{"at_tick": 1, "kind": "DelayShim", "dist": {"kind": "normal", "mean_ms": 50, "std_ms": 5}}]
-        )
-        assert as_string == as_object
+        assert as_string.faults[0].delay_spec == DelaySpec(kind="normal", mean_ms=50.0, std_ms=5.0)
+        with pytest.raises(ScenarioError, match=r"faults\[0\]\.dist: must be a string"):
+            simple_spec(
+                faults=[{"at_tick": 1, "kind": "DelayShim", "dist": {"kind": "normal", "mean_ms": 50, "std_ms": 5}}]
+            )
 
     def test_missing_ref_is_scenario_error(self, tmp_path):
         doc = {"seed": 1, "ticks": 3, "platform": {}, "rules": {}, "trace": "nope.json"}
@@ -262,3 +268,14 @@ def test_documented_and_bundled_configs_load_strictly():
         rules_from_dict(spec.rules)
         trace_config_from_dict({"seed": spec.seed, **spec.trace})
         assert from_doc(ScenarioSpec, to_doc(spec), ScenarioError) == spec
+
+
+def test_every_loader_reads_back_what_to_doc_writes():
+    rules = rules_from_dict(readme_rules_config())
+    for ruleset in (rules, RuleSet(bandwidth=BandwidthRuleConfig())):
+        assert rules_from_dict(to_doc(ruleset)) == ruleset
+    platform = PlatformConfig(level_ratios=(0.5, 1.0), noise_seed=3)
+    assert config_from_dict(to_doc(platform)) == platform
+    assert trace_config_from_dict(to_doc(DEFAULT_TRACE_CONFIG)) == DEFAULT_TRACE_CONFIG
+    spec = simple_spec(rules=to_doc(rules), faults=[{"at_tick": 1, "kind": "DelayShim", "dist": "normal:50:5"}])
+    assert scenario_from_dict(to_doc(spec), Path(".")) == spec

@@ -9,7 +9,6 @@ from edgetelem.simulator import (
     builtin_profiles,
     config_from_dict,
     make_model_blob,
-    _levels_from_ratios,
 )
 from edgetelem.telemetry import DeviceIdentity, ModelProfile, encode_snapshot, to_doc
 
@@ -45,16 +44,16 @@ class TestInit:
         assert p.sim_time_ms == 0
 
     def test_empty_levels_is_config_error(self):
-        with pytest.raises(ConfigError, match="levels"):
-            PlatformConfig(levels=())
+        with pytest.raises(ConfigError, match="level_ratios"):
+            PlatformConfig(level_ratios=())
 
     def test_non_increasing_ratios_rejected(self):
-        with pytest.raises(ConfigError, match="levels"):
-            PlatformConfig(levels=_levels_from_ratios((0.5, 0.5, 1.0)))
+        with pytest.raises(ConfigError, match="level_ratios"):
+            PlatformConfig(level_ratios=(0.5, 0.5, 1.0))
 
     def test_top_ratio_must_be_one(self):
-        with pytest.raises(ConfigError, match="levels"):
-            PlatformConfig(levels=_levels_from_ratios((0.25, 0.9)))
+        with pytest.raises(ConfigError, match="level_ratios"):
+            PlatformConfig(level_ratios=(0.25, 0.9))
 
     def test_same_seed_same_state(self):
         a, b = Platform(), Platform()
@@ -76,7 +75,7 @@ class TestLatency:
         assert Platform().latency_ms() == pytest.approx(29.4, rel=1e-12)
 
     def test_half_ratio(self):
-        p = Platform(quiet_config(levels=_levels_from_ratios((0.5, 1.0))))
+        p = Platform(quiet_config(level_ratios=(0.5, 1.0)))
         p.set_level(0)
         assert p.latency_ms() == pytest.approx(54.4, rel=1e-12)
 
@@ -104,7 +103,7 @@ class TestPower:
         assert p.power_w() == pytest.approx(8.0, rel=1e-12)
 
     def test_cubic_scaling(self):
-        p = Platform(quiet_config(levels=_levels_from_ratios((0.5, 1.0))), util_profile(1.0))
+        p = Platform(quiet_config(level_ratios=(0.5, 1.0)), util_profile(1.0))
         p.set_level(0)
         assert p.power_w() == pytest.approx(8.0 + 14.98 * 0.125, rel=1e-12)
 
@@ -283,12 +282,12 @@ class TestConfigLoading:
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ({"level_ratios": ["0.5", 1.0]}, r"levels\[0\]\.ratio: must be a number"),
-            ({"level_ratios": 1.0}, "levels: must be an array"),
+            ({"level_ratios": ["0.5", 1.0]}, r"level_ratios\[0\]: must be a number"),
+            ({"level_ratios": 1.0}, "level_ratios: must be an array"),
             ({"noise_seed": 1.5}, "noise_seed: must be an integer"),
             ({"thermal": None}, "thermal: must be an object"),
             ({"static_power_w": float("nan")}, "static_power_w: must be finite"),
-            ({"level_ratios": [0.5, 1.0], "levels": []}, "level_ratios: unknown key"),
+            ({"level_ratios": [0.5, 1.0], "levels": []}, "levels: unknown key"),
         ],
     )
     def test_wrong_types_rejected(self, doc, message):
@@ -300,7 +299,7 @@ class TestConfigLoading:
         assert config_from_dict({"thermal": {"ambient_c": 30}}).thermal.time_constant_s == 30.0
 
     def test_written_config_reads_back(self):
-        cfg = PlatformConfig(levels=_levels_from_ratios((0.5, 1.0)), noise_seed=3)
+        cfg = PlatformConfig(level_ratios=(0.5, 1.0), noise_seed=3)
         assert config_from_dict(to_doc(cfg)) == cfg
 
     def test_builtin_profiles_digests_match_blobs(self):
