@@ -862,7 +862,7 @@ def _http_request(address: tuple, method: str, path: str, body: bytes | None = N
             name, _, value = line.partition(b":")
             headers[name.strip().lower().decode("latin-1")] = value.strip().decode("latin-1")
         length = headers.get("content-length", "")
-        if not (length.isascii() and length.isdigit()):
+        if not (length.isascii() and length.isdigit()) or len(length) > 18:  # the length check bounds int()'s work
             raise ConnectionError("reply has no valid Content-Length")
         start, stop = end + 4, end + 4 + int(length)
         while len(buf) < stop:
@@ -931,10 +931,10 @@ class DelaySpec:
         raise ValueError(f"cannot parse delay spec {text!r}")
 
     def sampler(self, seed: int):
-        """Deterministic per-message delay in seconds."""
+        """A zero-argument draw of the next per-message delay in seconds, deterministic given ``seed``."""
         rng = random.Random(seed)
 
-        def draw(_index: int) -> float:
+        def draw() -> float:
             if self.kind == "constant":
                 return self.mean_ms / 1000.0
             return max(0.0, rng.gauss(self.mean_ms, self.std_ms)) / 1000.0
@@ -956,19 +956,16 @@ class ProbeReport:
 class EchoResponder:
     """Server-side probe responder: req topic in, same payload out on resp.
 
-    ``delay_fn(index)`` (seconds), when given, is the injected-delay shim.
+    ``delay_fn()`` (seconds), when given, is the injected-delay shim.
     """
 
     def __init__(self, broker_address: tuple, probe_id: str, delay_fn=None):
         self._session = connect(broker_address, f"echo-{probe_id}")
-        self._count = 0
-        self._delay_fn = delay_fn
         resp_topic = f"probe/{probe_id}/resp"
 
         def on_req(_topic, payload):
-            if self._delay_fn is not None:
-                time.sleep(self._delay_fn(self._count))
-            self._count += 1
+            if delay_fn is not None:
+                time.sleep(delay_fn())
             self._session.publish(resp_topic, payload)
 
         self._session.subscribe(f"probe/{probe_id}/req", on_req)
@@ -1024,20 +1021,16 @@ def pubsub_latency_probe(
 class ProbeHttpServer(HttpServer):
     """Answers ``POST /probe`` with ``{"n": <body length>}`` for :func:`http_latency_probe`.
 
-    ``delay_fn(index)`` (seconds), when given, is the injected-delay shim.  It
+    ``delay_fn()`` (seconds), when given, is the injected-delay shim.  It
     sleeps on the loop thread, which suits the probe's one request at a time.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, delay_fn=None):
-        count = 0
-
         def post(path: str, body: bytes) -> tuple:
-            nonlocal count
             if path != "/probe":
                 return _json_reply(404, {"error": "unknown path"})
             if delay_fn is not None:
-                time.sleep(delay_fn(count))
-            count += 1
+                time.sleep(delay_fn())
             return _json_reply(200, {"n": len(body)})
 
         super().__init__({"POST": post}, host, port, "probe-http")

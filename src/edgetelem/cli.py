@@ -166,9 +166,15 @@ def cmd_agent(args) -> int:
         log.error("config error: %s", e)
         return EXIT_CONFIG
 
+    try:
+        broker_address = _parse_address(args.broker)
+        store_address = _parse_address(args.store) if args.store else None
+    except ValueError as e:
+        log.error("usage error: %s", e)
+        return EXIT_NETWORK
     holder = {}
     publisher = agent_mod.BusPublisher(
-        _parse_address(args.broker),
+        broker_address,
         args.device,
         on_action=lambda m: holder["agent"].enqueue_action(m),
     )
@@ -179,8 +185,7 @@ def cmd_agent(args) -> int:
         return EXIT_NETWORK
 
     fetch_fn = None
-    if args.store:
-        store_address = _parse_address(args.store)
+    if store_address is not None:
         fetch_fn = lambda model_id: agent_mod.fetch_model(store_address, model_id)
 
     agent = agent_mod.TelemetryAgent(

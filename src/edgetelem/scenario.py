@@ -31,10 +31,11 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One injected fault.
+    """One injected fault, active while ``at_tick <= tick < at_tick + duration_ticks``.
 
-    ``dist`` is a delay spec string such as ``normal:50:5``; construction
-    parses it into ``delay_spec``, an attribute outside the dataclass fields.
+    A ``duration_ticks`` of 0 keeps the fault active to the end of the run.
+    ``dist``, a DelayShim's delay spec string such as ``normal:50:5``, is
+    parsed into ``delay_spec``, an attribute outside the dataclass fields.
     """
 
     at_tick: int
@@ -47,10 +48,14 @@ class FaultSpec:
             raise ScenarioError(f"unknown fault kind {self.kind!r}")
         if self.at_tick < 0:
             raise ScenarioError("at_tick must be >= 0")
+        if self.duration_ticks < 0:
+            raise ScenarioError("duration_ticks must be >= 0")
         if self.kind == "BrokerDown" and self.duration_ticks < 1:
             raise ScenarioError("BrokerDown requires duration_ticks >= 1")
         if self.kind == "DelayShim" and self.dist is None:
             raise ScenarioError("DelayShim requires a delay distribution")
+        if self.kind != "DelayShim" and self.dist is not None:
+            raise ScenarioError(f"{self.kind} takes no dist")
         object.__setattr__(self, "delay_spec", None if self.dist is None else DelaySpec.parse(self.dist))
 
 
@@ -138,30 +143,14 @@ def _configs(spec: ScenarioSpec) -> tuple:
 
 
 class _LogicalClock:
+    """The scenario's one time source: the current tick and the time in ms."""
+
     def __init__(self):
+        self.tick = 0
         self.now_ms = 0
 
     def __call__(self) -> int:
         return self.now_ms
-
-
-@dataclass
-class _Faults:
-    broker_down: set = field(default_factory=set)   # tick indexes with outage
-    corrupt_from: int | None = None
-    delay: FaultSpec | None = None
-
-
-def _plan_faults(spec: ScenarioSpec) -> _Faults:
-    plan = _Faults()
-    for fault in spec.faults:
-        if fault.kind == "BrokerDown":
-            plan.broker_down.update(range(fault.at_tick, fault.at_tick + fault.duration_ticks))
-        elif fault.kind == "CorruptModelBlob":
-            plan.corrupt_from = fault.at_tick if plan.corrupt_from is None else min(plan.corrupt_from, fault.at_tick)
-        elif fault.kind == "DelayShim":
-            plan.delay = fault
-    return plan
 
 
 def run_scenario(spec: ScenarioSpec, out_dir) -> dict:
@@ -178,26 +167,36 @@ def run_scenario(spec: ScenarioSpec, out_dir) -> dict:
     platform = Platform(platform_cfg, profiles[spec.initial_model_id])
     trace = NetTrace(trace_cfg)
     clock = _LogicalClock()
-    faults = _plan_faults(spec)
-    state = {"tick": 0}
 
-    agent_holder = {}
+    def _active(kind: str, tick: int) -> int | None:
+        """Index in ``spec.faults`` of the ``kind`` fault applied at ``tick``, or None.
+
+        A fault is active from ``at_tick`` for ``duration_ticks`` ticks, or to the end of the run when that is 0.
+        Of the active faults of ``kind``, the one that started last applies; on a tie, the one listed last.
+        """
+        active = [
+            (fault.at_tick, i)
+            for i, fault in enumerate(spec.faults)
+            if fault.kind == kind and fault.at_tick <= tick < fault.at_tick + (fault.duration_ticks or spec.ticks)
+        ]
+        return max(active)[1] if active else None
+
+    delivered = []  # every action the cloud delivered to the agent, in dispatch order
 
     def dispatcher(device_id: str, message) -> None:
         if device_id == spec.device_id:
-            agent_holder["agent"].enqueue_action(message)
+            delivered.append(message)
+            agent.enqueue_action(message)
 
-    cloud_clock = clock
-    if faults.delay is not None:
-        sampler = faults.delay.delay_spec.sampler(spec.seed + 2)
-        delay_from = faults.delay.at_tick
+    draws = {}  # DelayShim number k draws from its own stream, so one shim's draws do not depend on the others
+    for i, fault in enumerate(spec.faults):
+        if fault.kind == "DelayShim":
+            draws[i] = fault.delay_spec.sampler(spec.seed + 2 + len(draws))
 
-        def cloud_clock() -> int:
-            # The cloud reads its clock once per ingest, so each ingest draws one delay.
-            now = clock()
-            if state["tick"] < delay_from:
-                return now
-            return now + int(round(sampler(state["tick"]) * 1000.0))
+    def cloud_clock() -> int:
+        # The cloud reads its clock once per ingest, so each ingest draws one delay.
+        shim = _active("DelayShim", clock.tick)
+        return clock.now_ms if shim is None else clock.now_ms + int(round(draws[shim]() * 1000.0))
 
     cloud = CloudService(
         lake=Lake(out / "lake"),
@@ -211,7 +210,7 @@ def run_scenario(spec: ScenarioSpec, out_dir) -> dict:
 
     def fetch(model_id: str):
         blob, digest = store.get(model_id)
-        if faults.corrupt_from is not None and state["tick"] >= faults.corrupt_from:
+        if _active("CorruptModelBlob", clock.tick) is not None:
             blob = bytes([blob[0] ^ 0xFF]) + blob[1:]
         return blob, digest
 
@@ -227,25 +226,24 @@ def run_scenario(spec: ScenarioSpec, out_dir) -> dict:
         profiles=profiles,
         clock_ms=clock,
     )
-    agent_holder["agent"] = agent
 
     period = spec.sample_period_ms
     for tick in range(spec.ticks):
-        state["tick"] = tick
-        publisher.down = tick in faults.broker_down
+        clock.tick = tick
+        publisher.down = _active("BrokerDown", tick) is not None
         clock.now_ms = (tick + 1) * period
         agent.tick()
 
     agent_report = agent.report()
-    report = _build_report(spec, cloud, agent, agent_report, period)
+    report = _build_report(spec, delivered, cloud, agent, agent_report, period)
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     return report
 
 
-def _build_report(spec, cloud: CloudService, agent: TelemetryAgent, agent_report, period: int) -> dict:
+def _build_report(spec, delivered: list, cloud: CloudService, agent: TelemetryAgent, agent_report, period: int) -> dict:
     results_by_seq = {result.message.seq: (t_ms, result) for t_ms, result in agent.action_log}
     actions = []
-    for _device_id, message in cloud.dispatch_log:
+    for message in delivered:
         entry = {
             "rule_id": message.rule_id,
             "action": message.action.value,

@@ -836,8 +836,8 @@ class TestDelaySpec:
 
     def test_sampler_deterministic_and_nonnegative(self):
         spec = DelaySpec(kind="normal", mean_ms=5.0, std_ms=10.0)
-        a = [spec.sampler(3)(i) for i in range(50)]
-        b = [spec.sampler(3)(i) for i in range(50)]
+        a = [spec.sampler(3)() for i in range(50)]
+        b = [spec.sampler(3)() for i in range(50)]
         assert a == b
         assert all(x >= 0.0 for x in a)
 
@@ -1105,6 +1105,29 @@ class TestHttpClientConnect:
                 bus._http_request(bound.getsockname(), "GET", "/")
         assert len(opened) == 1
         assert opened[0].fileno() == -1
+
+    def test_overlong_reply_content_length_is_a_connection_error(self):
+        # int() refuses more than 4,300 digits with ValueError; the client must stop at its own bound first
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 4301 + b"\r\n\r\n"
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(5.0)
+
+            def serve():
+                conn, _ = listener.accept()
+                with conn:
+                    request = bytearray()
+                    while b"\r\n\r\n" not in request:
+                        request.extend(conn.recv(4096))
+                    conn.sendall(reply)
+
+            server = threading.Thread(target=serve)
+            server.start()
+            try:
+                with pytest.raises(ConnectionError, match="no valid Content-Length"):
+                    bus._http_request(listener.getsockname(), "GET", "/")
+            finally:
+                server.join(5.0)
+        assert not server.is_alive()
 
     @pytest.mark.skipif(not _ipv6_loopback(), reason="no IPv6 loopback")
     def test_ipv6_literal(self, no_resolver):

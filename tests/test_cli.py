@@ -9,6 +9,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from conftest import make_snapshot
 from edgetelem.bus import MAX_PAYLOAD, Broker, connect
 from edgetelem.cloud import Lake
@@ -199,6 +201,13 @@ class TestDeployedRoles:
         sock.close()
         result = run_cli("agent", "--broker", f"127.0.0.1:{port}", "--max-ticks", "1")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("flags", [["--broker", "nonsense"], ["--broker", "127.0.0.1:1", "--store", "nonsense"]])
+    def test_agent_bad_address_exits_network_error(self, flags):
+        result = run_cli("agent", *flags, "--max-ticks", "1")
+        assert result.returncode == 2
+        assert "usage error: address must be HOST:PORT, got 'nonsense'" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_agent_bad_platform_config_exits_config_error(self, tmp_path):
         bad = tmp_path / "platform.json"

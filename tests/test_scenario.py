@@ -16,7 +16,7 @@ from edgetelem.scenario import (
 )
 from edgetelem.bandwidth import DEFAULT_TRACE_CONFIG, trace_config_from_dict
 from edgetelem.bus import DelaySpec
-from edgetelem.cloud import BandwidthRuleConfig, RuleSet, rules_from_dict
+from edgetelem.cloud import BandwidthRuleConfig, Lake, RuleSet, rules_from_dict
 from edgetelem.simulator import PlatformConfig, config_from_dict
 from edgetelem.telemetry import from_doc, to_doc
 
@@ -111,6 +111,23 @@ class TestSpecValidation:
                 faults=[{"at_tick": 1, "kind": "DelayShim", "dist": {"kind": "normal", "mean_ms": 50, "std_ms": 5}}]
             )
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ({"at_tick": 1, "kind": "BrokerDown", "duration_ticks": 1, "dist": "constant:5"},
+             r"faults\[0\]: BrokerDown takes no dist"),
+            ({"at_tick": 1, "kind": "CorruptModelBlob", "dist": "constant:5"},
+             r"faults\[0\]: CorruptModelBlob takes no dist"),
+            ({"at_tick": 1, "kind": "DelayShim", "duration_ticks": -1, "dist": "constant:5"},
+             r"faults\[0\]: duration_ticks must be >= 0"),
+            ({"at_tick": 1, "kind": "CorruptModelBlob", "duration_ticks": -2},
+             r"faults\[0\]: duration_ticks must be >= 0"),
+        ],
+    )
+    def test_misplaced_dist_and_negative_duration_are_rejected(self, fault, message):
+        with pytest.raises(ScenarioError, match=message):
+            simple_spec(faults=[fault])
+
     def test_missing_ref_is_scenario_error(self, tmp_path):
         doc = {"seed": 1, "ticks": 3, "platform": {}, "rules": {}, "trace": "nope.json"}
         with pytest.raises(ScenarioError, match="nope.json"):
@@ -151,6 +168,48 @@ class TestRunBasics:
         records = Lake(tmp_path / "out" / "lake").scan("dev0")
         offsets = [r.ingest_time_ms - r.snapshot.device_time_ms for r in records]
         assert all(off == 250 for off in offsets)
+
+
+def ingest_offsets(spec: ScenarioSpec, out: Path) -> list:
+    run_scenario(spec, out)
+    return [r.ingest_time_ms - r.snapshot.device_time_ms for r in Lake(out / "lake").scan("dev0")]
+
+
+class TestFaultWindows:
+    def test_delay_shim_ends_after_its_duration(self, tmp_path):
+        spec = simple_spec(faults=[{"at_tick": 1, "kind": "DelayShim", "duration_ticks": 2, "dist": "constant:5"}])
+        assert ingest_offsets(spec, tmp_path) == [0, 5, 5, 0, 0, 0, 0, 0, 0, 0]
+
+    def test_later_delay_shim_takes_over_from_an_earlier_one(self, tmp_path):
+        spec = simple_spec(faults=[
+            {"at_tick": 0, "kind": "DelayShim", "dist": "constant:250"},
+            {"at_tick": 5, "kind": "DelayShim", "dist": "constant:10"},
+        ])
+        assert ingest_offsets(spec, tmp_path) == [250] * 5 + [10] * 5
+
+    def test_delay_shim_listed_last_wins_a_tie_and_the_earlier_one_resumes(self, tmp_path):
+        spec = simple_spec(faults=[
+            {"at_tick": 0, "kind": "DelayShim", "dist": "constant:7"},
+            {"at_tick": 2, "kind": "DelayShim", "duration_ticks": 3, "dist": "constant:1"},
+            {"at_tick": 2, "kind": "DelayShim", "duration_ticks": 2, "dist": "constant:3"},
+        ])
+        assert ingest_offsets(spec, tmp_path) == [7, 7, 3, 3, 1, 7, 7, 7, 7, 7]
+
+    def test_each_delay_shim_draws_from_its_own_stream(self, tmp_path):
+        one = [{"at_tick": 0, "kind": "DelayShim", "dist": "normal:50:20"}]
+        alone = ingest_offsets(simple_spec(faults=one), tmp_path / "alone")
+        later = [{"at_tick": 6, "kind": "DelayShim", "dist": "normal:50:20"}]
+        both = ingest_offsets(simple_spec(faults=one + later), tmp_path / "both")
+        assert both[:6] == alone[:6]
+        assert both[6:] != alone[6:]
+
+    def test_corrupt_blob_window_ends_before_the_swap(self, tmp_path):
+        doc = json.loads((SCENARIO_DIR / "scenario_model_swap_corrupt.json").read_text())
+        doc["faults"][0]["duration_ticks"] = 3
+        report = run_scenario(scenario_from_dict(doc, SCENARIO_DIR), tmp_path)
+        swaps = [a for a in report["actions"] if a["action"] == "SwapModel"]
+        assert [(a["dispatch_tick"], a["status"]) for a in swaps] == [(3, "applied")]
+        assert report["final_model_id"] == "ssd_resnet50_fpn"
 
 
 class TestReproducibility:
