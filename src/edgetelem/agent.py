@@ -20,7 +20,16 @@ from enum import Enum
 from . import bus
 from .bandwidth import DEFAULT_TRACE_CONFIG, NetTrace, Placement
 from .simulator import Platform, builtin_profiles
-from .telemetry import DeviceIdentity, SHA256_HEX_RE, TelemetrySnapshot, encode_snapshot, from_doc, to_doc
+from .telemetry import (
+    DeviceIdentity,
+    SHA256_HEX_RE,
+    TelemetrySnapshot,
+    bounded,
+    check_bounds,
+    encode_snapshot,
+    from_doc,
+    to_doc,
+)
 
 log = logging.getLogger(__name__)
 
@@ -107,19 +116,16 @@ class ActionResult:
     REJECT_INTEGRITY = "integrity"
     REJECT_NOT_FOUND = "not_found"
     REJECT_STORE_DOWN = "store_down"
+    REJECT_UNSUPPORTED = "unsupported"
 
 
 @dataclass(frozen=True)
 class AgentConfig:
     device: DeviceIdentity
-    sample_period_ms: int = 1000
-    max_ticks: int | None = None
+    sample_period_ms: int = bounded(1000, ge=10)
+    max_ticks: int | None = bounded(None, gt=0)
 
-    def __post_init__(self):
-        if self.sample_period_ms < 10:
-            raise ValueError("sample_period_ms must be >= 10")
-        if self.max_ticks is not None and self.max_ticks <= 0:
-            raise ValueError("max_ticks must be positive when set")
+    __post_init__ = check_bounds
 
 
 @dataclass
@@ -284,6 +290,8 @@ class TelemetryAgent:
             profile = self.profiles.get(msg.model_id)
             if profile is None or self.fetch_fn is None:
                 return ActionResult(msg, applied=False, reason=ActionResult.REJECT_NOT_FOUND)
+            if not self.platform.config.runs(profile.base_latency_ms):
+                return ActionResult(msg, applied=False, reason=ActionResult.REJECT_UNSUPPORTED)
             try:
                 blob, _claimed = self.fetch_fn(msg.model_id)
             except ModelNotFound:

@@ -8,8 +8,8 @@ generating coefficients exactly.  It keeps the window's normal equations up
 to date one row at a time (sliding-window recursive least squares) and
 solves the 5x5 system with straight-line code generated at import time.
 
-Radio features are standardized with fixed affine normalizers (module
-constants below) rather than per-window statistics: the fit must be stable
+Radio features are standardized with fixed affine normalizers
+(:func:`standardize`) rather than per-window statistics: the fit must be stable
 under a sliding window, and dBm-scale features would otherwise dominate.
 """
 
@@ -21,12 +21,11 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .telemetry import NetworkMetrics, from_doc
+from .telemetry import NetworkMetrics, bounded, check_bounds, from_doc
 
 __all__ = [
     "Placement",
-    "FeatureScaler",
-    "DEFAULT_SCALER",
+    "standardize",
     "LinearCoeffs",
     "RegimeSpec",
     "NetTraceConfig",
@@ -47,26 +46,16 @@ class Placement(str, Enum):
     DEVICE = "Device"
 
 
-@dataclass(frozen=True)
-class FeatureScaler:
-    """Fixed affine normalization for the three radio features."""
+def standardize(net: NetworkMetrics) -> tuple:
+    """The three radio features, each as (value - center) / scale.
 
-    rsrp_center: float = -100.0
-    rsrp_scale: float = 20.0
-    rsrq_center: float = -12.0
-    rsrq_scale: float = 6.0
-    rssi_center: float = -70.0
-    rssi_scale: float = 20.0
-
-    def standardize(self, net: NetworkMetrics) -> tuple:
-        return (
-            (net.rsrp_dbm - self.rsrp_center) / self.rsrp_scale,
-            (net.rsrq_db - self.rsrq_center) / self.rsrq_scale,
-            (net.rssi_dbm - self.rssi_center) / self.rssi_scale,
-        )
-
-
-DEFAULT_SCALER = FeatureScaler()
+    Centers -100 dBm RSRP, -12 dB RSRQ and -70 dBm RSSI; scales 20, 6 and 20.
+    """
+    return (
+        (net.rsrp_dbm + 100.0) / 20.0,
+        (net.rsrq_db + 12.0) / 6.0,
+        (net.rssi_dbm + 70.0) / 20.0,
+    )
 
 
 @dataclass(frozen=True)
@@ -91,37 +80,31 @@ class RegimeSpec:
     so the three radio features are not collinear.
     """
 
-    duration_ticks: int
+    duration_ticks: int = bounded(gt=0)
     rsrp_mean_dbm: float
-    rsrp_std: float
+    rsrp_std: float = bounded(ge=0.0)
     rsrq_mean_db: float
-    rsrq_std: float
+    rsrq_std: float = bounded(ge=0.0)
     rssi_offset_db: float
     true_coeffs: LinearCoeffs
-    noise_std_mbps: float
-    rssi_jitter_std: float = 2.0
+    noise_std_mbps: float = bounded(ge=0.0)
+    rssi_jitter_std: float = bounded(2.0, ge=0.0)
 
-    def __post_init__(self):
-        if self.duration_ticks <= 0:
-            raise ValueError("duration_ticks must be > 0")
-        for name in ("rsrp_std", "rsrq_std", "noise_std_mbps", "rssi_jitter_std"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
 class NetTraceConfig:
     seed: int
     regimes: tuple[RegimeSpec, ...]
-    ewma_alpha: float = 0.3
+    ewma_alpha: float = bounded(0.3, gt=0.0, le=1.0)
     modem_temp_base_c: float = 38.0
-    ul_fraction: float = 0.12
+    ul_fraction: float = bounded(0.12, ge=0.0)
 
     def __post_init__(self):
+        check_bounds(self)
         if not self.regimes:
             raise ValueError("regimes must be non-empty")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
 
 
 def _z(x: float, mean: float, std: float) -> float:
@@ -202,18 +185,12 @@ class FitError(ValueError):
 
 @dataclass(frozen=True)
 class PredictorConfig:
-    window: int = 30
-    ridge_lambda: float = 1e-3
-    ewma_alpha: float = 0.3
+    window: int = bounded(30, ge=1)
+    ridge_lambda: float = bounded(1e-3, gt=0.0)  # keeps XᵀX + λI positive definite
+    ewma_alpha: float = bounded(0.3, gt=0.0, le=1.0)
     min_window: int = 5
 
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if not self.ridge_lambda > 0:  # keeps XᵀX + λI positive definite; also rejects NaN
-            raise ValueError("ridge_lambda must be > 0")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
+    __post_init__ = check_bounds
 
 
 #: Feature count, and the (i, j) index pairs of the normal matrix's upper
@@ -300,7 +277,7 @@ class BandwidthPredictor:
         return len(self._rows)
 
     def _feature_row(self, net: NetworkMetrics) -> tuple:
-        z1, z2, z3 = DEFAULT_SCALER.standardize(net)
+        z1, z2, z3 = standardize(net)
         return (1.0, z1, z2, z3, self.ewma_throughput)
 
     def update(self, net: NetworkMetrics, observed_dl_mbps: float) -> None:
@@ -333,7 +310,7 @@ class BandwidthPredictor:
         if len(self._rows) < self.config.min_window:
             return max(0.0, self.ewma_throughput)
         b0, b1, b2, b3, b4 = self.coefficients
-        z1, z2, z3 = DEFAULT_SCALER.standardize(net)
+        z1, z2, z3 = standardize(net)
         return max(0.0, b0 + b1 * z1 + b2 * z2 + b3 * z3 + b4 * self.ewma_throughput)
 
 

@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from functools import reduce
+from functools import partial, reduce
 from operator import getitem
 from pathlib import Path
 
@@ -172,12 +172,7 @@ def cmd_agent(args) -> int:
     except ValueError as e:
         log.error("usage error: %s", e)
         return EXIT_NETWORK
-    holder = {}
-    publisher = agent_mod.BusPublisher(
-        broker_address,
-        args.device,
-        on_action=lambda m: holder["agent"].enqueue_action(m),
-    )
+    publisher = agent_mod.BusPublisher(broker_address, args.device, on_action=lambda m: agent.enqueue_action(m))
     try:
         publisher._ensure_session()
     except bus.BusError as e:
@@ -191,7 +186,6 @@ def cmd_agent(args) -> int:
     agent = agent_mod.TelemetryAgent(
         cfg, platform, publisher, fetch_fn=fetch_fn, net_source=NetTrace(trace_cfg), profiles=profiles
     )
-    holder["agent"] = agent
     try:
         report = agent.run()
     except KeyboardInterrupt:
@@ -307,10 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("broker", help="run the pub/sub message broker")
+    p.set_defaults(func=cmd_broker)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=1883)
 
     p = sub.add_parser("cloud", help="run the cloud ingest/rules/dispatch service")
+    p.set_defaults(func=cmd_cloud)
     p.add_argument("--broker", required=True, help="broker address HOST:PORT")
     p.add_argument("--rules", help="rule-set JSON file")
     p.add_argument("--lake", default="lake", help="data lake directory")
@@ -319,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--http-port", type=int, default=8080)
 
     p = sub.add_parser("agent", help="run one edge telemetry agent")
+    p.set_defaults(func=cmd_agent)
     p.add_argument("--broker", required=True, help="broker address HOST:PORT")
     p.add_argument("--device", default="dev0")
     p.add_argument("--platform", help="platform config JSON file")
@@ -329,16 +326,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-ticks", type=int, default=None)
 
     p = sub.add_parser("model-store", help="serve model blobs over HTTP")
+    p.set_defaults(func=cmd_model_store)
     p.add_argument("--root", required=True)
     p.add_argument("--init", action="store_true", help="populate the store with the built-in models")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8090)
 
     p = sub.add_parser("scenario", help="run a scripted end-to-end scenario in-process")
+    p.set_defaults(func=cmd_scenario)
     p.add_argument("spec", help="scenario spec JSON file")
     p.add_argument("--out", default="scenario_out", help="output directory (report + lake)")
 
     p = sub.add_parser("bench-latency", help="measure send-to-ack round trips")
+    p.set_defaults(func=partial(cmd_bench_latency, p))
     p.add_argument("--transport", choices=("pubsub", "http"), required=True)
     p.add_argument("-n", type=int, default=100)
     p.add_argument("--payload", type=int, default=256)
@@ -348,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lake", help="data lake utilities")
     lake_sub = p.add_subparsers(dest="lake_command", required=True)
     p = lake_sub.add_parser("export", help="export records as CSV on stdout")
+    p.set_defaults(func=partial(cmd_lake_export, p))
     p.add_argument("--lake", required=True)
     p.add_argument("--device", required=True)
     p.add_argument("--from", dest="from_ms", type=int, default=0)
@@ -358,24 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "broker":
-        return cmd_broker(args)
-    if args.command == "cloud":
-        return cmd_cloud(args)
-    if args.command == "agent":
-        return cmd_agent(args)
-    if args.command == "model-store":
-        return cmd_model_store(args)
-    if args.command == "scenario":
-        return cmd_scenario(args)
-    if args.command == "bench-latency":
-        return cmd_bench_latency(parser, args)
-    if args.command == "lake":
-        return cmd_lake_export(parser, args)
-    parser.error(f"unknown command {args.command}")
-    return EXIT_CONFIG
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -40,6 +40,8 @@ from .telemetry import (
     TelemetrySnapshot,
     _doc_value,
     _reference_from_wire,
+    bounded,
+    check_bounds,
     decode_snapshot,
     from_doc,
     snapshot_from_tokens,
@@ -330,10 +332,11 @@ class Rule:
     comparator: Comparator
     threshold: float
     action: ActionTemplate
-    cooldown_ticks: int = 3
-    consecutive_required: int = 2
+    cooldown_ticks: int = bounded(3, ge=1)
+    consecutive_required: int = bounded(2, ge=1)
 
     def __post_init__(self):
+        check_bounds(self)
         if not self.rule_id:
             raise RuleConfigError("rule_id must be non-empty")
         if self.metric_path not in _PATH_SET:
@@ -341,10 +344,6 @@ class Rule:
                 f"rule {self.rule_id}: metric_path {self.metric_path!r} does not "
                 f"resolve to a numeric snapshot field"
             )
-        if self.cooldown_ticks < 1:
-            raise RuleConfigError(f"rule {self.rule_id}: cooldown_ticks must be >= 1")
-        if self.consecutive_required < 1:
-            raise RuleConfigError(f"rule {self.rule_id}: consecutive_required must be >= 1")
         object.__setattr__(self, "_metric", operator.attrgetter(self.metric_path))
         object.__setattr__(self, "_holds", _OPERATORS[self.comparator])
 
@@ -359,10 +358,6 @@ class RuleState:
     consecutive_hits: int = 0
     ticks_since_fire: int = 0
 
-    def __post_init__(self):
-        if self.consecutive_hits < 0 or self.ticks_since_fire < 0:
-            raise ValueError("rule-state counters must be non-negative")
-
 
 def initial_rule_state(rule: Rule) -> RuleState:
     # Start with the cooldown already elapsed so the first qualifying streak fires.
@@ -373,15 +368,6 @@ def initial_rule_state(rule: Rule) -> RuleState:
 class Firing:
     rule_id: str
     action: ActionTemplate
-
-
-def _rule_state(consecutive_hits: int, ticks_since_fire: int) -> RuleState:
-    """A :class:`RuleState` built without its check: :func:`evaluate_rules`
-    only counts up from valid states or resets to 0."""
-    state = object.__new__(RuleState)
-    object.__setattr__(state, "consecutive_hits", consecutive_hits)
-    object.__setattr__(state, "ticks_since_fire", ticks_since_fire)
-    return state
 
 
 _RULE_ID = operator.attrgetter("rule_id")
@@ -408,7 +394,7 @@ def evaluate_rules(snapshot: TelemetrySnapshot, rules, states) -> tuple:
         if hits >= rule.consecutive_required and ticks_since_fire >= rule.cooldown_ticks:
             firings.append(Firing(rule_id, rule.action))
             ticks_since_fire = 0
-        new_states[rule_id] = _rule_state(hits, ticks_since_fire)
+        new_states[rule_id] = RuleState(hits, ticks_since_fire)
     if len(firings) > 1:
         firings.sort(key=_RULE_ID)  # stable, as sorting the rules was
     return firings, new_states
@@ -423,22 +409,14 @@ class BandwidthRuleConfig(PredictorConfig):
     back to the edge when it clears ``required_mbps * reentry_margin`` the
     same way.  Inactive until the predictor window holds ``min_window``
     samples, so cold-start fallback predictions never flip placement.  The
-    predictor's own fields are inherited, so they sit flat beside these.
+    predictor's own fields and its bound check are inherited, so the fields
+    sit flat beside these.
     """
 
     rule_id: str = "r3-placement"
-    required_mbps: float = 6.0
-    reentry_margin: float = 1.25
-    consecutive_required: int = 2
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.required_mbps <= 0:
-            raise RuleConfigError("required_mbps must be > 0")
-        if self.reentry_margin < 1.0:
-            raise RuleConfigError("reentry_margin must be >= 1")
-        if self.consecutive_required < 1:
-            raise RuleConfigError("consecutive_required must be >= 1")
+    required_mbps: float = bounded(6.0, gt=0.0)
+    reentry_margin: float = bounded(1.25, ge=1.0)
+    consecutive_required: int = bounded(2, ge=1)
 
 
 @dataclass(frozen=True)

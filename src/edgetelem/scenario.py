@@ -17,8 +17,8 @@ from .agent import AgentConfig, DirectPublisher, TelemetryAgent
 from .bandwidth import NetTrace, trace_config_from_dict
 from .bus import DelaySpec
 from .cloud import CloudService, Lake, ModelStore, Transport, rules_from_dict
-from .simulator import BUILTIN_MODEL_IDS, Platform, builtin_profiles, config_from_dict, make_model_blob
-from .telemetry import DeviceIdentity, from_doc
+from .simulator import BUILTIN_LATENCY_MS, Platform, builtin_profiles, config_from_dict, make_model_blob
+from .telemetry import DeviceIdentity, bounded, check_bounds, from_doc
 
 __all__ = ["ScenarioError", "FaultSpec", "ScenarioSpec", "load_scenario", "run_scenario"]
 
@@ -38,18 +38,15 @@ class FaultSpec:
     parsed into ``delay_spec``, an attribute outside the dataclass fields.
     """
 
-    at_tick: int
+    at_tick: int = bounded(ge=0)
     kind: str
-    duration_ticks: int = 0
+    duration_ticks: int = bounded(0, ge=0)
     dist: str | None = None
 
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
             raise ScenarioError(f"unknown fault kind {self.kind!r}")
-        if self.at_tick < 0:
-            raise ScenarioError("at_tick must be >= 0")
-        if self.duration_ticks < 0:
-            raise ScenarioError("duration_ticks must be >= 0")
+        check_bounds(self)
         if self.kind == "BrokerDown" and self.duration_ticks < 1:
             raise ScenarioError("BrokerDown requires duration_ticks >= 1")
         if self.kind == "DelayShim" and self.dist is None:
@@ -63,21 +60,18 @@ class FaultSpec:
 class ScenarioSpec:
     name: str
     seed: int
-    ticks: int
+    ticks: int = bounded(gt=0)
     trace: dict
     platform: dict = field(default_factory=dict)
     rules: dict = field(default_factory=dict)
-    sample_period_ms: int = 1000
+    sample_period_ms: int = bounded(1000, ge=10)
     device_id: str = "dev0"
     initial_model_id: str = "yolov3"
     faults: tuple[FaultSpec, ...] = ()
 
     def __post_init__(self):
-        if self.ticks <= 0:
-            raise ScenarioError("ticks must be > 0")
-        if self.sample_period_ms < 10:
-            raise ScenarioError("sample_period_ms must be >= 10")
-        if self.initial_model_id not in BUILTIN_MODEL_IDS:
+        check_bounds(self)
+        if self.initial_model_id not in BUILTIN_LATENCY_MS:
             raise ScenarioError(f"unknown initial_model_id {self.initial_model_id!r}")
         for fault in self.faults:
             if fault.at_tick >= self.ticks:
@@ -126,7 +120,7 @@ def _configs(spec: ScenarioSpec) -> tuple:
     """The spec's ``platform``, ``trace`` and ``rules`` documents, loaded.
 
     The platform's noise and the trace are seeded from the scenario's seed
-    unless the document sets its own.
+    unless the document sets its own.  The platform must run the initial model.
     """
     loads = (
         ("platform", config_from_dict, {"noise_seed": spec.seed, **spec.platform}),
@@ -139,6 +133,12 @@ def _configs(spec: ScenarioSpec) -> tuple:
             configs.append(load(doc))
         except ValueError as e:
             raise ScenarioError(f"{what}: {e}") from None
+    platform, latency_ms = configs[0], BUILTIN_LATENCY_MS[spec.initial_model_id]
+    if not platform.runs(latency_ms):
+        raise ScenarioError(
+            f"initial_model_id: {spec.initial_model_id}'s base_latency_ms ({latency_ms}) "
+            f"must exceed the platform's cpu_overhead_ms ({platform.cpu_overhead_ms})"
+        )
     return tuple(configs)
 
 

@@ -26,6 +26,8 @@ from .telemetry import (
     ModelProfile,
     NetworkMetrics,
     TelemetrySnapshot,
+    bounded,
+    check_bounds,
     fps_per_watt,
     from_doc,
     model_efficiency,
@@ -38,6 +40,7 @@ __all__ = [
     "PlatformConfig",
     "Platform",
     "BUILTIN_MODEL_IDS",
+    "BUILTIN_LATENCY_MS",
     "builtin_profiles",
     "make_model_blob",
     "config_from_dict",
@@ -61,8 +64,10 @@ class FrequencyLevel:
 @dataclass(frozen=True)
 class ThermalConfig:
     ambient_c: float = 25.0
-    heating_coeff_c_per_w: float = 1.0
-    time_constant_s: float = 30.0
+    heating_coeff_c_per_w: float = bounded(1.0, ge=0.0)
+    time_constant_s: float = bounded(30.0, gt=0.0)
+
+    __post_init__ = check_bounds
 
 
 DEFAULT_LEVEL_RATIOS = (0.25, 0.4, 0.55, 0.7, 0.85, 1.0)
@@ -76,21 +81,20 @@ class PlatformConfig:
     of ``level_ratios``, as an attribute outside the dataclass fields.
     """
 
-    peak_gops_per_s: float = 4460.0
+    peak_gops_per_s: float = bounded(4460.0, gt=0.0)
     level_ratios: tuple[float, ...] = DEFAULT_LEVEL_RATIOS
-    static_power_w: float = 8.0
-    dynamic_power_max_w: float = 14.98
-    power_exponent: float = 3.0
-    cpu_overhead_ms: float = 4.4
+    static_power_w: float = bounded(8.0, gt=0.0)
+    dynamic_power_max_w: float = bounded(14.98, gt=0.0)
+    power_exponent: float = bounded(3.0, ge=1.0)
+    cpu_overhead_ms: float = bounded(4.4, ge=0.0)
     thermal: ThermalConfig = field(default_factory=ThermalConfig)
     noise_seed: int = 20210781
-    utilization_noise: float = 0.02  # +/- relative noise on reported utilizations
-    mem_gbit_per_gop: float = 0.018
-    mem_utilization_nominal: float = 0.35
+    utilization_noise: float = bounded(0.02, ge=0.0, lt=0.5)  # +/- relative noise on reported utilizations
+    mem_gbit_per_gop: float = bounded(0.018, ge=0.0)
+    mem_utilization_nominal: float = bounded(0.35, ge=0.0, le=1.0)
 
     def __post_init__(self):
-        if self.peak_gops_per_s <= 0:
-            raise ConfigError("peak_gops_per_s", "must be > 0")
+        check_bounds(self)
         if not self.level_ratios:
             raise ConfigError("level_ratios", "must contain at least one frequency level")
         prev = 0.0
@@ -100,26 +104,12 @@ class PlatformConfig:
             prev = ratio
         if prev != 1.0:
             raise ConfigError("level_ratios", "top level must have ratio exactly 1.0")
-        if self.static_power_w <= 0:
-            raise ConfigError("static_power_w", "must be > 0")
-        if self.dynamic_power_max_w <= 0:
-            raise ConfigError("dynamic_power_max_w", "must be > 0")
-        if self.power_exponent < 1.0:
-            raise ConfigError("power_exponent", "must be >= 1")
-        if self.cpu_overhead_ms < 0:
-            raise ConfigError("cpu_overhead_ms", "must be >= 0")
-        if not 0.0 <= self.utilization_noise < 0.5:
-            raise ConfigError("utilization_noise", "must be in [0, 0.5)")
-        if self.mem_gbit_per_gop < 0:
-            raise ConfigError("mem_gbit_per_gop", "must be >= 0")
-        if not 0.0 <= self.mem_utilization_nominal <= 1.0:
-            raise ConfigError("mem_utilization_nominal", "must be in [0, 1]")
-        if self.thermal.time_constant_s <= 0:
-            raise ConfigError("thermal.time_constant_s", "must be > 0")
-        if self.thermal.heating_coeff_c_per_w < 0:
-            raise ConfigError("thermal.heating_coeff_c_per_w", "must be >= 0")
         levels = tuple(FrequencyLevel(index=i, ratio=float(r)) for i, r in enumerate(self.level_ratios))
         object.__setattr__(self, "levels", levels)
+
+    def runs(self, base_latency_ms: float) -> bool:
+        """Whether a model of this top-clock latency leaves the accelerator any time after the CPU overhead."""
+        return base_latency_ms > self.cpu_overhead_ms
 
 
 # Built-in profiles: (workload Gops/frame, top-frequency latency ms,
@@ -130,6 +120,7 @@ _BUILTIN_SPECS = {
     "ssd_resnet50_fpn": (178.4, 200.0, 0.368, 178_400),
 }
 BUILTIN_MODEL_IDS = tuple(_BUILTIN_SPECS)  # the keys of builtin_profiles(), known without hashing a blob
+BUILTIN_LATENCY_MS = {model_id: spec[1] for model_id, spec in _BUILTIN_SPECS.items()}  # and their base_latency_ms
 
 
 def make_model_blob(model_id: str, size_bytes: int) -> bytes:
@@ -188,7 +179,7 @@ class Platform:
         self._reported = self._nominal_utilizations()
 
     def _check_profile(self, profile: ModelProfile) -> None:
-        if profile.base_latency_ms <= self.config.cpu_overhead_ms:
+        if not self.config.runs(profile.base_latency_ms):
             raise ConfigError(
                 "base_latency_ms",
                 f"must exceed cpu_overhead_ms ({self.config.cpu_overhead_ms})",

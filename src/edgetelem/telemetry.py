@@ -45,6 +45,8 @@ __all__ = [
     "fps_per_watt",
     "encode_snapshot",
     "decode_snapshot",
+    "bounded",
+    "check_bounds",
     "from_doc",
     "to_doc",
 ]
@@ -85,15 +87,7 @@ class ParseError(TelemetryError):
         self.offset = offset
 
 
-def _as_float(field: str, value, ge=None, gt=None, le=None, lt=None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(field, "must be a real number")
-    try:
-        v = float(value)
-    except OverflowError:  # an int beyond the float range
-        raise ValidationError(field, "out of float range") from None
-    if not math.isfinite(v):
-        raise ValidationError(field, "must be finite")
+def _in_range(field: str, v, ge, gt, le, lt):
     if ge is not None and v < ge:
         raise ValidationError(field, f"must be >= {ge}, got {v}")
     if gt is not None and v <= gt:
@@ -105,14 +99,22 @@ def _as_float(field: str, value, ge=None, gt=None, le=None, lt=None) -> float:
     return v
 
 
-def _as_int(field: str, value, *, ge=None, gt=None) -> int:
+def _as_float(field: str, value, ge=None, gt=None, le=None, lt=None) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(field, "must be a real number")
+    try:
+        v = float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ValidationError(field, "out of float range") from None
+    if not math.isfinite(v):
+        raise ValidationError(field, "must be finite")
+    return _in_range(field, v, ge, gt, le, lt)
+
+
+def _as_int(field: str, value, ge=None, gt=None, le=None, lt=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(field, "must be an integer")
-    if ge is not None and value < ge:
-        raise ValidationError(field, f"must be >= {ge}, got {value}")
-    if gt is not None and value <= gt:
-        raise ValidationError(field, f"must be > {gt}, got {value}")
-    return value
+    return _in_range(field, value, ge, gt, le, lt)
 
 
 def _as_str(field: str, value) -> str:
@@ -158,16 +160,86 @@ class DeviceIdentity:
             _set(self, "platform_kind", kind)
 
 
-def _real(*, ge=None, gt=None, le=None, lt=None):
-    """A float field of a metric group; its bounds are checked on construction."""
-    return field(metadata={"bounds": (ge, gt, le, lt)})
+def bounded(default=MISSING, *, ge=None, gt=None, le=None, lt=None):
+    """A numeric dataclass field whose bounds :func:`check_bounds` checks on construction."""
+    return field(default=default, metadata={"bounds": (ge, gt, le, lt)})
+
+
+@cache
+def _bounded_fields(cls) -> tuple:
+    """``(name, float or int, optional, ge, gt, le, lt)`` per :func:`bounded` field of ``cls``.
+
+    A field is annotated with its type, or with ``type | None`` if optional.
+    """
+    hints = get_type_hints(cls)
+    rows = []
+    for f in fields(cls):
+        if "bounds" in f.metadata:
+            args = get_args(hints[f.name])
+            rows.append((f.name, args[0] if args else hints[f.name], bool(args), *f.metadata["bounds"]))
+    return tuple(rows)
+
+
+def _in_bounds(v: str, ge, gt, le, lt) -> str:
+    """The condition that the number named ``v`` is finite and within bounds."""
+    bounds = ((">=", ge), (">", gt), ("<=", le), ("<", lt))
+    terms = [f"{v} {op} {bound!r}" for op, bound in bounds if bound is not None]
+    # A bound on each side makes the value finite; every comparison is false for NaN.
+    if ge is None and gt is None:
+        terms.append(f"{v} > _NINF")
+    if le is None and lt is None:
+        terms.append(f"{v} < _INF")
+    return " and ".join(terms)
+
+
+def _bound_lines(obj: str, table: tuple) -> list:
+    """Lines that check ``obj``'s fields of a :func:`_bounded_fields` table.
+
+    Per field, a value of its exact type within bounds (a float only if
+    finite) passes inline, as does None in an optional field; any other value
+    goes to :func:`_as_float` or :func:`_as_int`, which raise the message
+    (the first converts an int to a float).
+    """
+    lines = []
+    for name, typ, optional, ge, gt, le, lt in table:
+        none = " or v is None" if optional else ""
+        lines += [
+            f"    v = {obj}.{name}",
+            f"    if not (type(v) is {typ.__name__} and {_in_bounds('v', ge, gt, le, lt)}{none}):",
+            f"        _set({obj}, {name!r}, _as_{typ.__name__}({name!r}, v, {ge!r}, {gt!r}, {le!r}, {lt!r}))",
+        ]
+    return lines
+
+
+def _compile(source: str, name: str, **names):
+    """The function ``name`` that ``source`` defines, with these names global to it."""
+    namespace = {"_INF": math.inf, "_NINF": -math.inf, "_as_float": _as_float, "_as_int": _as_int, "_set": _set}
+    namespace.update(names)
+    exec(source, namespace)
+    return namespace[name]
+
+
+@cache
+def _bounds_checker(cls):
+    """Generate the function that checks the :func:`bounded` fields of a ``cls`` instance."""
+    lines = ["def check(self):", *_bound_lines("self", _bounded_fields(cls)), "    pass"]  # pass: no such field
+    return _compile("\n".join(lines), "check")
+
+
+def check_bounds(obj) -> None:
+    """Check each :func:`bounded` field of the dataclass ``obj``: a config's ``__post_init__``.
+
+    A failure raises :class:`ValidationError` named by the field, and a float
+    field is stored as a float.
+    """
+    _bounds_checker(type(obj))(obj)
 
 
 class _Metrics:
     """Base of the snapshot's metric groups.
 
-    ``_floats`` holds ``(name, ge, gt, le, lt)`` for each :func:`_real` field,
-    and ``_check_floats`` checks those fields; :func:`_metric_group` builds
+    ``_floats`` holds ``(name, ge, gt, le, lt)`` for each :func:`bounded` field,
+    and ``_check_floats`` checks those fields; :func:`_metric_group` sets
     both once per class.  ``_check`` holds a group's checks across fields.
     """
 
@@ -181,52 +253,11 @@ class _Metrics:
         pass
 
 
-def _in_bounds(v: str, ge, gt, le, lt) -> str:
-    """The condition that the float named ``v`` is finite and within bounds."""
-    bounds = ((">=", ge), (">", gt), ("<=", le), ("<", lt))
-    terms = [f"{v} {op} {bound!r}" for op, bound in bounds if bound is not None]
-    # A bound on each side makes the value finite; every comparison is false for NaN.
-    if ge is None and gt is None:
-        terms.append(f"{v} > _NINF")
-    if le is None and lt is None:
-        terms.append(f"{v} < _INF")
-    return " and ".join(terms)
-
-
-def _float_lines(obj: str, floats: tuple) -> list:
-    """Lines that check ``obj``'s fields of a ``_floats`` table.
-
-    Per field, a finite ``float`` within bounds passes inline; any other value
-    goes to :func:`_as_float`, which converts an int and raises the message.
-    """
-    lines = []
-    for name, ge, gt, le, lt in floats:
-        lines += [
-            f"    v = {obj}.{name}",
-            f"    if not (type(v) is float and {_in_bounds('v', ge, gt, le, lt)}):",
-            f"        _set({obj}, {name!r}, _as_float({name!r}, v, {ge!r}, {gt!r}, {le!r}, {lt!r}))",
-        ]
-    return lines
-
-
-def _compile(source: str, name: str, **names):
-    """The function ``name`` that ``source`` defines, with these names global to it."""
-    namespace = {"_INF": math.inf, "_NINF": -math.inf, "_as_float": _as_float, "_set": _set, **names}
-    exec(source, namespace)
-    return namespace[name]
-
-
-def _float_checker(floats: tuple):
-    """Generate a ``_check_floats`` method for a ``_floats`` table."""
-    lines = ["def _check_floats(self):", *_float_lines("self", floats), "    pass"]  # pass: a table without floats
-    return _compile("\n".join(lines), "_check_floats")
-
-
 def _metric_group(cls):
     """Class decorator: a frozen dataclass with its ``_floats`` table and checker."""
     cls = dataclass(frozen=True)(cls)
-    cls._floats = tuple((f.name, *f.metadata["bounds"]) for f in fields(cls) if "bounds" in f.metadata)
-    cls._check_floats = _float_checker(cls._floats)
+    cls._floats = tuple((name, *bounds) for name, _, _, *bounds in _bounded_fields(cls))
+    cls._check_floats = _bounds_checker(cls)
     return cls
 
 
@@ -234,8 +265,8 @@ def _metric_group(cls):
 class AppMetrics(_Metrics):
     """Application-level metrics: per-frame latency and throughput."""
 
-    ee_latency_ms: float = _real(gt=0.0)  # end-to-end latency per frame, milliseconds
-    fps: float = _real(ge=0.0)
+    ee_latency_ms: float = bounded(gt=0.0)  # end-to-end latency per frame, milliseconds
+    fps: float = bounded(ge=0.0)
 
     def _check(self):
         if self.fps > 0:
@@ -256,11 +287,11 @@ class ModelMetrics(_Metrics):
     be cross-checked where the active model profile is known.
     """
 
-    accel_utilization: float = _real(ge=0.0, le=1.0)
-    mem_throughput_gbps: float = _real(ge=0.0)
-    cpu_utilization: float = _real(ge=0.0, le=1.0)
-    mem_utilization: float = _real(ge=0.0, le=1.0)
-    model_efficiency: float = _real(ge=0.0)
+    accel_utilization: float = bounded(ge=0.0, le=1.0)
+    mem_throughput_gbps: float = bounded(ge=0.0)
+    cpu_utilization: float = bounded(ge=0.0, le=1.0)
+    mem_utilization: float = bounded(ge=0.0, le=1.0)
+    model_efficiency: float = bounded(ge=0.0)
     model_id: str
 
     def _check(self):
@@ -271,21 +302,21 @@ class ModelMetrics(_Metrics):
 class EnergyMetrics(_Metrics):
     """Whole-platform power draw and derived energy efficiency."""
 
-    power_w: float = _real(gt=0.0)
-    temp_c: float = _real()
-    fps_per_watt: float = _real(ge=0.0)
+    power_w: float = bounded(gt=0.0)
+    temp_c: float = bounded()
+    fps_per_watt: float = bounded(ge=0.0)
 
 
 @_metric_group
 class NetworkMetrics(_Metrics):
     """Cellular modem measurements, constrained to standard LTE reporting ranges."""
 
-    rssi_dbm: float = _real(ge=-120.0, le=0.0)
-    rsrq_db: float = _real(ge=-25.0, le=0.0)
-    rsrp_dbm: float = _real(ge=-140.0, le=-40.0)
-    modem_temp_c: float = _real()
-    dl_mbps: float = _real(ge=0.0)
-    ul_mbps: float = _real(ge=0.0)
+    rssi_dbm: float = bounded(ge=-120.0, le=0.0)
+    rsrq_db: float = bounded(ge=-25.0, le=0.0)
+    rsrp_dbm: float = bounded(ge=-140.0, le=-40.0)
+    modem_temp_c: float = bounded()
+    dl_mbps: float = bounded(ge=0.0)
+    ul_mbps: float = bounded(ge=0.0)
 
 
 @dataclass(frozen=True)
@@ -299,21 +330,17 @@ class ModelProfile:
     """
 
     model_id: str
-    workload_gops: float
-    base_latency_ms: float
+    workload_gops: float = bounded(gt=0.0)
+    base_latency_ms: float = bounded(gt=0.0)
     artifact_digest: str
-    artifact_size_bytes: int
-    accel_utilization: float = 1.0
+    artifact_size_bytes: int = bounded(gt=0)
+    accel_utilization: float = bounded(1.0, ge=0.0, le=1.0)
 
     def __post_init__(self):
         _as_nonempty_str("model_id", self.model_id)
-        _set(self, "workload_gops", _as_float("workload_gops", self.workload_gops, gt=0.0))
-        _set(self, "base_latency_ms", _as_float("base_latency_ms", self.base_latency_ms, gt=0.0))
-        digest = _as_str("artifact_digest", self.artifact_digest)
-        if not SHA256_HEX_RE.fullmatch(digest):
+        if not SHA256_HEX_RE.fullmatch(_as_str("artifact_digest", self.artifact_digest)):
             raise ValidationError("artifact_digest", "must be 64 lowercase hex chars")
-        _as_int("artifact_size_bytes", self.artifact_size_bytes, gt=0)
-        _set(self, "accel_utilization", _as_float("accel_utilization", self.accel_utilization, ge=0.0, le=1.0))
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -449,6 +476,8 @@ def _doc_value(typ, value, path: str, error):
                 raise error(f"{prefix}{name}: required key missing")
         try:
             return typ(**kwargs)
+        except ValidationError as e:  # a field's own check: its name leads the message
+            raise error(prefix + str(e)) from None
         except ValueError as e:
             if not path:
                 raise
@@ -465,7 +494,9 @@ def from_doc(cls, doc, error):
     the field's annotation (``float`` also takes an int), and an absent key
     takes the field's default.  A failed check raises ``error(message)``
     with the message led by the key path (``rules[0].cooldown_ticks: ...``).
-    A nested dataclass's own ``ValueError`` is raised the same way; the
+    A bound that :func:`check_bounds` rejects is raised the same way, led by
+    its field's path (``bandwidth.window: must be >= 1, got 0``).  Any other
+    ``ValueError`` of a nested dataclass is raised led by its path; the
     top-level one's propagates as it is.
     """
     return _doc_value(cls, doc, "", error)
@@ -528,7 +559,7 @@ def _groups_checker():
     checks on a snapshot, in one function."""
     lines = ["def _check_groups(s):"]
     for key, cls, _ in _GROUPS:
-        lines += [f"    g = s.{key}", *_float_lines("g", cls._floats)]
+        lines += [f"    g = s.{key}", *_bound_lines("g", _bounded_fields(cls))]
         if cls._check is not _Metrics._check:
             lines.append("    g._check()")
     return _compile("\n".join(lines), "_check_groups")

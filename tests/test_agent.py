@@ -21,7 +21,7 @@ from edgetelem.agent import (
 )
 from edgetelem.bandwidth import Placement
 from edgetelem.cloud import ModelStore, ModelStoreHttpServer
-from edgetelem.simulator import Platform, builtin_profiles, make_model_blob
+from edgetelem.simulator import Platform, PlatformConfig, builtin_profiles, make_model_blob
 from edgetelem.telemetry import DeviceIdentity, decode_snapshot
 
 PROFILES = builtin_profiles()
@@ -227,6 +227,37 @@ class TestApplyAction:
         agent, _, _ = build_agent()
         result = agent.apply_action(action(ActionKind.SWAP_MODEL, model_id="mystery", expected_digest="0" * 64))
         assert (result.applied, result.reason) == (False, "not_found")
+
+    def test_swap_to_a_model_the_platform_cannot_run_is_rejected_before_the_fetch(self):
+        # yolov3's 29.4 ms does not exceed a CPU overhead of as much; the swap used to raise out of tick().
+        fetched = []
+        agent = TelemetryAgent(
+            cfg=AgentConfig(device=DeviceIdentity(device_id="dev0")),
+            platform=Platform(PlatformConfig(cpu_overhead_ms=YOLO.base_latency_ms), SSD),
+            publisher=DirectPublisher(lambda topic, payload: None),
+            fetch_fn=lambda model_id: fetched.append(model_id) or local_fetch(model_id),
+        )
+        before = agent.platform.fingerprint()
+        result = agent.apply_action(
+            action(ActionKind.SWAP_MODEL, model_id="yolov3", expected_digest=YOLO.artifact_digest)
+        )
+        assert (result.applied, result.reason, fetched) == (False, "unsupported", [])
+        assert agent.platform.fingerprint() == before
+        agent.enqueue_action(action(ActionKind.SWAP_MODEL, model_id="yolov3", expected_digest=YOLO.artifact_digest))
+        agent.tick()  # the queued swap is rejected as well, and the loop goes on
+        assert agent.report().actions_rejected == 1
+        assert agent.platform.active_model.model_id == "ssd_resnet50_fpn"
+
+    def test_config_bounds(self):
+        device = DeviceIdentity(device_id="dev0")
+        assert AgentConfig(device=device, max_ticks=None).max_ticks is None
+        with pytest.raises(ValueError, match=r"^max_ticks: must be > 0, got 0$"):
+            AgentConfig(device=device, max_ticks=0)
+        with pytest.raises(ValueError, match=r"^sample_period_ms: must be >= 10, got 9$"):
+            AgentConfig(device=device, sample_period_ms=9)
+        for value in (None, True, 10.0):  # only an optional field takes None; a bool is no int
+            with pytest.raises(ValueError, match=r"^sample_period_ms: must be an integer$"):
+                AgentConfig(device=device, sample_period_ms=value)
 
     def test_placement_tags_subsequent_snapshots(self):
         agent, captured, _ = build_agent()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -6,7 +7,6 @@ import pytest
 
 from edgetelem import bandwidth
 from edgetelem.bandwidth import (
-    DEFAULT_SCALER,
     BandwidthPredictor,
     FitError,
     LinearCoeffs,
@@ -18,9 +18,10 @@ from edgetelem.bandwidth import (
     DEFAULT_TRACE_CONFIG,
     decide_placement,
     gen_trace,
+    standardize,
     trace_config_from_dict,
 )
-from edgetelem.telemetry import NetworkMetrics
+from edgetelem.telemetry import NetworkMetrics, ValidationError
 
 # Regime whose generating standardization coincides with the predictor's
 # fixed feature scaler, so fitted coefficients are directly comparable.
@@ -221,8 +222,8 @@ class TestPredictorFit:
         assert predictor.predict(flat_net(10.0)) == pytest.approx(10.0, rel=1e-3)
 
     def test_nonpositive_lambda_rejected(self):
-        for lam in (0.0, -1e-3, float("nan")):
-            with pytest.raises(ValueError, match="ridge_lambda must be > 0"):
+        for lam, message in ((0.0, "must be > 0.0"), (-1e-3, "must be > 0.0"), (float("nan"), "must be finite")):
+            with pytest.raises(ValueError, match=f"^ridge_lambda: {message}"):
                 PredictorConfig(ridge_lambda=lam)
 
     def test_rejects_non_finite_observation(self):
@@ -284,7 +285,7 @@ def worst_batch_error(trace, config: PredictorConfig) -> float:
     rows, ys, ewma, worst = [], [], 0.0, 0.0
     for net, _ in trace:
         predictor.update(net, net.dl_mbps)
-        rows.append((1.0, *DEFAULT_SCALER.standardize(net), ewma))
+        rows.append((1.0, *standardize(net), ewma))
         ys.append(net.dl_mbps)
         ewma = config.ewma_alpha * net.dl_mbps + (1.0 - config.ewma_alpha) * ewma
         x, y = np.array(rows[-config.window :]), np.array(ys[-config.window :])
@@ -323,7 +324,7 @@ class TestIncrementalFit:
         for net, _ in gen_trace(cfg, 40):
             predictor.update(net, net.dl_mbps)
         net = flat_net(5.0)
-        row = (1.0, *DEFAULT_SCALER.standardize(net), predictor.ewma_throughput)
+        row = (1.0, *standardize(net), predictor.ewma_throughput)
         assert isinstance(predictor.coefficients, tuple)
         expected = sum(c * x for c, x in zip(predictor.coefficients, row))
         assert predictor.predict(net) == pytest.approx(max(0.0, expected), rel=1e-12)
@@ -526,10 +527,19 @@ class TestTraceConfigLoading:
             ({"seed": 7, "regimes": [{**DEFAULT_REGIME_DOC, "true_coeffs": {"b_0": 1}}]},
              r"regimes\[0\]\.true_coeffs\.b_0: unknown key"),
             ({"seed": 7, "regimes": [{**DEFAULT_REGIME_DOC, "duration_ticks": 0}]},
-             r"regimes\[0\]: duration_ticks must be > 0"),
+             r"regimes\[0\]\.duration_ticks: must be > 0, got 0"),
             ({"seed": 7, "regimes": []}, "regimes must be non-empty"),
         ],
     )
     def test_rejects_bad_documents(self, doc, message):
         with pytest.raises(ValueError, match=message):
             trace_config_from_dict(doc)
+
+    def test_negative_ul_fraction_rejected(self):
+        # It loaded, and the first snapshot then failed with a negative ul_mbps.
+        with pytest.raises(ValueError, match=r"^ul_fraction: must be >= 0\.0, got -0\.5$"):
+            trace_config_from_dict({"seed": 7, "regimes": [DEFAULT_REGIME_DOC], "ul_fraction": -0.5})
+
+    def test_nan_spread_rejected(self):
+        with pytest.raises(ValidationError, match=r"^rsrp_std: must be finite$"):
+            dataclasses.replace(aligned_regime(), rsrp_std=float("nan"))

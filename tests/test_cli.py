@@ -91,6 +91,27 @@ class TestScenarioCommand:
         assert "invalid scenario: rules: rulez: unknown key" in result.stderr
         assert not out.exists()  # no models/ directory and no partial report.json
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("trace", {"ul_fraction": -0.5}, "invalid scenario: trace: ul_fraction: must be >= 0.0, got -0.5"),
+            ("platform", {"cpu_overhead_ms": 50},
+             "invalid scenario: initial_model_id: yolov3's base_latency_ms (29.4) must exceed "
+             "the platform's cpu_overhead_ms (50.0)"),
+        ],
+    )
+    def test_document_the_run_would_fail_on_is_invalid_before_any_output(self, tmp_path, key, value, message):
+        # Both used to load, then fail the run with a partial report.json, lake/ and models/.
+        doc = json.loads((SCENARIO_DIR / "scenario_fps_cap.json").read_text())
+        doc[key].update(value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = run_cli("scenario", str(bad), "--out", str(out))
+        assert result.returncode == 1
+        assert message in result.stderr
+        assert not out.exists()
+
     def test_unknown_initial_model_is_invalid_before_any_output(self, tmp_path):
         doc = json.loads((SCENARIO_DIR / "scenario_fps_cap.json").read_text())
         doc["initial_model_id"] = "nope"

@@ -383,8 +383,16 @@ class TestRuleValidation:
     def test_zero_ridge_lambda_rejected_at_load(self):
         # Loaded, λ = 0 made the first HTTP ingest fail after the lake had stored
         # the record, so a retrying client stored it twice.
-        with pytest.raises(ValueError, match="ridge_lambda must be > 0"):
+        with pytest.raises(RuleConfigError, match=r"^bandwidth\.ridge_lambda: must be > 0\.0, got 0\.0$"):
             rules_from_dict({"bandwidth": {"ridge_lambda": 0}})
+
+    def test_bandwidth_bounds_come_from_the_inherited_checker(self):
+        with pytest.raises(telemetry.ValidationError, match=r"^required_mbps: must be finite$"):
+            BandwidthRuleConfig(required_mbps=float("nan"))
+        with pytest.raises(RuleConfigError, match=r"^bandwidth\.window: must be >= 1, got 0$"):
+            rules_from_dict({"bandwidth": {"window": 0}})
+        with pytest.raises(RuleConfigError, match=r"^rules\[0\]\.cooldown_ticks: must be >= 1, got 0$"):
+            rules_from_dict({"rules": [rule_doc(cooldown_ticks=0)]})
 
     def test_swap_template_requires_model_id(self):
         with pytest.raises(RuleConfigError):

@@ -119,9 +119,9 @@ class TestSpecValidation:
             ({"at_tick": 1, "kind": "CorruptModelBlob", "dist": "constant:5"},
              r"faults\[0\]: CorruptModelBlob takes no dist"),
             ({"at_tick": 1, "kind": "DelayShim", "duration_ticks": -1, "dist": "constant:5"},
-             r"faults\[0\]: duration_ticks must be >= 0"),
+             r"faults\[0\]\.duration_ticks: must be >= 0, got -1"),
             ({"at_tick": 1, "kind": "CorruptModelBlob", "duration_ticks": -2},
-             r"faults\[0\]: duration_ticks must be >= 0"),
+             r"faults\[0\]\.duration_ticks: must be >= 0, got -2"),
         ],
     )
     def test_misplaced_dist_and_negative_duration_are_rejected(self, fault, message):
@@ -210,6 +210,24 @@ class TestFaultWindows:
         swaps = [a for a in report["actions"] if a["action"] == "SwapModel"]
         assert [(a["dispatch_tick"], a["status"]) for a in swaps] == [(3, "applied")]
         assert report["final_model_id"] == "ssd_resnet50_fpn"
+
+
+class TestPlatformModelFit:
+    def test_swap_to_a_model_the_platform_cannot_run_is_rejected(self, tmp_path):
+        # yolov3's 29.4 ms does not exceed a 100 ms CPU overhead; the swap used to end the run.
+        rule = {"rule_id": "r2", "metric_path": "app.fps", "comparator": "LT", "threshold": 10.0,
+                "action": {"action": "SwapModel", "model_id": "yolov3"}}
+        spec = simple_spec(
+            platform={"cpu_overhead_ms": 100}, initial_model_id="ssd_resnet50_fpn", rules={"rules": [rule]}
+        )
+        report = run_scenario(spec, tmp_path / "out")
+        assert report["final_model_id"] == "ssd_resnet50_fpn"
+        assert report["actions"]
+        assert {(a["status"], a["reason"]) for a in report["actions"]} == {("rejected", "unsupported")}
+
+    def test_initial_model_the_platform_cannot_run_is_rejected_at_load(self):
+        with pytest.raises(ScenarioError, match=r"^initial_model_id: yolov3's base_latency_ms \(29\.4\) must exceed"):
+            simple_spec(platform={"cpu_overhead_ms": 50})
 
 
 class TestReproducibility:

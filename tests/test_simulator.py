@@ -5,12 +5,14 @@ from edgetelem.simulator import (
     ConfigError,
     Platform,
     PlatformConfig,
+    ThermalConfig,
+    BUILTIN_LATENCY_MS,
     BUILTIN_MODEL_IDS,
     builtin_profiles,
     config_from_dict,
     make_model_blob,
 )
-from edgetelem.telemetry import DeviceIdentity, ModelProfile, encode_snapshot, to_doc
+from edgetelem.telemetry import DeviceIdentity, ModelProfile, ValidationError, encode_snapshot, to_doc
 
 DEVICE = DeviceIdentity(device_id="dev0")
 
@@ -311,3 +313,25 @@ class TestConfigLoading:
 
     def test_builtin_model_ids_are_the_profile_keys(self):
         assert BUILTIN_MODEL_IDS == tuple(builtin_profiles())
+
+    def test_builtin_latencies_are_the_profiles(self):
+        assert BUILTIN_LATENCY_MS == {m: p.base_latency_ms for m, p in builtin_profiles().items()}
+
+
+class TestConfigBounds:
+    def test_thermal_config_checks_its_own_fields(self):
+        # Its bounds were checked only by the PlatformConfig holding it.
+        with pytest.raises(ValidationError, match=r"^time_constant_s: must be > 0\.0, got -1\.0$"):
+            ThermalConfig(time_constant_s=-1)
+
+    def test_nan_is_outside_every_bound(self):
+        with pytest.raises(ValidationError, match=r"^peak_gops_per_s: must be finite$"):
+            PlatformConfig(peak_gops_per_s=float("nan"))
+
+    def test_load_names_the_key_path_of_a_bound(self):
+        with pytest.raises(ConfigError, match=r"^thermal\.time_constant_s: must be > 0\.0, got 0\.0$") as err:
+            config_from_dict({"thermal": {"time_constant_s": 0}})
+        assert err.value.field == "thermal.time_constant_s"
+
+    def test_an_int_in_a_float_field_is_stored_as_a_float(self):
+        assert type(PlatformConfig(cpu_overhead_ms=5).cpu_overhead_ms) is float
