@@ -187,7 +187,7 @@ class BusPublisher:
         if self._session is not None and not self._session.closed:
             return self._session
         session = bus.connect(self._address, self._device_id, timeout=self._timeout)
-        session.subscribe(f"actions/{self._device_id}", self._handle_action)
+        session.subscribe(f"actions/{self._device_id}", self._handle_action, timeout=self._timeout)
         self._session = session
         return session
 

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .telemetry import NetworkMetrics, bounded, check_bounds, from_doc
+from .telemetry import NetworkMetrics, _compile, bounded, check_bounds, from_doc
 
 __all__ = [
     "Placement",
@@ -211,38 +211,37 @@ def _generate_kernels():
     raised at the same points.
     """
     c = [f"c{i}" for i in range(_N)]
-    lines = [
+    accumulate = [
         "def _ACCUMULATE(xtx, xty, row, y, sign):",
         f"    {', '.join(f'r{i}' for i in range(_N))} = row",
         *(f"    s{i} = sign * r{i}" for i in range(_N)),
         *(f"    xtx[{k}] += s{i} * r{j}" for k, (i, j) in enumerate(_UPPER)),
         *(f"    xty[{i}] += s{i} * y" for i in range(_N)),
-        "",
+    ]
+    solve = [
         "def _SOLVE(xtx, xty, lam):",
         f"    {', '.join(f'a{i}{j}' for i, j in _UPPER)} = xtx",
         *(f"    a{i}{i} = a{i}{i} + lam" for i in range(_N)),
         f"    {', '.join(f'b{i}' for i in range(_N))} = xty",
     ]
     for k in range(_N):
-        lines += [
+        solve += [
             f"    if not a{k}{k} > 0.0:",
             '        raise FitError("normal matrix lost positive definiteness")',
         ]
         for i in range(k + 1, _N):
-            lines.append(f"    f = a{k}{i} / a{k}{k}")
-            lines += [f"    a{i}{j} = a{i}{j} - f * a{k}{j}" for j in range(i, _N)]
-            lines.append(f"    b{i} = b{i} - f * b{k}")
+            solve.append(f"    f = a{k}{i} / a{k}{k}")
+            solve += [f"    a{i}{j} = a{i}{j} - f * a{k}{j}" for j in range(i, _N)]
+            solve.append(f"    b{i} = b{i} - f * b{k}")
     for i in range(_N - 1, -1, -1):
         acc = f"b{i}" + "".join(f" - a{i}{j} * c{j}" for j in range(i + 1, _N))
-        lines.append(f"    c{i} = ({acc}) / a{i}{i}")
-    lines += [
+        solve.append(f"    c{i} = ({acc}) / a{i}{i}")
+    solve += [
         f"    if not ({' and '.join(f'_NINF < {ci} < _INF' for ci in c)}):",
         '        raise FitError("fit produced non-finite coefficients")',
         f"    return ({', '.join(c)})",
     ]
-    namespace = {"FitError": FitError, "_INF": math.inf, "_NINF": -math.inf}
-    exec("\n".join(lines), namespace)
-    return namespace["_ACCUMULATE"], namespace["_SOLVE"]
+    return _compile("\n".join(accumulate), "_ACCUMULATE"), _compile("\n".join(solve), "_SOLVE", FitError=FitError)
 
 
 _ACCUMULATE, _SOLVE = _generate_kernels()

@@ -33,6 +33,7 @@ to; every other frame is parsed into a validated :class:`Frame`.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -574,18 +575,26 @@ class Session:
         self._send(b"".join((_HEADER.pack(_PUBLISH, len(head) + len(payload)), head, payload)))
 
     def subscribe(self, filter_: str, handler, timeout: float = 5.0) -> None:
-        """Register ``handler(topic, payload)`` for every message matching the filter."""
+        """Register ``handler(topic, payload)`` for every message matching the filter.
+
+        A subscribe that the broker does not acknowledge closes the session
+        before it raises :class:`BusError`.
+        """
         validate_topic(filter_, what="filter")
         with self._hlock:
             self._handlers.append((filter_, handler))
             self._routes.clear()
-        self._send(encode_frame(Frame(kind=FrameKind.SUBSCRIBE, topic=filter_)))
         try:
-            code = self._subacks.get(timeout=timeout)
-        except queue.Empty:
-            raise BusError("subscribe not acknowledged in time") from None
-        if code != 0:
-            raise BusError(f"subscribe rejected with code {code}")
+            self._send(encode_frame(Frame(kind=FrameKind.SUBSCRIBE, topic=filter_)))
+            try:
+                code = self._subacks.get(timeout=timeout)
+            except queue.Empty:
+                raise BusError("subscribe not acknowledged in time") from None
+            if code != 0:
+                raise BusError(f"subscribe rejected with code {code}")
+        except BusError:
+            self.close()  # else the broker keeps the client id and refuses the next connect
+            raise
 
     def close(self) -> None:
         if not self._closed.is_set():
@@ -594,10 +603,10 @@ class Session:
             except SessionClosed:
                 pass
         self._closed.set()
-        try:
+        with contextlib.suppress(OSError):  # the peer may have gone
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes the receive thread from recv
+        with contextlib.suppress(OSError):
             self._sock.close()
-        except OSError:
-            pass
 
     def _route(self, topic: bytes) -> tuple:
         """``(topic, handlers)`` for a received topic: one per matching subscription, in subscribe order."""
@@ -642,7 +651,8 @@ class Session:
 def connect(address: tuple, client_id: str, timeout: float = 5.0) -> Session:
     """Open a session: TCP connect plus CONNECT/CONNACK handshake.
 
-    Raises :class:`ConnectTimeout`, :class:`ConnectRefused`, or
+    Raises :class:`ConnectTimeout`, :class:`ConnectRefused` (any other
+    failure of the TCP connect too, such as an unknown host), or
     :class:`DuplicateClientId` as distinct failure kinds.
     """
     host, port = address
@@ -650,8 +660,8 @@ def connect(address: tuple, client_id: str, timeout: float = 5.0) -> Session:
         sock = socket.create_connection((host, port), timeout=timeout)
     except socket.timeout as e:
         raise ConnectTimeout(f"no broker response from {host}:{port}") from e
-    except ConnectionRefusedError as e:
-        raise ConnectRefused(f"broker at {host}:{port} refused connection") from e
+    except OSError as e:  # refused, unreachable, unresolvable
+        raise ConnectRefused(f"cannot connect to broker at {host}:{port}: {e}") from e
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     try:
         sock.sendall(encode_frame(Frame(kind=FrameKind.CONNECT, client_id=client_id)))

@@ -89,11 +89,7 @@ def cmd_broker(args) -> int:
 
 def _cloud_session(address: tuple, on_snapshot):
     session = bus.connect(address, "cloud-service")
-    try:
-        session.subscribe("telemetry/+", on_snapshot)
-    except bus.BusError:
-        session.close()
-        raise
+    session.subscribe("telemetry/+", on_snapshot)
     return session
 
 
@@ -284,6 +280,9 @@ def cmd_bench_latency(parser, args) -> int:
 def cmd_lake_export(parser, args) -> int:
     if args.to_ms <= args.from_ms:
         parser.error("--to must be greater than --from")
+    if not os.path.isdir(args.lake):  # a Lake would create it
+        log.error("lake error: no lake directory at %s", args.lake)
+        return EXIT_CONFIG
     lake = Lake(args.lake)
     writer = csv.writer(sys.stdout)
     writer.writerow(LAKE_CSV_COLUMNS)

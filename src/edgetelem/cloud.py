@@ -40,6 +40,7 @@ from .telemetry import (
     TelemetrySnapshot,
     _doc_value,
     _reference_from_wire,
+    _template_pattern,
     bounded,
     check_bounds,
     decode_snapshot,
@@ -105,15 +106,9 @@ def encode_record(rec: LakeRecord) -> bytes:
     return _record_line(rec, snapshot_text(rec.snapshot).encode())
 
 
-def _record_pattern() -> bytes:
-    """``_RECORD_LINE`` with a token per placeholder: the two ints, the transport, the snapshot."""
-    transport = b"(" + b"|".join(map(re.escape, _TRANSPORT_TEXT.values())) + b")"
-    tokens = iter((INT_TOKEN, INT_TOKEN, transport, SNAPSHOT_PATTERN))
-    parts = re.split(b"(%[ds])", _RECORD_LINE)
-    return b"".join(next(tokens) if part.startswith(b"%") else re.escape(part) for part in parts)
-
-
-_RECORD_RE = re.compile(_record_pattern())
+_TRANSPORT_TOKEN = b"(" + b"|".join(map(re.escape, _TRANSPORT_TEXT.values())) + b")"
+# ``_RECORD_LINE`` with a token per placeholder: the two ints, the transport, the snapshot.
+_RECORD_RE = re.compile(_template_pattern(_RECORD_LINE, (INT_TOKEN, INT_TOKEN, _TRANSPORT_TOKEN, SNAPSHOT_PATTERN)))
 _TRANSPORTS = {text: t for t, text in _TRANSPORT_TEXT.items()}
 
 

@@ -192,27 +192,11 @@ def _in_bounds(v: str, ge, gt, le, lt) -> str:
     return " and ".join(terms)
 
 
-def _bound_lines(obj: str, table: tuple) -> list:
-    """Lines that check ``obj``'s fields of a :func:`_bounded_fields` table.
-
-    Per field, a value of its exact type within bounds (a float only if
-    finite) passes inline, as does None in an optional field; any other value
-    goes to :func:`_as_float` or :func:`_as_int`, which raise the message
-    (the first converts an int to a float).
-    """
-    lines = []
-    for name, typ, optional, ge, gt, le, lt in table:
-        none = " or v is None" if optional else ""
-        lines += [
-            f"    v = {obj}.{name}",
-            f"    if not (type(v) is {typ.__name__} and {_in_bounds('v', ge, gt, le, lt)}{none}):",
-            f"        _set({obj}, {name!r}, _as_{typ.__name__}({name!r}, v, {ge!r}, {gt!r}, {le!r}, {lt!r}))",
-        ]
-    return lines
-
-
 def _compile(source: str, name: str, **names):
-    """The function ``name`` that ``source`` defines, with these names global to it."""
+    """The function ``name`` that ``source`` defines, with these names global to it.
+
+    Every generated function of the package is built here.
+    """
     namespace = {"_INF": math.inf, "_NINF": -math.inf, "_as_float": _as_float, "_as_int": _as_int, "_set": _set}
     namespace.update(names)
     exec(source, namespace)
@@ -221,8 +205,22 @@ def _compile(source: str, name: str, **names):
 
 @cache
 def _bounds_checker(cls):
-    """Generate the function that checks the :func:`bounded` fields of a ``cls`` instance."""
-    lines = ["def check(self):", *_bound_lines("self", _bounded_fields(cls)), "    pass"]  # pass: no such field
+    """Generate the function that checks the :func:`bounded` fields of a ``cls`` instance.
+
+    Per field, a value of its exact type within bounds (a float only if
+    finite) passes inline, as does None in an optional field; any other value
+    goes to :func:`_as_float` or :func:`_as_int`, which raise the message
+    (the first converts an int to a float).
+    """
+    lines = ["def check(self):"]
+    for name, typ, optional, ge, gt, le, lt in _bounded_fields(cls):
+        none = " or v is None" if optional else ""
+        lines += [
+            f"    v = self.{name}",
+            f"    if not (type(v) is {typ.__name__} and {_in_bounds('v', ge, gt, le, lt)}{none}):",
+            f"        _set(self, {name!r}, _as_{typ.__name__}({name!r}, v, {ge!r}, {gt!r}, {le!r}, {lt!r}))",
+        ]
+    lines.append("    pass")  # no such field
     return _compile("\n".join(lines), "check")
 
 
@@ -236,32 +234,19 @@ def check_bounds(obj) -> None:
 
 
 class _Metrics:
-    """Base of the snapshot's metric groups.
-
-    ``_floats`` holds ``(name, ge, gt, le, lt)`` for each :func:`bounded` field,
-    and ``_check_floats`` checks those fields; :func:`_metric_group` sets
-    both once per class.  ``_check`` holds a group's checks across fields.
-    """
-
-    _floats = ()
+    """Base of the snapshot's metric groups: a frozen dataclass whose
+    :func:`bounded` fields :func:`check_bounds` checks, and whose ``_check``
+    holds its checks across fields."""
 
     def __post_init__(self):
-        self._check_floats()
+        check_bounds(self)
         self._check()
 
     def _check(self):
         pass
 
 
-def _metric_group(cls):
-    """Class decorator: a frozen dataclass with its ``_floats`` table and checker."""
-    cls = dataclass(frozen=True)(cls)
-    cls._floats = tuple((name, *bounds) for name, _, _, *bounds in _bounded_fields(cls))
-    cls._check_floats = _bounds_checker(cls)
-    return cls
-
-
-@_metric_group
+@dataclass(frozen=True)
 class AppMetrics(_Metrics):
     """Application-level metrics: per-frame latency and throughput."""
 
@@ -279,7 +264,7 @@ class AppMetrics(_Metrics):
                 )
 
 
-@_metric_group
+@dataclass(frozen=True)
 class ModelMetrics(_Metrics):
     """Accelerator and memory utilization of the active AI model.
 
@@ -298,7 +283,7 @@ class ModelMetrics(_Metrics):
         _as_nonempty_str("model_id", self.model_id)
 
 
-@_metric_group
+@dataclass(frozen=True)
 class EnergyMetrics(_Metrics):
     """Whole-platform power draw and derived energy efficiency."""
 
@@ -307,7 +292,7 @@ class EnergyMetrics(_Metrics):
     fps_per_watt: float = bounded(ge=0.0)
 
 
-@_metric_group
+@dataclass(frozen=True)
 class NetworkMetrics(_Metrics):
     """Cellular modem measurements, constrained to standard LTE reporting ranges."""
 
@@ -370,7 +355,8 @@ class TelemetrySnapshot:
         set with ``object.__setattr__``.
         """
         self._check_fields()
-        _check_groups(self)
+        for name, _, _ in _GROUPS:
+            getattr(self, name).__post_init__()
         self._check_fps_per_watt()
 
     def _check_fields(self) -> None:
@@ -526,19 +512,25 @@ _SNAPSHOT_FIELDS = _typed_fields(TelemetrySnapshot)
 
 
 def _wire_layout():
-    """``(key, attribute path, member keys or None)`` per top-level wire key, in order.
+    """``(key, attribute path, type, members)`` per top-level wire key, in order.
 
-    The order is the dataclass field order: the device identity's fields sit
-    at the top level, each metric group is a nested object.
+    ``type`` is a leaf's ``float``, ``int`` or ``str``, or a metric group's
+    class; ``members`` is None for a leaf and ``(member, leaf type)`` per
+    field for a group.  The order is the dataclass field order: the device
+    identity's fields sit at the top level, each metric group is a nested
+    object.
     """
     for name, hint in _SNAPSHOT_FIELDS:
         if hint is DeviceIdentity:
             for key, typ in _typed_fields(hint):
-                yield key, f"{name}.{key}.value" if issubclass(typ, Enum) else f"{name}.{key}", None
+                if issubclass(typ, Enum):  # laid out by its value, a str
+                    yield key, f"{name}.{key}.value", str, None
+                else:
+                    yield key, f"{name}.{key}", typ, None
         elif issubclass(hint, _Metrics):
-            yield name, name, tuple(f.name for f in fields(hint))
+            yield name, name, hint, _typed_fields(hint)
         else:
-            yield name, name, None
+            yield name, name, hint, None
 
 
 _WIRE_LAYOUT = tuple(_wire_layout())
@@ -551,33 +543,19 @@ _GROUPS = tuple(
     for name, hint in _SNAPSHOT_FIELDS
     if issubclass(hint, _Metrics)
 )
-TOP_KEYS = tuple(key for key, _, _ in _WIRE_LAYOUT)
-
-
-def _groups_checker():
-    """Generate ``_check_groups(s)``: every metric group's ``__post_init__``
-    checks on a snapshot, in one function."""
-    lines = ["def _check_groups(s):"]
-    for key, cls, _ in _GROUPS:
-        lines += [f"    g = s.{key}", *_bound_lines("g", _bounded_fields(cls))]
-        if cls._check is not _Metrics._check:
-            lines.append("    g._check()")
-    return _compile("\n".join(lines), "_check_groups")
-
-
-_check_groups = _groups_checker()
+TOP_KEYS = tuple(key for key, *_ in _WIRE_LAYOUT)
 
 #: Every leaf of the wire document as a key path, in wire order.
 WIRE_PATHS = tuple(
     path
-    for key, _, members in _WIRE_LAYOUT
-    for path in ([(key,)] if members is None else [(key, m) for m in members])
+    for key, _, _, members in _WIRE_LAYOUT
+    for path in ([(key,)] if members is None else [(key, m) for m, _ in members])
 )
 
 #: All dotted numeric paths a feedback rule may reference.
 NUMERIC_PATHS = (
     *((key,) for key in _INT_KEYS),
-    *((key, name) for key, cls, _ in _GROUPS for name, *_bounds in cls._floats),
+    *((key, name) for key, cls, _ in _GROUPS for name, *_bounds in _bounded_fields(cls)),
 )
 
 
@@ -586,7 +564,7 @@ def snapshot_to_wire(s: TelemetrySnapshot) -> dict:
     # A metric group's instance dict holds exactly its fields, in field
     # order: the generated __init__ sets them so, and the group is frozen.
     wire = {}
-    for key, path, members in _WIRE_LAYOUT:
+    for key, path, _, members in _WIRE_LAYOUT:
         value = attrgetter(path)(s)
         wire[key] = value if members is None else vars(value).copy()
     return wire
@@ -597,18 +575,12 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 _str = json.encoder.encode_basestring
 
 
-def _leaf_type(path: str) -> type:
-    """The type of the value at a dotted attribute path of a snapshot."""
-    typ = TelemetrySnapshot
-    for part in path.split("."):
-        typ = str if issubclass(typ, str) else get_type_hints(typ)[part]  # a str enum's value is a str
-    return typ
-
-
 def _text_encoder():
     """Generate ``snapshot_text(s)``, equal to ``_ENCODER.encode(snapshot_to_wire(s))``.
 
-    One ``%`` template holds every key, escaped here once; each leaf is
+    Returns its ``%`` template, the one statement of the compact layout, and
+    the function.  The template holds every key, escaped here once (a key is
+    a field name, so it holds no ``%``), and a ``%s`` per leaf.  Each leaf is
     formatted as the C encoder formats it: a float by ``float.__repr__``, an
     int by ``int.__repr__`` and a string by ``encode_basestring``, the escaper
     ``_ENCODER`` uses with ``ensure_ascii=False``.
@@ -616,23 +588,23 @@ def _text_encoder():
     formats = {float: "_float", int: "_int", str: "_str"}
     args = []
 
-    def key(name: str) -> str:
-        return _str(name).replace("%", "%%") + ":"
-
-    def leaf(path: str) -> str:
-        args.append(f"{formats[_leaf_type(path)]}(s.{path})")  # in template order
+    def leaf(path: str, typ: type) -> str:
+        args.append(f"{formats[typ]}(s.{path})")  # in template order
         return "%s"
 
-    def group(path: str, members: tuple) -> str:
-        return "{" + ",".join(key(m) + leaf(f"{path}.{m}") for m in members) + "}"
+    items = []
+    for key, path, typ, members in _WIRE_LAYOUT:
+        if members is None:
+            value = leaf(path, typ)
+        else:
+            value = "{" + ",".join(f"{_str(m)}:{leaf(f'{path}.{m}', t)}" for m, t in members) + "}"
+        items.append(f"{_str(key)}:{value}")
+    template = "{" + ",".join(items) + "}"
+    source = f"def snapshot_text(s):\n    return _TEMPLATE % ({', '.join(args)})"
+    return template, _compile(source, "snapshot_text", _TEMPLATE=template, _float=float.__repr__, _int=int.__repr__, _str=_str)
 
-    items = [key(k) + (leaf(path) if members is None else group(path, members)) for k, path, members in _WIRE_LAYOUT]
-    namespace = {"_TEMPLATE": "{" + ",".join(items) + "}", "_float": float.__repr__, "_int": int.__repr__, "_str": _str}
-    exec(f"def snapshot_text(s):\n    return _TEMPLATE % ({', '.join(args)})", namespace)
-    return namespace["snapshot_text"]
 
-
-snapshot_text = _text_encoder()
+_TEMPLATE, snapshot_text = _text_encoder()
 
 
 def encode_snapshot(s: TelemetrySnapshot) -> bytes:
@@ -713,7 +685,7 @@ def _loads(text: str):
 
 #: ``(group key, member)`` of each string field of a metric group.
 _GROUP_STRINGS = tuple(
-    (key, member) for key, _, members in _GROUPS for member in members if _leaf_type(f"{key}.{member}") is str
+    (key, member) for key, _, _, members in _WIRE_LAYOUT if members is not None for member, typ in members if typ is str
 )
 
 
@@ -767,24 +739,29 @@ def _text(token: bytes) -> str:
     return text
 
 
+def _template_pattern(template: bytes, tokens) -> bytes:
+    """The pattern of what ``template % args`` writes: the template's text
+    escaped, and the next of ``tokens`` in place of each ``%s`` or ``%d``."""
+    text = re.split(b"%[ds]", template)
+    return re.escape(text[0]) + b"".join(token + re.escape(t) for token, t in zip(tokens, text[1:], strict=True))
+
+
 def _tokens_decoder():
     """Generate the compact snapshot pattern and the builder of its tokens.
 
-    The pattern matches a snapshot as :func:`snapshot_text` writes it, keys in
-    wire order and no whitespace, and captures one token per leaf.
-    ``build(*tokens)`` converts the tokens with ``float``, ``int`` and strict
-    UTF-8 decoding, runs every check construction runs, and builds the objects
-    with their instance dicts in field order.  A failed check, and a string
-    that is not UTF-8, raise a ``ValueError``.
+    The pattern is :func:`snapshot_text`'s template with one token per leaf,
+    so it matches a snapshot as that writes it, keys in wire order and no
+    whitespace, and captures one token per leaf.  ``build(*tokens)`` converts
+    the tokens with ``float``, ``int`` and strict UTF-8 decoding, runs every
+    check construction runs, and builds the objects with their instance dicts
+    in field order.  A failed check, and a string that is not UTF-8, raise a
+    ``ValueError``.
     """
-    params, lines = [], []
+    tokens, params, lines = [], [], []
     namespace = {"_new": object.__new__, "_text": _text}
 
-    def key(name: str) -> bytes:
-        return re.escape((_str(name) + ":").encode())
-
-    def leaf(pattern: list, name: str, token: bytes) -> str:
-        pattern.append(key(name) + token)
+    def leaf(token: bytes) -> str:
+        tokens.append(token)  # in field order, the template's order
         params.append(f"t{len(params)}")
         return params[-1]
 
@@ -794,7 +771,7 @@ def _tokens_decoder():
         lines.append(f"    {var} = _new({cls.__name__})")
         lines.append(f"    _set({var}, '__dict__', {{{values}}})")
 
-    top, snapshot_items, floats = [], [], []
+    snapshot_items, floats = [], []
     for name, hint in _SNAPSHOT_FIELDS:
         if hint is DeviceIdentity:  # its fields sit at the top level
             items = []
@@ -802,37 +779,36 @@ def _tokens_decoder():
                 if issubclass(typ, Enum):  # the alternation is the check
                     values = {_str(kind.value)[1:-1].encode(): kind for kind in typ}
                     namespace[f"_{typ.__name__}"] = values
-                    t = leaf(top, member, b'"(' + b"|".join(map(re.escape, values)) + b')"')
+                    t = leaf(b'"(' + b"|".join(map(re.escape, values)) + b')"')
                     items.append((member, f"_{typ.__name__}[{t}]"))
                 else:  # the device id pattern is the check
-                    t = leaf(top, member, b'"(' + DEVICE_ID_RE.pattern.encode() + b')"')
+                    t = leaf(b'"(' + DEVICE_ID_RE.pattern.encode() + b')"')
                     items.append((member, f"{t}.decode()"))
             instance(name, hint, items)
             snapshot_items.append((name, name))
         elif hint is int:
-            snapshot_items.append((name, f"int({leaf(top, name, INT_TOKEN)})"))
+            snapshot_items.append((name, f"int({leaf(INT_TOKEN)})"))
         else:
-            bounds = {member: b for member, *b in hint._floats}
-            members, items, checks = [], [], []
+            bounds = {member: b for member, _, _, *b in _bounded_fields(hint)}
+            items, checks = [], []
             for member in (f.name for f in fields(hint)):
                 if member in bounds:
-                    t = leaf(members, member, _FLOAT_TOKEN)
+                    t = leaf(_FLOAT_TOKEN)
                     floats.append(t)
                     checks.append(_in_bounds(t, *bounds[member]))
                     items.append((member, t))
                 else:
-                    items.append((member, f"_text({leaf(members, member, _STR_TOKEN)})"))
+                    items.append((member, f"_text({leaf(_STR_TOKEN)})"))
             lines += [f"    if not ({' and '.join(checks)}):", "        raise ValueError"]
             instance(name, hint, items)
             if hint._check is not _Metrics._check:
                 lines.append(f"    {name}._check()")
-            top.append(key(name) + rb"\{" + b",".join(members) + rb"\}")
             snapshot_items.append((name, name))
     instance("snapshot", TelemetrySnapshot, snapshot_items)
     lines += ["    snapshot._check_fps_per_watt()", "    return snapshot"]
     lines.insert(0, f"    {', '.join(floats)} = map(float, ({', '.join(floats)}))")  # one C loop, not a call per field
     builder = _compile(f"def build({', '.join(params)}):\n" + "\n".join(lines), "build", **namespace)
-    return rb"\{" + b",".join(top) + rb"\}", builder
+    return _template_pattern(_TEMPLATE.encode(), tokens), builder
 
 
 #: The pattern of a compact snapshot with its keys in wire order.

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import socket
+import threading
 import time
 
 import pytest
@@ -14,11 +15,13 @@ from edgetelem.agent import (
     BusPublisher,
     DirectPublisher,
     ModelNotFound,
+    PublishDown,
     TelemetryAgent,
     decode_action,
     encode_action,
     fetch_model,
 )
+from edgetelem import bus
 from edgetelem.bandwidth import Placement
 from edgetelem.cloud import ModelStore, ModelStoreHttpServer
 from edgetelem.simulator import Platform, PlatformConfig, builtin_profiles, make_model_blob
@@ -307,6 +310,32 @@ class TestOutageBuffering:
         assert len(seqs) == len(set(seqs))
         assert seqs[-1] == 78
         assert len(seqs) == 79 - dropped
+
+    def test_unacknowledged_subscribe_closes_the_session(self):
+        # A session left open would keep its client id at the broker, which then refuses every reconnect.
+        kinds = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(5.0)
+
+            def broker_without_suback():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(5.0)
+                    kinds.append(bus._read_frame(conn).kind)
+                    conn.sendall(bus.encode_frame(bus.Frame(kind=bus.FrameKind.CONNACK, code=0)))
+                    while (frame := bus._read_frame(conn)) is not None:
+                        kinds.append(frame.kind)
+                    kinds.append("EOF")
+
+            server = threading.Thread(target=broker_without_suback)
+            server.start()
+            publisher = BusPublisher(listener.getsockname(), "dev1", timeout=0.3)
+            with pytest.raises(PublishDown, match="subscribe not acknowledged in time"):
+                publisher.publish("telemetry/dev1", b"x")
+            server.join(5.0)
+        assert not server.is_alive()
+        K = bus.FrameKind
+        assert kinds == [K.CONNECT, K.SUBSCRIBE, K.DISCONNECT, "EOF"]
 
 
 class TestModelStoreFetch:

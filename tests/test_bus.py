@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import queue
@@ -223,6 +224,27 @@ class TestBrokerRouting:
         sock.close()
         with pytest.raises(ConnectRefused):
             connect(address, "ghost")
+
+    def test_any_failed_tcp_connect_is_a_bus_error(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise OSError(errno.EHOSTUNREACH, "No route to host")
+
+        monkeypatch.setattr(socket, "create_connection", unreachable)
+        with pytest.raises(bus.BusError, match="No route to host"):
+            connect(("192.0.2.1", 1883), "ghost")
+
+    def test_close_ends_the_receive_thread_without_the_peer(self):
+        # The peer never answers DISCONNECT nor closes: only a shutdown wakes the session's recv.
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            ours = socket.create_connection(listener.getsockname())
+            theirs, _ = listener.accept()
+            with theirs:
+                session = bus.Session(ours, "dev0")
+                theirs.sendall(encode_frame(Frame(kind=FrameKind.SUBACK, code=0)))
+                assert session._subacks.get(timeout=5.0) == 0  # the receive thread is past its first recv
+                session.close()
+                session._reader.join(5.0)
+                assert not session._reader.is_alive()
 
     def test_connect_timeout_on_silent_server(self):
         silent = socket.socket()

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_snapshot
+from edgetelem import cli
 from edgetelem.bus import MAX_PAYLOAD, Broker, connect
 from edgetelem.cloud import Lake
 from edgetelem.telemetry import encode_snapshot
@@ -187,10 +189,18 @@ class TestLakeExport:
         ]
 
     def test_empty_lake_prints_header_only(self, tmp_path):
+        (tmp_path / "empty").mkdir()
         result = run_cli("lake", "export", "--lake", str(tmp_path / "empty"), "--device", "dev0")
         assert result.returncode == 0
         rows = list(csv.reader(io.StringIO(result.stdout)))
         assert rows == [LAKE_CSV_HEADER]
+
+    def test_missing_lake_is_an_error_and_is_not_created(self, tmp_path):
+        result = run_cli("lake", "export", "--lake", str(tmp_path / "nolake" / "typo"), "--device", "dev0")
+        assert result.returncode == 1
+        assert "lake error: no lake directory at" in result.stderr
+        assert result.stdout == ""
+        assert not (tmp_path / "nolake").exists()
 
     def test_bad_range_is_usage_error(self, tmp_path):
         result = run_cli(
@@ -298,6 +308,14 @@ class TestDeployedRoles:
         assert result.returncode == 1
         assert "config error: seed: required key missing" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_agent_unreachable_broker_exits_network_error(self, monkeypatch, caplog):
+        def unreachable(*args, **kwargs):
+            raise OSError(errno.EHOSTUNREACH, "No route to host")
+
+        monkeypatch.setattr(socket, "create_connection", unreachable)
+        assert cli.main(["agent", "--broker", "192.0.2.1:1883", "--max-ticks", "1"]) == 2
+        assert "cannot reach broker" in caplog.text and "No route to host" in caplog.text
 
     def test_cloud_rules_with_wrong_type_exits_config_error(self, tmp_path):
         rules = tmp_path / "rules.json"

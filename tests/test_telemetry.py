@@ -330,6 +330,11 @@ ODD_VALUES = st.one_of(
 GROUPS = [key for key, *_ in telemetry._GROUPS]
 
 
+def float_bounds(cls) -> list:
+    """``(name, ge, gt, le, lt)`` per bounded float field of a metric group."""
+    return [(name, *bounds) for name, _, _, *bounds in telemetry._bounded_fields(cls)]
+
+
 def mutate(doc: dict, data) -> str:
     """Apply one drawn mutation to a wire document; return its JSON text."""
     kind = data.draw(
@@ -438,23 +443,23 @@ class TestCanonicalDecodeMatchesReference:
         special = [math.nan, math.inf, -math.inf, 0, 1, -1, True, False, None, "1.0", -0.0, 1e308, -1e308, 5e-324]
         for key, cls, _ in telemetry._GROUPS:
             valid = vars(getattr(GOLDEN, key))
-            edges = {b for _, *bounds in cls._floats for b in bounds if b is not None}
+            edges = {b for _, *bounds in float_bounds(cls) for b in bounds if b is not None}
             candidates = special + [e + d for e in edges for d in (-1e-9, 0.0, 1e-9)]
             candidates += [rng.uniform(-200.0, 200.0) for _ in range(20)]
-            for name, *_ in cls._floats:
+            for name, *_ in float_bounds(cls):
                 for value in candidates:
-                    values = {n: valid[n] for n, *_ in cls._floats}
+                    values = {n: valid[n] for n, *_ in float_bounds(cls)}
                     values[name] = value
                     group = object.__new__(cls)
                     group.__dict__.update(values)
                     expected = dict(values)
                     try:
-                        for n, ge, gt, le, lt in cls._floats:
+                        for n, ge, gt, le, lt in float_bounds(cls):
                             expected[n] = telemetry._as_float(n, values[n], ge, gt, le, lt)
                     except ValidationError as e:
                         expected = (type(e), str(e))
                     try:
-                        group._check_floats()
+                        telemetry.check_bounds(group)
                         got = dict(vars(group))
                     except ValidationError as e:
                         got = (type(e), str(e))
@@ -526,7 +531,7 @@ def odd_typed_snapshots(draw):
     snap = draw(snapshots())
     kwargs = {"model_id": draw(MODEL_IDS)}
     for key, cls, _ in telemetry._GROUPS:
-        for name, *_ in cls._floats:
+        for name, *_ in float_bounds(cls):
             value = getattr(getattr(snap, key), name)
             form = draw(st.sampled_from(["float", "subclass", "int"]))
             if form == "subclass":
@@ -618,7 +623,7 @@ def replace_value(raw: bytes, key: str, value: bytes) -> bytes:
     return head + sep + value + tail[end:]
 
 
-FLOAT_KEYS = [name for _, cls, _ in telemetry._GROUPS for name, *_ in cls._floats]
+FLOAT_KEYS = [name for _, cls, _ in telemetry._GROUPS for name, *_ in float_bounds(cls)]
 LONGEST_REPR = repr(-2.2250738585072014e-308).encode()
 FLOAT_VALUES = [
     b"25", b"0", b"-0", b"1", b"-1", b"1" * 19,  # int tokens in a float field
