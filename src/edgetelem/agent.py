@@ -168,11 +168,10 @@ class BusPublisher:
     for every message on the device's action topic; a reconnect re-subscribes.
     """
 
-    def __init__(self, broker_address: tuple, device_id: str, on_action=None, timeout: float = 5.0):
+    def __init__(self, broker_address: tuple, device_id: str, on_action=None):
         self._address = broker_address
         self._device_id = device_id
         self._on_action = on_action
-        self._timeout = timeout
         self._session = None
 
     def _handle_action(self, _topic: str, payload: bytes) -> None:
@@ -186,8 +185,8 @@ class BusPublisher:
     def _ensure_session(self):
         if self._session is not None and not self._session.closed:
             return self._session
-        session = bus.connect(self._address, self._device_id, timeout=self._timeout)
-        session.subscribe(f"actions/{self._device_id}", self._handle_action, timeout=self._timeout)
+        session = bus.connect(self._address, self._device_id)
+        session.subscribe(f"actions/{self._device_id}", self._handle_action)
         self._session = session
         return session
 
@@ -211,14 +210,14 @@ class StoreUnavailable(Exception):
     pass
 
 
-def fetch_model(store_address: tuple, model_id: str, timeout: float = 10.0) -> tuple:
+def fetch_model(store_address: tuple, model_id: str) -> tuple:
     """Download a model blob; returns (blob, server-claimed digest).
 
-    The caller is responsible for verifying the digest it expects against
-    the actual blob bytes.
+    ``bus.CLIENT_TIMEOUT_S`` bounds each socket operation.  The caller
+    verifies the digest it expects against the actual blob bytes.
     """
     try:
-        status, headers, blob = bus._http_request(store_address, "GET", f"/models/{model_id}", timeout=timeout)
+        status, headers, blob = bus._http_request(store_address, "GET", f"/models/{model_id}")
     except OSError as e:
         raise StoreUnavailable(f"model store unreachable: {e}") from e
     if status == 404:

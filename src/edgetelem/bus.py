@@ -22,9 +22,10 @@ one thread: :class:`Broker` speaks the frames above, and :class:`HttpServer`
 serves the HTTP endpoints (snapshot ingest, the model store, the latency
 probe) as route functions.  :func:`connect` opens a client :class:`Session`;
 :func:`_http_request` is the one HTTP client, a fresh connection per call.
+Both open TCP through :func:`_connect`; ``CLIENT_TIMEOUT_S`` bounds their waits.
 
-Every frame reader (the broker's and a session's loops, :func:`_read_frame`
-and :func:`decode_frame`) reads a header through :func:`_frame_end` and a
+Every frame reader (the broker's loop, a session's, which reads the CONNACK
+too, and :func:`decode_frame`) reads a header through :func:`_frame_end` and a
 length-prefixed string through :func:`_u16_bytes`.  PUBLISH, the frame every
 message travels in, is read in place in the broker's and a session's receive
 buffer and its topic looked up in a table of the peers or handlers it goes
@@ -58,9 +59,11 @@ MAX_CLIENT_ID_BYTES = 256
 MAX_BODY = MAX_PAYLOAD + MAX_TOPIC_BYTES + 2
 MAX_HTTP_HEAD = 1 << 16      # request or reply head, status/request line included
 MAX_PEER_QUEUE = 8 * MAX_BODY  # bytes the broker queues to one peer; a frame beyond is dropped
+MAX_PEER_FILTERS = 256       # distinct filters one peer may hold; a SUBSCRIBE to one more gets SUBACK 1
 PEER_TIMEOUT_S = 10.0        # a server peer that owes bytes and makes no progress this long is closed
 MAX_CACHED_TOPICS = 1024     # per-topic route and handler tables are cleared when they reach this size
 SERVE_POLL_S = 0.05          # server loop's poll interval: bounds stop() and peer eviction
+CLIENT_TIMEOUT_S = 5.0       # a client's TCP connect, acknowledgement, HTTP socket operation or probe round trip
 _RECV_BYTES = 1 << 16
 
 TOPIC_RE = re.compile(r"[A-Za-z0-9_/+-]+")
@@ -258,28 +261,6 @@ def decode_frame(data: bytes) -> Frame:
     return _parse_body(kind, data, 5, end)
 
 
-def _read_exact(sock: socket.socket, n: int):
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            return None
-        buf.extend(chunk)
-    return bytes(buf)
-
-
-def _read_frame(sock: socket.socket):
-    """Read one frame from a stream; None on clean EOF."""
-    header = _read_exact(sock, 5)
-    if header is None:
-        return None
-    kind, end = _frame_end(header, 0)
-    body = _read_exact(sock, end - 5) if end > 5 else b""
-    if body is None:
-        raise FrameError("connection closed mid-frame")
-    return _parse_body(kind, body, 0, len(body))
-
-
 class _Peer:
     """One connection of a :class:`_LoopServer`; ``request`` and ``client_id`` belong to its protocol."""
 
@@ -428,12 +409,14 @@ class Broker(_LoopServer):
     """Pub/sub broker: a frame protocol on a :class:`_LoopServer` loop.
 
     A peer's first frame must be CONNECT; a duplicate client id gets CONNACK 2
-    and a close.  A PUBLISH is forwarded as received, once to each peer with a
-    matching subscription however many of its filters match; a topic with
-    ``+`` is dropped.  A connected peer's PUBLISH frames are parsed in place
-    and routed through a table from topic bytes to peers, filled the first
-    time a topic is seen and cleared on SUBSCRIBE, when a subscriber closes
-    and when it reaches ``MAX_CACHED_TOPICS``.  A frame that would take a
+    and a close.  A peer holds each filter once, at most ``MAX_PEER_FILTERS``
+    of them; a SUBSCRIBE to one more gets SUBACK 1.  A PUBLISH is forwarded as
+    received, once to each peer with a matching subscription however many of
+    its filters match; a topic with ``+`` is dropped.  A connected peer's
+    PUBLISH frames are parsed in place and routed through a table from topic
+    bytes to peers, filled the first time a topic is seen and cleared on
+    SUBSCRIBE, when a subscriber closes and when it reaches
+    ``MAX_CACHED_TOPICS``.  A frame that would take a
     peer's queue above ``MAX_PEER_QUEUE`` bytes is dropped for that peer and
     counted in ``dropped``.  Every peer is read whatever its queue holds, so a
     client that publishes from its receive thread cannot stall the broker.
@@ -442,7 +425,7 @@ class Broker(_LoopServer):
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         super().__init__(host, port, "broker")
         self._clients: dict = {}  # client_id -> _Peer
-        self._subs: list = []  # (filter, _Peer)
+        self._subs: dict = {}  # _Peer -> the set of its filters
         self._routes: dict = {}  # topic bytes -> distinct matching peers
         self.dropped = 0
 
@@ -463,7 +446,7 @@ class Broker(_LoopServer):
         if "+" in text.split("/"):  # wildcards are filter-only
             targets = ()
         else:
-            targets = tuple(dict.fromkeys(p for f, p in self._subs if topic_matches(f, text)))
+            targets = tuple(p for p, filters in self._subs.items() if any(topic_matches(f, text) for f in filters))
         return _remember(self._routes, topic, targets)
 
     def _advance(self, peer: _Peer) -> None:
@@ -495,9 +478,12 @@ class Broker(_LoopServer):
                             self._clients[peer.client_id] = peer
                         self._push(peer, encode_frame(Frame(kind=FrameKind.CONNACK, code=2 if peer.closing else 0)))
                     elif kind == FrameKind.SUBSCRIBE:
-                        self._subs.append((frame.topic, peer))
-                        self._routes.clear()
-                        self._push(peer, encode_frame(Frame(kind=FrameKind.SUBACK, code=0)))
+                        filters = self._subs.setdefault(peer, set())
+                        code = int(frame.topic not in filters and len(filters) >= MAX_PEER_FILTERS)
+                        if not code:
+                            filters.add(frame.topic)
+                            self._routes.clear()
+                        self._push(peer, encode_frame(Frame(kind=FrameKind.SUBACK, code=code)))
                     elif kind == FrameKind.PINGREQ:
                         self._push(peer, encode_frame(Frame(kind=FrameKind.PINGRESP)))
                     elif kind == FrameKind.DISCONNECT:
@@ -517,9 +503,7 @@ class Broker(_LoopServer):
     def _close(self, peer: _Peer) -> None:
         super()._close(peer)
         self._clients.pop(peer.client_id, None)
-        subs = [(f, p) for f, p in self._subs if p is not peer]
-        if len(subs) < len(self._subs):
-            self._subs = subs
+        if self._subs.pop(peer, None) is not None:
             self._routes.clear()
 
 
@@ -542,7 +526,7 @@ class Session:
         self._handlers: list = []
         self._routes: dict = {}  # topic bytes -> (topic, matching handlers); guarded by _hlock
         self._hlock = threading.Lock()
-        self._subacks: queue.Queue = queue.Queue()
+        self._acks: queue.Queue = queue.Queue()  # (kind, code) of each CONNACK and SUBACK; None once the loop ends
         self._closed = threading.Event()
         self._reader = threading.Thread(target=self._read_loop, name=f"bus-{client_id}", daemon=True)
         self._reader.start()
@@ -574,7 +558,24 @@ class Session:
             raise FrameError(f"payload exceeds {MAX_PAYLOAD} bytes")
         self._send(b"".join((_HEADER.pack(_PUBLISH, len(head) + len(payload)), head, payload)))
 
-    def subscribe(self, filter_: str, handler, timeout: float = 5.0) -> None:
+    def _acknowledged(self, frame: Frame, kind: FrameKind) -> int | None:
+        """Send ``frame``; the code of the ``kind`` ack it gets, or None after ``CLIENT_TIMEOUT_S``.
+
+        Raises :class:`SessionClosed` at once if the session ends first, :class:`BusError` for another kind.
+        """
+        self._send(encode_frame(frame))
+        try:
+            ack = self._acks.get(timeout=CLIENT_TIMEOUT_S)
+        except queue.Empty:
+            return None
+        if ack is None:
+            self._acks.put(None)  # a later waiter fails at once too
+            raise SessionClosed(f"session {self.client_id} ended before its {kind.name}")
+        if ack[0] is not kind:
+            raise BusError(f"expected {kind.name}, got {ack[0].name}")
+        return ack[1]
+
+    def subscribe(self, filter_: str, handler) -> None:
         """Register ``handler(topic, payload)`` for every message matching the filter.
 
         A subscribe that the broker does not acknowledge closes the session
@@ -585,11 +586,9 @@ class Session:
             self._handlers.append((filter_, handler))
             self._routes.clear()
         try:
-            self._send(encode_frame(Frame(kind=FrameKind.SUBSCRIBE, topic=filter_)))
-            try:
-                code = self._subacks.get(timeout=timeout)
-            except queue.Empty:
-                raise BusError("subscribe not acknowledged in time") from None
+            code = self._acknowledged(Frame(kind=FrameKind.SUBSCRIBE, topic=filter_), FrameKind.SUBACK)
+            if code is None:
+                raise BusError("subscribe not acknowledged in time")
             if code != 0:
                 raise BusError(f"subscribe rejected with code {code}")
         except BusError:
@@ -597,11 +596,8 @@ class Session:
             raise
 
     def close(self) -> None:
-        if not self._closed.is_set():
-            try:
-                self._send(encode_frame(Frame(kind=FrameKind.DISCONNECT)))
-            except SessionClosed:
-                pass
+        with contextlib.suppress(SessionClosed):  # closed already, or the broker has gone
+            self._send(encode_frame(Frame(kind=FrameKind.DISCONNECT)))
         self._closed.set()
         with contextlib.suppress(OSError):  # the peer may have gone
             self._sock.shutdown(socket.SHUT_RDWR)  # wakes the receive thread from recv
@@ -635,8 +631,8 @@ class Session:
                                 log.exception("subscription handler failed for %s", text)
                     else:
                         frame = _parse_body(kind, buf, start + 5, end)
-                        if frame.kind == FrameKind.SUBACK:
-                            self._subacks.put(frame.code)
+                        if kind in (FrameKind.CONNACK, FrameKind.SUBACK):
+                            self._acks.put((kind, frame.code))
                     start = end
                 del buf[:start]
         except FrameError as e:
@@ -646,41 +642,37 @@ class Session:
                 log.warning("session %s: receive failed: %s", self.client_id, e)
         finally:
             self._closed.set()
+            self._acks.put(None)
 
 
-def connect(address: tuple, client_id: str, timeout: float = 5.0) -> Session:
-    """Open a session: TCP connect plus CONNECT/CONNACK handshake.
+def connect(address: tuple, client_id: str) -> Session:
+    """Open a session: TCP connect plus CONNECT/CONNACK handshake, each within ``CLIENT_TIMEOUT_S``.
 
-    Raises :class:`ConnectTimeout`, :class:`ConnectRefused` (any other
-    failure of the TCP connect too, such as an unknown host), or
-    :class:`DuplicateClientId` as distinct failure kinds.
+    Raises :class:`ConnectTimeout`, :class:`DuplicateClientId`, or for any other failure (an unknown
+    host, a broker that closes) :class:`ConnectRefused`.  A refused handshake sends DISCONNECT.
     """
     host, port = address
     try:
-        sock = socket.create_connection((host, port), timeout=timeout)
+        sock = _connect(host, port)
     except socket.timeout as e:
         raise ConnectTimeout(f"no broker response from {host}:{port}") from e
     except OSError as e:  # refused, unreachable, unresolvable
         raise ConnectRefused(f"cannot connect to broker at {host}:{port}: {e}") from e
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    sock.settimeout(None)  # the session's receive loop waits for the broker as long as it takes
+    session = Session(sock, client_id)
     try:
-        sock.sendall(encode_frame(Frame(kind=FrameKind.CONNECT, client_id=client_id)))
-        ack = _read_frame(sock)
-    except socket.timeout:
-        sock.close()
-        raise ConnectTimeout(f"handshake with {host}:{port} timed out") from None
-    except (OSError, FrameError) as e:
-        sock.close()
+        code = session._acknowledged(Frame(kind=FrameKind.CONNECT, client_id=client_id), FrameKind.CONNACK)
+    except (BusError, FrameError) as e:
+        session.close()
         raise ConnectRefused(f"handshake failed: {e}") from e
-    if ack is not None and ack.kind == FrameKind.CONNACK and ack.code == 0:
-        sock.settimeout(None)
-        return Session(sock, client_id)
-    sock.close()
-    if ack is None or ack.kind != FrameKind.CONNACK:
-        raise ConnectRefused("expected CONNACK")
-    if ack.code == 2:
-        raise DuplicateClientId(f"client_id {client_id!r} already connected")
-    raise ConnectRefused(f"connection rejected with code {ack.code}")
+    if code != 0:
+        session.close()
+        if code is None:
+            raise ConnectTimeout(f"handshake with {host}:{port} timed out")
+        if code == 2:
+            raise DuplicateClientId(f"client_id {client_id!r} already connected")
+        raise ConnectRefused(f"connection rejected with code {code}")
+    return session
 
 
 # --- HTTP: one selectors loop serves, one raw-socket client asks ---------------
@@ -710,6 +702,23 @@ class _Refused(Exception):
         self.status = status
 
 
+def _header_fields(lines) -> dict:
+    """Lower-case name -> stripped value of each header line of a request or a reply.
+
+    Raises :class:`_Refused` (400) for a line without a colon and a repeated ``Content-Length``.
+    """
+    headers = {}
+    for line in lines:
+        name, colon, value = line.partition(b":")
+        name = name.lower()
+        if not colon:
+            raise _Refused(400, "malformed header line")
+        if name == b"content-length" and name in headers:
+            raise _Refused(400, "repeated Content-Length")
+        headers[name] = value.strip()
+    return headers
+
+
 def _parse_request_head(head: bytes, methods) -> tuple:
     """``(method, path, body_length, keep_alive, expect_continue)`` of one request head.
 
@@ -722,15 +731,7 @@ def _parse_request_head(head: bytes, methods) -> tuple:
     if len(request_line) != 3 or request_line[2] not in (b"HTTP/1.1", b"HTTP/1.0"):
         raise _Refused(400, "malformed request line")
     method, target, version = request_line
-    headers = {}
-    for line in lines[1:]:
-        name, colon, value = line.partition(b":")
-        name = name.lower()
-        if not colon:
-            raise _Refused(400, "malformed header line")
-        if name == b"content-length" and name in headers:
-            raise _Refused(400, "repeated Content-Length")
-        headers[name] = value.strip()
+    headers = _header_fields(lines[1:])
     method = method.decode("latin-1")
     if method not in methods:
         raise _Refused(501, f"method {method} not supported")
@@ -825,8 +826,8 @@ def _recv_some(sock: socket.socket) -> bytes:
     return data
 
 
-def _connect(host: str, port: int, timeout: float) -> socket.socket:
-    """A TCP connection; a numeric IPv4 or IPv6 host skips the resolver."""
+def _connect(host: str, port: int) -> socket.socket:
+    """A ``TCP_NODELAY`` connection timing out after ``CLIENT_TIMEOUT_S``; a numeric host skips the resolver."""
     for family in (socket.AF_INET, socket.AF_INET6):
         try:
             socket.inet_pton(family, host)
@@ -834,20 +835,23 @@ def _connect(host: str, port: int, timeout: float) -> socket.socket:
             continue
         sock = socket.socket(family, socket.SOCK_STREAM)
         try:
-            sock.settimeout(timeout)
+            sock.settimeout(CLIENT_TIMEOUT_S)
             sock.connect((host, port))
         except BaseException:
             sock.close()
             raise
-        return sock
-    return socket.create_connection((host, port), timeout=timeout)
+        break
+    else:
+        sock = socket.create_connection((host, port), timeout=CLIENT_TIMEOUT_S)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
-def _http_request(address: tuple, method: str, path: str, body: bytes | None = None, timeout: float = 5.0) -> tuple:
+def _http_request(address: tuple, method: str, path: str, body: bytes | None = None) -> tuple:
     """One request on a fresh connection; returns ``(status, headers, body)``.
 
-    ``headers`` has lower-case names.  ``timeout`` bounds each socket
-    operation.  A transport failure, a connection closed early and a
+    ``headers`` has lower-case names.  ``CLIENT_TIMEOUT_S`` bounds each
+    socket operation.  A transport failure, a connection closed early and a
     malformed reply all raise ``OSError``.
     """
     host, port = address
@@ -855,8 +859,7 @@ def _http_request(address: tuple, method: str, path: str, body: bytes | None = N
     head = f"{method} {path} HTTP/1.1\r\nHost: {authority}\r\nConnection: close\r\n"
     if body is not None:
         head += f"Content-Length: {len(body)}\r\n"
-    with _connect(host, port, timeout) as sock:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    with _connect(host, port) as sock:
         sock.sendall(head.encode("latin-1") + b"\r\n" + (body or b""))
         buf = bytearray()
         while (end := buf.find(b"\r\n\r\n")) < 0:
@@ -867,10 +870,11 @@ def _http_request(address: tuple, method: str, path: str, body: bytes | None = N
         status_line = lines[0].split(b" ", 2)
         if len(status_line) < 2 or not status_line[0].startswith(b"HTTP/1.") or not status_line[1].isdigit():
             raise ConnectionError(f"malformed reply status line {lines[0][:80]!r}")
-        headers = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(b":")
-            headers[name.strip().lower().decode("latin-1")] = value.strip().decode("latin-1")
+        try:
+            fields = _header_fields(lines[1:])
+        except _Refused as e:
+            raise ConnectionError(f"malformed reply head: {e}") from None
+        headers = {name.decode("latin-1"): value.decode("latin-1") for name, value in fields.items()}
         length = headers.get("content-length", "")
         if not (length.isascii() and length.isdigit()) or len(length) > 18:  # the length check bounds int()'s work
             raise ConnectionError("reply has no valid Content-Length")
@@ -984,46 +988,42 @@ class EchoResponder:
         self._session.close()
 
 
-def pubsub_latency_probe(
-    broker_address: tuple,
-    n: int,
-    payload_bytes: int,
-    probe_id: str = "bench",
-    timeout: float = 5.0,
-) -> ProbeReport:
-    """Round-trip n sequenced messages through the broker and an echo responder."""
+def _probe(n: int, round_trip) -> ProbeReport:
+    """Time ``n`` round trips; ``round_trip(i)`` returns the ``perf_counter()`` its answer arrived at, or None."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    samples, statuses = [], []
+    for i in range(n):
+        sent = time.perf_counter()
+        arrived = round_trip(i)
+        statuses.append("timeout" if arrived is None else "ok")
+        if arrived is not None:
+            samples.append((arrived - sent) * 1000.0)
+    return ProbeReport(stats=compute_stats(samples) if samples else None, statuses=statuses, samples_ms=samples)
+
+
+def pubsub_latency_probe(broker_address: tuple, n: int, payload_bytes: int, probe_id: str = "bench") -> ProbeReport:
+    """Round-trip n sequenced messages through the broker and an echo responder."""
     if payload_bytes < 8:
         raise ValueError("payload_bytes must be >= 8 to carry the sequence header")
     inbox: queue.Queue = queue.Queue()
+    req_topic, padding = f"probe/{probe_id}/req", b"x" * (payload_bytes - 8)
+
+    def round_trip(i: int):
+        session.publish(req_topic, struct.pack(">Q", i) + padding)
+        deadline = time.perf_counter() + CLIENT_TIMEOUT_S
+        try:
+            while True:  # past the stale echoes of earlier timed-out probes
+                got, at = inbox.get(timeout=max(0.0, deadline - time.perf_counter()))
+                if struct.unpack_from(">Q", got)[0] == i:
+                    return at
+        except queue.Empty:
+            return None
+
     session = connect(broker_address, f"probe-{probe_id}")
     try:
         session.subscribe(f"probe/{probe_id}/resp", lambda _t, p: inbox.put((p, time.perf_counter())))
-        samples, statuses = [], []
-        req_topic = f"probe/{probe_id}/req"
-        for i in range(n):
-            payload = struct.pack(">Q", i) + b"x" * (payload_bytes - 8)
-            sent = time.perf_counter()
-            session.publish(req_topic, payload)
-            deadline = sent + timeout
-            status = "timeout"
-            while True:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                try:
-                    got, at = inbox.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                (seq,) = struct.unpack(">Q", got[:8])
-                if seq == i:
-                    samples.append((at - sent) * 1000.0)
-                    status = "ok"
-                    break
-                # stale response from an earlier timed-out probe; keep waiting
-            statuses.append(status)
-        return ProbeReport(stats=compute_stats(samples) if samples else None, statuses=statuses, samples_ms=samples)
+        return _probe(n, round_trip)
     finally:
         session.close()
 
@@ -1046,26 +1046,19 @@ class ProbeHttpServer(HttpServer):
         super().__init__({"POST": post}, host, port, "probe-http")
 
 
-def http_latency_probe(address: tuple, n: int, payload_bytes: int, timeout: float = 5.0) -> ProbeReport:
+def http_latency_probe(address: tuple, n: int, payload_bytes: int) -> ProbeReport:
     """Round-trip n probe POSTs; one fresh connection per message."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if payload_bytes < 1:
         raise ValueError("payload_bytes must be >= 1")
-    samples, statuses = [], []
     body = b"x" * payload_bytes
-    for _ in range(n):
-        sent = time.perf_counter()
-        try:
-            ok = _http_request(address, "POST", "/probe", body, timeout)[0] == 200
-        except OSError:
-            ok = False
-        if ok:
-            samples.append((time.perf_counter() - sent) * 1000.0)
-            statuses.append("ok")
-        else:
-            statuses.append("timeout")
-    return ProbeReport(stats=compute_stats(samples) if samples else None, statuses=statuses, samples_ms=samples)
+
+    def round_trip(_i: int):
+        with contextlib.suppress(OSError):
+            if _http_request(address, "POST", "/probe", body)[0] == 200:
+                return time.perf_counter()
+        return None
+
+    return _probe(n, round_trip)
 
 
 # --- HTTP ingest path ---------------------------------------------------------
@@ -1094,9 +1087,9 @@ class IngestHttpServer(HttpServer):
         super().__init__({"POST": post}, host, port, "ingest-http")
 
 
-def http_post_snapshot(address: tuple, payload: bytes, timeout: float = 5.0) -> dict:
+def http_post_snapshot(address: tuple, payload: bytes) -> dict:
     """POST one encoded snapshot to /ingest; returns the server ack."""
-    status, _, raw = _http_request(address, "POST", "/ingest", payload, timeout)
+    status, _, raw = _http_request(address, "POST", "/ingest", payload)
     if status == 200:
         return json.loads(raw)
     try:

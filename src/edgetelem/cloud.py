@@ -151,6 +151,7 @@ class LakeError(Exception):
 
 _DAY_MS = 86_400_000
 _APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+_TAIL_BYTES = 1 << 16  # the first read back from a partition's end when the lake is recovered
 
 
 def _append_line(path: str, line: bytes) -> None:
@@ -221,9 +222,54 @@ class Lake:
             "error": error,
             "payload_hex": payload.hex(),
         }
+        self._dead_letter(entry)
+
+    def _dead_letter(self, entry: dict) -> None:
         line = json.dumps(entry, separators=(",", ":")).encode("utf-8") + b"\n"
         _append_line(str(self.root / self.DEAD_LETTER_FILE), line)
         self.dead_letters += 1
+
+    def recover(self) -> tuple:
+        """``(next record id, {device_id: last ingest_time_ms})``, for the lake's one writer to go on from.
+
+        Reads each device's newest partitions back to their last whole line.
+        A torn trailing fragment (a crash mid-append) moves to the dead-letter
+        file and is cut off its partition, so the next append starts a line.
+        It writes, so a reader of a lake that may be in use must not call it.
+        """
+        next_id, last_ingest = 0, {}
+        for directory in sorted(p for p in self.root.iterdir() if p.is_dir()):
+            for path in reversed(self._partitions(directory.name)):
+                line = self._last_whole_line(path)
+                if line is not None:
+                    try:
+                        rec = decode_record(line)
+                    except (ValueError, TelemetryError) as e:
+                        raise LakeError(path, f"corrupt last record: {e}") from e
+                    next_id = max(next_id, rec.record_id + 1)
+                    last_ingest[directory.name] = rec.ingest_time_ms
+                    break
+        return next_id, last_ingest
+
+    def _last_whole_line(self, path: Path) -> bytes | None:
+        """The last whole line of a partition, once a torn fragment after it is dead-lettered and cut off."""
+        with open(path, "r+b") as fh:
+            size, span = fh.seek(0, os.SEEK_END), _TAIL_BYTES
+            while True:  # widen the read until it holds the last whole line from its start
+                start = max(0, size - span)
+                fh.seek(start)
+                tail = fh.read()
+                cut = tail.rfind(b"\n") + 1  # just after the last whole line; 0 if the read holds none
+                begin = tail.rfind(b"\n", 0, max(cut - 1, 0)) + 1
+                if begin or not start:
+                    break
+                span *= 2
+            if cut < len(tail):
+                log.warning("moving a torn trailing fragment of %s to the dead-letter file", path)
+                entry = {"partition": f"{path.parent.name}/{path.name}", "offset": start + cut, "error": "torn tail"}
+                self._dead_letter({**entry, "payload_hex": tail[cut:].hex()})
+                fh.truncate(start + cut)
+        return tail[begin : cut - 1] if cut else None
 
     def _partitions(self, device_id: str) -> list:
         directory = self.root / device_id
@@ -543,7 +589,9 @@ class CloudService:
         self._clock_ms = clock_ms if clock_ms is not None else (lambda: int(time.time() * 1000))
         self._lock = threading.Lock()
         self._devices: dict = {}
-        self._record_id = 0
+        self._record_id, last_ingest = lake.recover()
+        for device_id, ingest_time_ms in last_ingest.items():
+            self._device(device_id).last_ingest_ms = ingest_time_ms
         self._action_seq = 0
         self.dispatched = 0
         self.dropped_dispatches = 0

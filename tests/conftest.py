@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+import socket
 import string
 
+from edgetelem import bus
 from edgetelem.telemetry import (
     AppMetrics,
     DeviceIdentity,
@@ -101,3 +103,26 @@ def random_snapshot(rng: random.Random, seq: int = 0, device_id: str | None = No
         dl_mbps=rng.uniform(0.0, 60.0),
         ul_mbps=rng.uniform(0.0, 20.0),
     )
+
+
+def read_exact(sock: socket.socket, n: int):
+    """``n`` bytes from a blocking socket; None if it closes first."""
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = sock.recv(n - len(buf))
+        if not chunk:
+            return None
+        buf.extend(chunk)
+    return bytes(buf)
+
+
+def read_frame(sock: socket.socket):
+    """One frame from a blocking socket, decoded by ``bus.decode_frame``; None on a clean close."""
+    header = read_exact(sock, 5)
+    if header is None:
+        return None
+    _, end = bus._frame_end(header, 0)
+    body = read_exact(sock, end - 5)
+    if body is None:
+        raise bus.FrameError("connection closed mid-frame")
+    return bus.decode_frame(header + body)

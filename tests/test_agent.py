@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from conftest import read_frame
 from edgetelem.agent import (
     ActionError,
     ActionKind,
@@ -16,6 +17,7 @@ from edgetelem.agent import (
     DirectPublisher,
     ModelNotFound,
     PublishDown,
+    StoreUnavailable,
     TelemetryAgent,
     decode_action,
     encode_action,
@@ -311,7 +313,7 @@ class TestOutageBuffering:
         assert seqs[-1] == 78
         assert len(seqs) == 79 - dropped
 
-    def test_unacknowledged_subscribe_closes_the_session(self):
+    def test_unacknowledged_subscribe_closes_the_session(self, monkeypatch):
         # A session left open would keep its client id at the broker, which then refuses every reconnect.
         kinds = []
         with socket.create_server(("127.0.0.1", 0)) as listener:
@@ -321,15 +323,16 @@ class TestOutageBuffering:
                 conn, _ = listener.accept()
                 with conn:
                     conn.settimeout(5.0)
-                    kinds.append(bus._read_frame(conn).kind)
+                    kinds.append(read_frame(conn).kind)
                     conn.sendall(bus.encode_frame(bus.Frame(kind=bus.FrameKind.CONNACK, code=0)))
-                    while (frame := bus._read_frame(conn)) is not None:
+                    while (frame := read_frame(conn)) is not None:
                         kinds.append(frame.kind)
                     kinds.append("EOF")
 
             server = threading.Thread(target=broker_without_suback)
             server.start()
-            publisher = BusPublisher(listener.getsockname(), "dev1", timeout=0.3)
+            monkeypatch.setattr(bus, "CLIENT_TIMEOUT_S", 0.3)
+            publisher = BusPublisher(listener.getsockname(), "dev1")
             with pytest.raises(PublishDown, match="subscribe not acknowledged in time"):
                 publisher.publish("telemetry/dev1", b"x")
             server.join(5.0)
@@ -361,7 +364,7 @@ class TestModelStoreFetch:
         with pytest.raises(ModelNotFound):
             fetch_model(server.address, "nonexistent")
 
-    def test_large_blob_goes_out_in_partial_writes(self, tmp_path):
+    def test_large_blob_goes_out_in_partial_writes(self, tmp_path, monkeypatch):
         big = random.Random(4).randbytes(4 << 20)
         store = ModelStore.create(
             tmp_path / "big", {"big": big, "yolov3": make_model_blob("yolov3", YOLO.artifact_size_bytes)}
@@ -374,7 +377,8 @@ class TestModelStoreFetch:
                 slow.connect(server.address)
                 slow.sendall(b"GET /models/big HTTP/1.1\r\nConnection: close\r\n\r\n")
                 time.sleep(0.2)  # the unread reply fills the socket buffers; the rest waits on the server
-                blob, digest = fetch_model(server.address, "yolov3", timeout=2.0)
+                monkeypatch.setattr(bus, "CLIENT_TIMEOUT_S", 2.0)
+                blob, digest = fetch_model(server.address, "yolov3")
                 assert hashlib.sha256(blob).hexdigest() == digest == YOLO.artifact_digest
                 reply = bytearray()
                 while chunk := slow.recv(1 << 16):
@@ -387,6 +391,14 @@ class TestModelStoreFetch:
             assert digest == hashlib.sha256(big).hexdigest()
         finally:
             server.stop()
+
+    def test_a_mute_store_fails_the_fetch_after_the_client_timeout(self, monkeypatch):
+        monkeypatch.setattr(bus, "CLIENT_TIMEOUT_S", 0.3)
+        with socket.create_server(("127.0.0.1", 0)) as mute:  # the kernel accepts; nothing ever answers
+            start = time.monotonic()
+            with pytest.raises(StoreUnavailable):
+                fetch_model(mute.getsockname(), "yolov3")
+            assert time.monotonic() - start < 1.0
 
     def test_truncated_blob_detected_by_digest(self, store_server, tmp_path):
         server, store = store_server

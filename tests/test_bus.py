@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_snapshot
+from conftest import make_snapshot, read_exact, read_frame
 from edgetelem import bus
 from edgetelem.bus import (
     Broker,
@@ -231,7 +231,7 @@ class TestBrokerRouting:
 
         monkeypatch.setattr(socket, "create_connection", unreachable)
         with pytest.raises(bus.BusError, match="No route to host"):
-            connect(("192.0.2.1", 1883), "ghost")
+            connect(("broker.invalid", 1883), "ghost")
 
     def test_close_ends_the_receive_thread_without_the_peer(self):
         # The peer never answers DISCONNECT nor closes: only a shutdown wakes the session's recv.
@@ -241,20 +241,45 @@ class TestBrokerRouting:
             with theirs:
                 session = bus.Session(ours, "dev0")
                 theirs.sendall(encode_frame(Frame(kind=FrameKind.SUBACK, code=0)))
-                assert session._subacks.get(timeout=5.0) == 0  # the receive thread is past its first recv
+                assert session._acks.get(timeout=5.0) == (FrameKind.SUBACK, 0)  # the receive thread is past its first recv
                 session.close()
                 session._reader.join(5.0)
                 assert not session._reader.is_alive()
 
-    def test_connect_timeout_on_silent_server(self):
+    def test_connect_timeout_on_silent_server(self, monkeypatch):
+        monkeypatch.setattr(bus, "CLIENT_TIMEOUT_S", 0.3)
         silent = socket.socket()
         silent.bind(("127.0.0.1", 0))
         silent.listen(1)
         try:
             with pytest.raises(ConnectTimeout):
-                connect(silent.getsockname()[:2], "patient", timeout=0.3)
+                connect(silent.getsockname()[:2], "patient")
         finally:
             silent.close()
+
+    def test_connect_and_subscribe_fail_at_once_when_the_broker_closes(self):
+        connack = encode_frame(Frame(kind=FrameKind.CONNACK, code=0))
+        cases = {
+            "connect": {FrameKind.CONNECT: None},
+            "subscribe": {FrameKind.CONNECT: connack, FrameKind.SUBSCRIBE: None},
+        }
+        for failing, replies in cases.items():
+            with socket.create_server(("127.0.0.1", 0)) as listener:
+                server, _ = fake_broker(listener, replies)
+                start = time.monotonic()
+                with pytest.raises(bus.BusError):
+                    connect(listener.getsockname(), "dev0").subscribe("actions/dev0", lambda t, p: None)
+                assert time.monotonic() - start < 1.0, failing
+                server.join(5.0)
+
+    def test_refused_handshake_sends_disconnect(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            duplicate = encode_frame(Frame(kind=FrameKind.CONNACK, code=2))
+            server, kinds = fake_broker(listener, {FrameKind.CONNECT: duplicate})
+            with pytest.raises(DuplicateClientId):
+                connect(listener.getsockname(), "dev0")
+            server.join(5.0)
+        assert kinds == [FrameKind.CONNECT, FrameKind.DISCONNECT, "EOF"]
 
     def test_invalid_filter_rejected_client_side(self, broker):
         session = connect(broker.address, "filters")
@@ -269,6 +294,28 @@ class TestBrokerRouting:
         session.close()
 
 
+def fake_broker(listener, replies: dict) -> tuple:
+    """Serve one client of ``listener`` from a thread, answering each frame kind in ``replies`` with its
+    bytes (None closes the connection); returns the thread and the kinds it read, then "EOF" if the client closed."""
+    kinds = []
+
+    def serve():
+        listener.settimeout(5.0)
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(5.0)
+            while (frame := read_frame(conn)) is not None:
+                kinds.append(frame.kind)
+                if (reply := replies.get(frame.kind, b"")) is None:
+                    return
+                conn.sendall(reply)
+            kinds.append("EOF")
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    return thread, kinds
+
+
 def raw_connect(address, client_id: str, rcvbuf: int = 0) -> socket.socket:
     """A raw socket past its CONNECT/CONNACK handshake."""
     sock = socket.socket()
@@ -277,13 +324,13 @@ def raw_connect(address, client_id: str, rcvbuf: int = 0) -> socket.socket:
     sock.settimeout(5.0)
     sock.connect(address)
     sock.sendall(encode_frame(Frame(kind=FrameKind.CONNECT, client_id=client_id)))
-    assert bus._read_frame(sock) == Frame(kind=FrameKind.CONNACK, code=0)
+    assert read_frame(sock) == Frame(kind=FrameKind.CONNACK, code=0)
     return sock
 
 
 def raw_subscribe(sock: socket.socket, filter_: str) -> None:
     sock.sendall(encode_frame(Frame(kind=FrameKind.SUBSCRIBE, topic=filter_)))
-    assert bus._read_frame(sock) == Frame(kind=FrameKind.SUBACK, code=0)
+    assert read_frame(sock) == Frame(kind=FrameKind.SUBACK, code=0)
 
 
 def publish_in_background(session, topic: str, payload: bytes, n: int, until=lambda: False) -> threading.Thread:
@@ -391,7 +438,7 @@ class TestBrokerWire:
                 for byte in encode_frame(frame):
                     sock.send(bytes([byte]))
                     time.sleep(0.0005)
-                return bus._read_frame(sock)
+                return read_frame(sock)
 
             assert trickle(Frame(kind=FrameKind.CONNECT, client_id="trickle")) == Frame(kind=FrameKind.CONNACK)
             assert trickle(Frame(kind=FrameKind.SUBSCRIBE, topic="t/+")) == Frame(kind=FrameKind.SUBACK)
@@ -411,7 +458,7 @@ class TestBrokerWire:
                 sock.sendall(raw[:7])
                 time.sleep(0.3)  # a frame begun after the idle spell gets a deadline of its own
                 sock.sendall(raw[7:])
-                assert bus._read_frame(sock) == message
+                assert read_frame(sock) == message
         finally:
             broker.stop()
 
@@ -509,10 +556,21 @@ class TestBrokerWire:
                 sock.sendall(encode_frame(Frame(kind=FrameKind.PUBLISH, topic="t/x", payload=b"tame")))
                 assert inbox.get(timeout=5.0) == ("t/x", b"tame")
                 sock.sendall(encode_frame(Frame(kind=FrameKind.PINGREQ)))
-                assert bus._read_frame(sock) == Frame(kind=FrameKind.PINGRESP)
+                assert read_frame(sock) == Frame(kind=FrameKind.PINGRESP)
             assert inbox.empty()
         finally:
             sub.close()
+
+    def test_a_peer_holds_each_filter_once_and_at_most_the_bound(self, broker):
+        filters = [f"t/{i}" for i in range(bus.MAX_PEER_FILTERS)] + ["t/0", "t/one-more"]
+        with raw_connect(broker.address, "greedy") as sock:
+            subscribes = [encode_frame(Frame(kind=FrameKind.SUBSCRIBE, topic=f)) for f in filters]
+            sock.sendall(b"".join(subscribes))
+            codes = [read_frame(sock).code for _ in subscribes]
+            assert codes == [0] * bus.MAX_PEER_FILTERS + [0, 1]  # a repeated filter is acknowledged; one more is not
+            assert [len(held) for held in broker._subs.values()] == [bus.MAX_PEER_FILTERS]
+            sock.sendall(encode_frame(Frame(kind=FrameKind.PINGREQ)))
+            assert read_frame(sock) == Frame(kind=FrameKind.PINGRESP)  # refused, but still connected
 
     def test_overlapping_filters_deliver_one_frame(self, broker):
         pub = connect(broker.address, "pub")
@@ -524,7 +582,7 @@ class TestBrokerWire:
                 pub.publish("t/y", b"fence")  # per-publisher order: every copy of the first comes before it
                 frames = []
                 while not frames or frames[-1].topic != "t/y":
-                    frames.append(bus._read_frame(sock))
+                    frames.append(read_frame(sock))
             assert frames == [
                 Frame(kind=FrameKind.PUBLISH, topic="t/x", payload=b"once"),
                 Frame(kind=FrameKind.PUBLISH, topic="t/y", payload=b"fence"),
@@ -647,7 +705,7 @@ class TestSessionPublishBytes:
         session, peer = session_wire
         session.publish(topic, wrap(payload))
         expected = encode_frame(Frame(kind=FrameKind.PUBLISH, topic=topic, payload=payload))
-        assert bus._read_exact(peer, len(expected)) == expected
+        assert read_exact(peer, len(expected)) == expected
 
     def test_publish_checks_come_before_the_cache(self, session_wire):
         session, peer = session_wire
@@ -655,7 +713,7 @@ class TestSessionPublishBytes:
             with pytest.raises(FrameError):
                 session.publish(topic, b"x")
         session.publish("t/x", b"")
-        assert bus._read_frame(peer) == Frame(kind=FrameKind.PUBLISH, topic="t/x")
+        assert read_frame(peer) == Frame(kind=FrameKind.PUBLISH, topic="t/x")
         with pytest.raises(FrameError, match="payload exceeds"):
             session.publish("t/x", b"x" * (bus.MAX_PAYLOAD + 1))
 
@@ -778,9 +836,9 @@ class TestOneFrameReader:
             ours.close()
             if decoded is None:
                 with pytest.raises(FrameError):
-                    bus._read_frame(theirs)
+                    read_frame(theirs)
             else:
-                assert bus._read_frame(theirs) == decoded
+                assert read_frame(theirs) == decoded
 
         calls, sentinel = [], threading.Event()
         subscriptions = [(f, lambda t, p: calls.append((t, p))) for f in self.FILTERS]
@@ -800,7 +858,7 @@ class TestOneFrameReader:
 
 def _can_connect(address, client_id) -> bool:
     try:
-        s = connect(address, client_id, timeout=1.0)
+        s = connect(address, client_id)
     except bus.BusError:
         return False
     s.close()
@@ -1050,12 +1108,13 @@ class TestHttpServerWire:
 
     def test_stalled_body_blocks_no_one_and_is_evicted(self, monkeypatch):
         monkeypatch.setattr(bus, "PEER_TIMEOUT_S", 1.0)
+        monkeypatch.setattr(bus, "CLIENT_TIMEOUT_S", 1.0)
         server = IngestHttpServer(lambda payload: {"record_id": 0}).start()
         try:
             with socket.create_connection(server.address, timeout=5.0) as stalled:
                 stalled.sendall(b"POST /ingest HTTP/1.1\r\nContent-Length: 1048576\r\n\r\n" + b"x" * 10)
                 start = time.monotonic()
-                assert http_post_snapshot(server.address, b"{}", timeout=1.0) == {"record_id": 0}
+                assert http_post_snapshot(server.address, b"{}") == {"record_id": 0}
                 assert time.monotonic() - start < 1.0
                 assert stalled.recv(1) == b""  # closed by the server once its deadline passed
                 assert time.monotonic() - start < 4.0
@@ -1084,6 +1143,23 @@ class TestHttpServerWire:
             server.stop()
             assert time.monotonic() - start < 1.0
             assert sock.recv(1) == b""
+
+
+def reply_once(listener, reply: bytes) -> threading.Thread:
+    """A thread that reads one request head from ``listener``'s next client and sends ``reply``."""
+
+    def serve():
+        listener.settimeout(5.0)
+        conn, _ = listener.accept()
+        with conn:
+            request = bytearray()
+            while b"\r\n\r\n" not in request:
+                request.extend(conn.recv(4096))
+            conn.sendall(reply)
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    return thread
 
 
 def _ipv6_loopback() -> bool:
@@ -1151,6 +1227,29 @@ class TestHttpClientConnect:
                 server.join(5.0)
         assert not server.is_alive()
 
+    @pytest.mark.parametrize(
+        "head",
+        [b"Content-Length: 2\r\nContent-Length: 5", b"Content-Length: 5\r\nX-Model-Digest abc"],
+        ids=["repeated_content_length", "header_line_without_colon"],
+    )
+    def test_reply_headers_are_read_as_request_headers_are(self, head):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            server = reply_once(listener, b"HTTP/1.1 200 OK\r\n" + head + b"\r\n\r\nhello")
+            try:
+                with pytest.raises(ConnectionError, match="malformed reply head"):
+                    bus._http_request(listener.getsockname(), "GET", "/")
+            finally:
+                server.join(5.0)
+        assert not server.is_alive()
+
+    def test_a_mute_server_fails_the_request_after_the_client_timeout(self, monkeypatch):
+        monkeypatch.setattr(bus, "CLIENT_TIMEOUT_S", 0.3)
+        with socket.create_server(("127.0.0.1", 0)) as mute:  # the kernel accepts; nothing ever answers
+            start = time.monotonic()
+            with pytest.raises(OSError):
+                http_post_snapshot(mute.getsockname(), b"{}")
+            assert time.monotonic() - start < 1.0
+
     @pytest.mark.skipif(not _ipv6_loopback(), reason="no IPv6 loopback")
     def test_ipv6_literal(self, no_resolver):
         reply = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
@@ -1200,9 +1299,10 @@ class TestLatencyProbe:
         assert report.ok
         assert report.stats.min_ms >= 30.0
 
-    def test_pubsub_timeout_yields_partial_report(self, broker):
+    def test_pubsub_timeout_yields_partial_report(self, broker, monkeypatch):
         # no responder: every probe times out, per-index status preserved
-        report = pubsub_latency_probe(broker.address, n=3, payload_bytes=16, probe_id="t3", timeout=0.2)
+        monkeypatch.setattr(bus, "CLIENT_TIMEOUT_S", 0.2)
+        report = pubsub_latency_probe(broker.address, n=3, payload_bytes=16, probe_id="t3")
         assert report.stats is None
         assert report.statuses == ["timeout"] * 3
 

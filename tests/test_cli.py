@@ -314,7 +314,7 @@ class TestDeployedRoles:
             raise OSError(errno.EHOSTUNREACH, "No route to host")
 
         monkeypatch.setattr(socket, "create_connection", unreachable)
-        assert cli.main(["agent", "--broker", "192.0.2.1:1883", "--max-ticks", "1"]) == 2
+        assert cli.main(["agent", "--broker", "broker.invalid:1883", "--max-ticks", "1"]) == 2
         assert "cannot reach broker" in caplog.text and "No route to host" in caplog.text
 
     def test_cloud_rules_with_wrong_type_exits_config_error(self, tmp_path):

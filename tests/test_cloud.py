@@ -879,6 +879,40 @@ class TestLakeDurability:
         with pytest.raises(LakeError, match=f"corrupt record at line 1: {key}: must be"):
             lake.scan("dev0")
 
+    def test_a_restarted_service_goes_on_from_the_lake(self, tmp_path):
+        lake = self._make_lake_with_records(tmp_path, 3)  # dev0 ingested at 2000, 3000 and 4000 ms
+        clock = LogicalClock(start=500)
+        other = make_service(tmp_path, clock_ms=clock)
+        other.ingest(encode_snapshot(make_snapshot(device_id="dev1")), Transport.PUBSUB)
+        service = make_service(tmp_path, clock_ms=clock)
+        rec = service.ingest(encode_snapshot(make_snapshot(seq=3)), Transport.PUBSUB)
+        assert [r.record_id for r in lake.scan("dev0")] == [0, 1, 2, 4]
+        assert [r.record_id for r in lake.scan("dev1")] == [3]
+        assert rec.ingest_time_ms == 4000  # not below the device's last ingest time before the restart
+
+    @pytest.mark.parametrize("tail_bytes", [16, 1 << 16], ids=["widening_reads", "one_read"])
+    def test_a_torn_tail_is_dead_lettered_when_a_service_starts(self, tmp_path, monkeypatch, tail_bytes):
+        monkeypatch.setattr(cloud, "_TAIL_BYTES", tail_bytes)
+        lake = self._make_lake_with_records(tmp_path, 2)
+        path = next((lake.root / "dev0").glob("*.jsonl"))
+        whole, fragment = path.read_bytes(), b'{"record_id":2,"ingest_'  # simulated crash mid-append
+        path.write_bytes(whole + fragment)
+        newest = lake.root / "dev0" / "20991231.jsonl"
+        newest.write_bytes(fragment)  # a newest partition that holds no whole line
+        Lake(lake.root).scan("dev0")
+        assert path.read_bytes() == whole + fragment  # a reader leaves the lake as it is
+        service = make_service(tmp_path, clock_ms=LogicalClock(start=10_000))
+        service.ingest(encode_snapshot(make_snapshot(seq=2)), Transport.PUBSUB)
+        assert [r.record_id for r in service.lake.scan("dev0")] == [0, 1, 2]
+        assert newest.read_bytes() == b""
+        dead = [json.loads(line) for line in (lake.root / "dead_letter.jsonl").read_bytes().splitlines()]
+        torn = {"error": "torn tail", "payload_hex": fragment.hex()}
+        assert dead == [
+            {"partition": "dev0/20991231.jsonl", "offset": 0, **torn},
+            {"partition": f"dev0/{path.name}", "offset": len(whole), **torn},
+        ]
+        assert service.lake.torn_lines == 0
+
     def _make_lake_with_records(self, tmp_path, n, subdir="lake"):
         clock = LogicalClock()
         service = make_service(tmp_path, subdir=subdir, clock_ms=clock)
