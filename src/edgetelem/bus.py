@@ -21,8 +21,10 @@ Every server is a protocol on :class:`_LoopServer`, one ``selectors`` loop on
 one thread: :class:`Broker` speaks the frames above, and :class:`HttpServer`
 serves the HTTP endpoints (snapshot ingest, the model store, the latency
 probe) as route functions.  :func:`connect` opens a client :class:`Session`;
-:func:`_http_request` is the one HTTP client, a fresh connection per call.
-Both open TCP through :func:`_connect`; ``CLIENT_TIMEOUT_S`` bounds their waits.
+:func:`_http_request` is the one HTTP client: it reuses an idle keep-alive
+connection to the same address, used in the last ``CLIENT_TIMEOUT_S``, and
+otherwise opens one.  Both open TCP through :func:`_connect`;
+``CLIENT_TIMEOUT_S`` bounds their waits.
 
 Every frame reader (the broker's loop, a session's, which reads the CONNACK
 too, and :func:`decode_frame`) reads a header through :func:`_frame_end` and a
@@ -34,6 +36,7 @@ to; every other frame is parsed into a validated :class:`Frame`.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import json
 import logging
@@ -63,7 +66,7 @@ MAX_PEER_FILTERS = 256       # distinct filters one peer may hold; a SUBSCRIBE t
 PEER_TIMEOUT_S = 10.0        # a server peer that owes bytes and makes no progress this long is closed
 MAX_CACHED_TOPICS = 1024     # per-topic route and handler tables are cleared when they reach this size
 SERVE_POLL_S = 0.05          # server loop's poll interval: bounds stop() and peer eviction
-CLIENT_TIMEOUT_S = 5.0       # a client's TCP connect, acknowledgement, HTTP socket operation or probe round trip
+CLIENT_TIMEOUT_S = 5.0       # a client's connect, acknowledgement, HTTP socket operation, probe round trip or HTTP idle
 _RECV_BYTES = 1 << 16
 
 TOPIC_RE = re.compile(r"[A-Za-z0-9_/+-]+")
@@ -847,19 +850,76 @@ def _connect(host: str, port: int) -> socket.socket:
     return sock
 
 
+_idle: list = []  # (time.monotonic() it went idle, address, socket) of each pooled connection, in pooling order
+_idle_lock = threading.Lock()
+
+
+@atexit.register
+def _close_idle() -> None:
+    """Close every pooled connection, at interpreter exit."""
+    with _idle_lock:
+        for entry in _idle:
+            entry[2].close()
+        _idle.clear()
+
+
+def _take_idle(address: tuple) -> socket.socket | None:
+    """The connection to ``address`` pooled last, or None.
+
+    Also closes every pooled connection, to any address, idle for
+    ``CLIENT_TIMEOUT_S`` or longer: half the server's ``PEER_TIMEOUT_S``, so
+    the client never races a server's idle eviction.
+    """
+    sock, kept, stale = None, [], []
+    with _idle_lock:
+        now = time.monotonic()
+        for entry in reversed(_idle):
+            if now - entry[0] >= CLIENT_TIMEOUT_S:
+                stale.append(entry[2])
+            elif sock is None and entry[1] == address:
+                sock = entry[2]
+            else:
+                kept.append(entry)
+        _idle[:] = reversed(kept)
+    for old in stale:
+        old.close()
+    return sock
+
+
+def _unread(sock: socket.socket) -> bool:
+    """Whether an idle ``sock`` is still open with nothing to read: the server neither closed it nor sent unasked."""
+    sock.settimeout(0.0)  # with a timeout set, recv first waits that long for bytes
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        sock.settimeout(CLIENT_TIMEOUT_S)
+        return True
+    except OSError:
+        pass
+    return False
+
+
 def _http_request(address: tuple, method: str, path: str, body: bytes | None = None) -> tuple:
-    """One request on a fresh connection; returns ``(status, headers, body)``.
+    """One request, on a pooled keep-alive connection when one is open; returns ``(status, headers, body)``.
 
     ``headers`` has lower-case names.  ``CLIENT_TIMEOUT_S`` bounds each
     socket operation.  A transport failure, a connection closed early and a
-    malformed reply all raise ``OSError``.
+    malformed reply all raise ``OSError``.  Nothing is retried, on a reused
+    connection either, so a request goes out at most once.  The connection
+    goes back to the pool only after an ``HTTP/1.1`` reply without
+    ``Connection: close`` whose bytes end exactly at its ``Content-Length``;
+    any other outcome closes it.
     """
     host, port = address
     authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"  # an IPv6 literal is bracketed
-    head = f"{method} {path} HTTP/1.1\r\nHost: {authority}\r\nConnection: close\r\n"
+    head = f"{method} {path} HTTP/1.1\r\nHost: {authority}\r\n"
     if body is not None:
         head += f"Content-Length: {len(body)}\r\n"
-    with _connect(host, port) as sock:
+    while (sock := _take_idle(address)) is not None and not _unread(sock):
+        sock.close()
+    if sock is None:
+        sock = _connect(host, port)
+    try:
         sock.sendall(head.encode("latin-1") + b"\r\n" + (body or b""))
         buf = bytearray()
         while (end := buf.find(b"\r\n\r\n")) < 0:
@@ -881,6 +941,14 @@ def _http_request(address: tuple, method: str, path: str, body: bytes | None = N
         start, stop = end + 4, end + 4 + int(length)
         while len(buf) < stop:
             buf += _recv_some(sock)
+    except BaseException:
+        sock.close()
+        raise
+    if len(buf) == stop and status_line[0] == b"HTTP/1.1" and "close" not in headers.get("connection", "").lower():
+        with _idle_lock:
+            _idle.append((time.monotonic(), address, sock))
+    else:
+        sock.close()
     return int(status_line[1]), headers, bytes(buf[start:stop])
 
 
@@ -1047,7 +1115,7 @@ class ProbeHttpServer(HttpServer):
 
 
 def http_latency_probe(address: tuple, n: int, payload_bytes: int) -> ProbeReport:
-    """Round-trip n probe POSTs; one fresh connection per message."""
+    """Round-trip n probe POSTs on the client's pooled keep-alive connection; only the first pays the connect."""
     if payload_bytes < 1:
         raise ValueError("payload_bytes must be >= 1")
     body = b"x" * payload_bytes

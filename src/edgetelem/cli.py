@@ -26,6 +26,7 @@ from .cloud import (
     CloudService,
     IngestRejected,
     Lake,
+    LakeError,
     ModelStore,
     ModelStoreHttpServer,
     Transport,
@@ -101,12 +102,16 @@ def cmd_cloud(args) -> int:
         log.error("config error: %s", e)
         return EXIT_CONFIG
     session = None  # replaced after a reconnect; actions go out through the current one
-    service = CloudService(
-        lake=Lake(args.lake),
-        rules=rules,
-        dispatcher=lambda device_id, message: make_bus_dispatcher(session)(device_id, message),
-        store=store,
-    )
+    try:
+        service = CloudService(
+            lake=Lake(args.lake),
+            rules=rules,
+            dispatcher=lambda device_id, message: make_bus_dispatcher(session)(device_id, message),
+            store=store,
+        )
+    except (LakeError, OSError) as e:
+        log.error("lake error: %s", e)
+        return EXIT_CONFIG
 
     def on_snapshot(_topic: str, payload: bytes) -> None:
         try:

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import json
 import math
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import make_snapshot, read_exact, read_frame
 from edgetelem import bus
+from edgetelem.agent import fetch_model
 from edgetelem.bus import (
     Broker,
     ConnectRefused,
@@ -39,6 +41,8 @@ from edgetelem.bus import (
     pubsub_latency_probe,
     topic_matches,
 )
+from edgetelem.cloud import ModelStore, ModelStoreHttpServer
+from edgetelem.simulator import make_model_blob
 from edgetelem.telemetry import encode_snapshot
 
 
@@ -1275,6 +1279,159 @@ class TestHttpClientConnect:
         assert not server.is_alive()
         assert (status, body) == (200, b"ok")
         assert f"\r\nHost: [::1]:{port}\r\n".encode() in request
+
+
+@pytest.fixture
+def accepted(monkeypatch):
+    """Every connection a bus server accepts from now on, in accept order."""
+    peers = []
+
+    class CountedPeer(bus._Peer):
+        def __init__(self, sock):
+            super().__init__(sock)
+            peers.append(self)
+
+    monkeypatch.setattr(bus, "_Peer", CountedPeer)
+    return peers
+
+
+def serve_replies(listener, replies: list) -> tuple:
+    """A thread answering the requests on ``listener`` with ``replies`` in order, one connection at a time.
+
+    Returns the thread, the ``(connection number, request body)`` of each
+    request it read, and the connections it accepted.  A connection is served
+    until the client closes it; a ``None`` reply closes it unanswered.  The
+    thread closes its connection and ends once every reply is used.
+    """
+    seen, conns = [], []
+
+    def serve():
+        listener.settimeout(5.0)
+        while len(seen) < len(replies):
+            conn, _ = listener.accept()
+            conns.append(conn)
+            with conn:
+                buf = b""
+                while len(seen) < len(replies):
+                    try:
+                        while b"\r\n\r\n" not in buf and (chunk := conn.recv(4096)):
+                            buf += chunk
+                    except ConnectionError:  # a client closing with unread bytes resets
+                        break
+                    head, sep, buf = buf.partition(b"\r\n\r\n")
+                    if not sep:
+                        break
+                    length = int(re.search(rb"\r\nContent-Length: (\d+)", head).group(1))
+                    while len(buf) < length and (chunk := conn.recv(4096)):
+                        buf += chunk
+                    if len(buf) < length:
+                        break
+                    seen.append((len(conns) - 1, buf[:length]))
+                    buf = buf[length:]
+                    reply = replies[len(seen) - 1]
+                    if reply is None:
+                        break
+                    conn.sendall(reply)
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    return thread, seen, conns
+
+
+OK_REPLY = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+
+
+class TestHttpClientPool:
+    def test_sequential_posts_share_one_connection(self, ingest_server, accepted):
+        server, bodies = ingest_server
+        acks = [http_post_snapshot(server.address, f"{i}".encode())["record_id"] for i in range(20)]
+        assert acks == list(range(20))
+        assert len(accepted) == 1
+        assert bodies == [f"{i}".encode() for i in range(20)]
+
+    def test_a_connection_the_server_closed_is_replaced(self, monkeypatch, ingest_server, accepted):
+        monkeypatch.setattr(bus, "PEER_TIMEOUT_S", 0.2)
+        server, bodies = ingest_server
+        assert http_post_snapshot(server.address, b"first") == {"record_id": 0}
+        assert wait_for(lambda: accepted[0].sock.fileno() == -1)  # the server closed the idle connection
+        assert http_post_snapshot(server.address, b"second") == {"record_id": 1}
+        assert len(accepted) == 2
+        assert bodies == [b"first", b"second"]
+
+    def test_an_idle_connection_holding_unsolicited_bytes_is_replaced(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            server, seen, conns = serve_replies(listener, [OK_REPLY, OK_REPLY])
+            try:
+                address = listener.getsockname()
+                assert bus._http_request(address, "POST", "/", b"first")[2] == b"ok"
+                conns[0].sendall(OK_REPLY)  # on loopback it is queued at the client once sendall returns
+                assert bus._http_request(address, "POST", "/", b"second")[2] == b"ok"
+            finally:
+                server.join(5.0)
+        assert not server.is_alive()
+        assert seen == [(0, b"first"), (1, b"second")]
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok",
+            b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok",
+            b"HTTP/1.1 200 OK\r\nContent-Length 2\r\n\r\nok",
+            OK_REPLY + b"!",
+        ],
+        ids=["connection_close", "http10", "malformed_head", "bytes_after_body"],
+    )
+    def test_a_connection_is_pooled_only_after_a_clean_http11_reply(self, reply):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            server, seen, _ = serve_replies(listener, [reply, OK_REPLY])
+            try:
+                address = listener.getsockname()
+                with contextlib.suppress(ConnectionError):  # the malformed head
+                    bus._http_request(address, "POST", "/", b"first")
+                assert bus._http_request(address, "POST", "/", b"second") == (200, {"content-length": "2"}, b"ok")
+            finally:
+                server.join(5.0)
+        assert not server.is_alive()
+        assert seen == [(0, b"first"), (1, b"second")]  # the second request came on a new connection
+
+    @pytest.mark.parametrize("idle_s, connections", [(0.9, 1), (1.0, 2)], ids=["within", "at_the_bound"])
+    def test_a_connection_idle_for_the_client_timeout_is_not_reused(
+        self, monkeypatch, ingest_server, accepted, idle_s, connections
+    ):
+        server, bodies = ingest_server
+        assert http_post_snapshot(server.address, b"first") == {"record_id": 0}
+        later = time.monotonic() + idle_s * bus.CLIENT_TIMEOUT_S
+        monkeypatch.setattr(time, "monotonic", lambda: later)
+        assert http_post_snapshot(server.address, b"second") == {"record_id": 1}
+        assert len(accepted) == connections
+        assert bodies == [b"first", b"second"]
+
+    @pytest.mark.parametrize("reused", [False, True], ids=["new_connection", "reused_connection"])
+    def test_a_request_the_server_drops_unanswered_is_not_resent(self, reused):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            server, seen, _ = serve_replies(listener, [OK_REPLY, None] if reused else [None])
+            try:
+                address = listener.getsockname()
+                if reused:
+                    assert bus._http_request(address, "POST", "/", b"first")[2] == b"ok"
+                with pytest.raises(OSError):
+                    bus._http_request(address, "POST", "/", b"dropped")
+            finally:
+                server.join(5.0)
+            assert not server.is_alive()
+            listener.setblocking(False)
+            with pytest.raises(BlockingIOError):  # no connection came for a resend
+                listener.accept()
+        assert seen == [(0, b"first")] * reused + [(0, b"dropped")]
+
+    def test_model_fetches_from_one_store_share_one_connection(self, tmp_path, accepted):
+        blobs = {"a": make_model_blob("a", 4096), "b": make_model_blob("b", 8192)}
+        server = ModelStoreHttpServer(ModelStore.create(tmp_path / "models", blobs)).start()
+        try:
+            assert [fetch_model(server.address, model_id)[0] for model_id in ("a", "b")] == [blobs["a"], blobs["b"]]
+        finally:
+            server.stop()
+        assert len(accepted) == 1
 
 
 class TestLatencyProbe:

@@ -327,6 +327,20 @@ class TestDeployedRoles:
         assert r"config error: rules[0].cooldown_ticks: must be an integer" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("damage", ["corrupt_last_record", "regular_file"])
+    def test_cloud_on_a_lake_it_cannot_open_exits_lake_error(self, tmp_path, damage):
+        lake = tmp_path / "lake"
+        if damage == "corrupt_last_record":
+            (lake / "dev0").mkdir(parents=True)
+            (lake / "dev0" / "20210301.jsonl").write_text('{"not":"a record"}\n')
+        else:
+            lake.write_text("")
+        result = run_cli("cloud", "--broker", "127.0.0.1:1", "--lake", str(lake))
+        assert result.returncode == 1
+        assert "lake error: " in result.stderr
+        assert "cannot reach broker" not in result.stderr  # it stops before the broker
+        assert "Traceback" not in result.stderr
+
     def test_cloud_bad_rules_exits_config_error(self, tmp_path):
         rules = tmp_path / "rules.json"
         rules.write_text(json.dumps({"rules": [{"rule_id": "x", "metric_path": "no.such", "comparator": "GT",
