@@ -14,7 +14,7 @@ import logging
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from . import bus
@@ -320,12 +320,6 @@ class TelemetryAgent:
 
     # -- snapshot publishing with outage buffering
 
-    def _tag_placement(self, snapshot: TelemetrySnapshot) -> TelemetrySnapshot:
-        if self.placement is None:
-            return snapshot
-        tagged = snapshot.model.model_id + PLACEMENT_TAGS[self.placement]
-        return replace(snapshot, model=replace(snapshot.model, model_id=tagged))
-
     def _publish_or_buffer(self, payload: bytes) -> None:
         now = self._clock_ms()
         if now < self._retry_at_ms:
@@ -357,7 +351,10 @@ class TelemetryAgent:
         self._drain_actions()
         self.platform.advance(self.cfg.sample_period_ms)
         net, _true_dl = self.net_source.tick()
-        snapshot = self._tag_placement(self.platform.sample(self.cfg.device, net))
+        # An applied placement is reported as a tag on the model id.
+        placement = self.placement
+        model_id = None if placement is None else self.platform.active_model.model_id + PLACEMENT_TAGS[placement]
+        snapshot = self.platform.sample(self.cfg.device, net, model_id)
         self._publish_or_buffer(encode_snapshot(snapshot))
         self.ticks += 1
         return snapshot

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .telemetry import NetworkMetrics, _compile, bounded, check_bounds, from_doc
+from .telemetry import NetworkMetrics, _compile, bounded, build_network, check_bounds, from_doc
 
 __all__ = [
     "Placement",
@@ -158,7 +158,7 @@ class NetTrace:
         )
         true_dl = max(0.0, true_dl)
 
-        net = NetworkMetrics(
+        net = build_network(
             rssi_dbm=rssi,
             rsrq_db=rsrq,
             rsrp_dbm=rsrp,

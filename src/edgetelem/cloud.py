@@ -35,9 +35,9 @@ from .bus import BusError, HttpServer, RequestRejected
 from .telemetry import (
     INT_TOKEN,
     NUMERIC_PATHS,
-    SNAPSHOT_PATTERN,
     TelemetryError,
     TelemetrySnapshot,
+    _SNAPSHOT_RE,
     _doc_value,
     _reference_from_wire,
     _template_pattern,
@@ -107,23 +107,26 @@ def encode_record(rec: LakeRecord) -> bytes:
 
 
 _TRANSPORT_TOKEN = b"(" + b"|".join(map(re.escape, _TRANSPORT_TEXT.values())) + b")"
-# ``_RECORD_LINE`` with a token per placeholder: the two ints, the transport, the snapshot.
-_RECORD_RE = re.compile(_template_pattern(_RECORD_LINE, (INT_TOKEN, INT_TOKEN, _TRANSPORT_TOKEN, SNAPSHOT_PATTERN)))
+_RECORD_HEAD, _RECORD_TAIL = _RECORD_LINE.rsplit(b"%s", 1)
+# The line before its snapshot, with a token per placeholder: the two ints and the transport.
+_RECORD_HEAD_RE = re.compile(_template_pattern(_RECORD_HEAD, (INT_TOKEN, INT_TOKEN, _TRANSPORT_TOKEN)))
 _TRANSPORTS = {text: t for t, text in _TRANSPORT_TEXT.items()}
 
 
 def decode_record(line: bytes) -> LakeRecord:
     """Parse one lake line.
 
-    A line as the lake writes it is built from the tokens of one generated
-    pattern; any other line, and one whose snapshot fails a check there, goes
-    through ``json.loads`` and the reference path.
+    A line as the lake writes it is built from the tokens of the record's
+    head pattern and the snapshot pattern, matched over the bytes between
+    the head and the closing brace; any other line, and one whose snapshot
+    fails a check there, goes through ``json.loads`` and the reference path.
     """
-    match = _RECORD_RE.fullmatch(line)
-    if match is not None:
-        record_id, ingest_time_ms, transport, *tokens = match.groups()
-        snapshot = snapshot_from_tokens(tokens)
+    head = _RECORD_HEAD_RE.match(line)
+    if head is not None and line.endswith(_RECORD_TAIL):
+        match = _SNAPSHOT_RE.fullmatch(line, head.end(), len(line) - len(_RECORD_TAIL))
+        snapshot = None if match is None else snapshot_from_tokens(match.groups())
         if snapshot is not None:
+            record_id, ingest_time_ms, transport = head.groups()
             return LakeRecord(snapshot, int(ingest_time_ms), _TRANSPORTS[transport], int(record_id))
     try:
         doc = json.loads(line)

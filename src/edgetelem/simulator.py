@@ -19,14 +19,12 @@ import random
 from dataclasses import dataclass, field
 
 from .telemetry import (
-    AppMetrics,
     DeviceIdentity,
-    EnergyMetrics,
-    ModelMetrics,
     ModelProfile,
     NetworkMetrics,
     TelemetrySnapshot,
     bounded,
+    build_snapshot,
     check_bounds,
     fps_per_watt,
     from_doc,
@@ -268,33 +266,31 @@ class Platform:
         self._sim_time_ms += dt_ms
         self._advanced = True
 
-    def sample(self, device: DeviceIdentity, net: NetworkMetrics) -> TelemetrySnapshot:
-        """Take one telemetry snapshot; increments the per-device sequence."""
+    def sample(self, device: DeviceIdentity, net: NetworkMetrics, model_id: str | None = None) -> TelemetrySnapshot:
+        """Take one telemetry snapshot; increments the per-device sequence.
+
+        ``model_id`` is reported in place of the active model's id when given.
+        """
         if not self._advanced:
             raise RuntimeError("platform must be advanced at least once before sampling")
         latency = self.latency_ms()
         frames_per_s = 1000.0 / latency
         power = self.power_w()
-        snapshot = TelemetrySnapshot(
+        snapshot = build_snapshot(
             device=device,
             seq=self._seq,
             device_time_ms=self._sim_time_ms,
-            app=AppMetrics(ee_latency_ms=latency, fps=frames_per_s),
-            model=ModelMetrics(
-                accel_utilization=self._reported["accel"],
-                mem_throughput_gbps=self.config.mem_gbit_per_gop * self._model.workload_gops * frames_per_s,
-                cpu_utilization=self._reported["cpu"],
-                mem_utilization=self._reported["mem"],
-                model_efficiency=model_efficiency(
-                    frames_per_s, self._model.workload_gops, self.config.peak_gops_per_s
-                ),
-                model_id=self._model.model_id,
-            ),
-            energy=EnergyMetrics(
-                power_w=power,
-                temp_c=self._temp_c,
-                fps_per_watt=fps_per_watt(frames_per_s, power),
-            ),
+            ee_latency_ms=latency,
+            fps=frames_per_s,
+            accel_utilization=self._reported["accel"],
+            mem_throughput_gbps=self.config.mem_gbit_per_gop * self._model.workload_gops * frames_per_s,
+            cpu_utilization=self._reported["cpu"],
+            mem_utilization=self._reported["mem"],
+            model_efficiency=model_efficiency(frames_per_s, self._model.workload_gops, self.config.peak_gops_per_s),
+            model_id=self._model.model_id if model_id is None else model_id,
+            power_w=power,
+            temp_c=self._temp_c,
+            fps_per_watt=fps_per_watt(frames_per_s, power),
             network=net,
         )
         self._seq += 1

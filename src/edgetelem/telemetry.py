@@ -19,6 +19,7 @@ the dataclasses below, which are the only statement of it::
 from __future__ import annotations
 
 import json
+import linecache
 import math
 import re
 import sys
@@ -43,6 +44,8 @@ __all__ = [
     "TelemetrySnapshot",
     "model_efficiency",
     "fps_per_watt",
+    "build_snapshot",
+    "build_network",
     "encode_snapshot",
     "decode_snapshot",
     "bounded",
@@ -192,14 +195,25 @@ def _in_bounds(v: str, ge, gt, le, lt) -> str:
     return " and ".join(terms)
 
 
+def _leaf_check(v: str, typ, optional, ge, gt, le, lt) -> str:
+    """The condition that the value named ``v`` is of the exact type ``typ``
+    and within bounds (a float only if finite), or None in an optional field."""
+    none = f" or {v} is None" if optional else ""
+    return f"type({v}) is {typ.__name__} and {_in_bounds(v, ge, gt, le, lt)}{none}"
+
+
 def _compile(source: str, name: str, **names):
     """The function ``name`` that ``source`` defines, with these names global to it.
 
-    Every generated function of the package is built here.
+    Every generated function of the package is built here.  Its source is
+    registered in ``linecache`` as the file ``<edgetelem:name>``, so
+    tracebacks, ``inspect.getsource`` and profilers show the generated lines.
     """
-    namespace = {"_INF": math.inf, "_NINF": -math.inf, "_as_float": _as_float, "_as_int": _as_int, "_set": _set}
+    filename = f"<edgetelem:{name}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"_INF": math.inf, "_NINF": -math.inf, "_as_float": _as_float, "_as_int": _as_int, "_new": object.__new__, "_set": _set}
     namespace.update(names)
-    exec(source, namespace)
+    exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
 
 
@@ -212,16 +226,17 @@ def _bounds_checker(cls):
     goes to :func:`_as_float` or :func:`_as_int`, which raise the message
     (the first converts an int to a float).
     """
-    lines = ["def check(self):"]
-    for name, typ, optional, ge, gt, le, lt in _bounded_fields(cls):
-        none = " or v is None" if optional else ""
+    name = f"check_{cls.__name__}"  # one pseudo-file per class
+    lines = [f"def {name}(self):"]
+    for field_name, *row in _bounded_fields(cls):
+        typ, _, ge, gt, le, lt = row
         lines += [
-            f"    v = self.{name}",
-            f"    if not (type(v) is {typ.__name__} and {_in_bounds('v', ge, gt, le, lt)}{none}):",
-            f"        _set(self, {name!r}, _as_{typ.__name__}({name!r}, v, {ge!r}, {gt!r}, {le!r}, {lt!r}))",
+            f"    v = self.{field_name}",
+            f"    if not ({_leaf_check('v', *row)}):",
+            f"        _set(self, {field_name!r}, _as_{typ.__name__}({field_name!r}, v, {ge!r}, {gt!r}, {le!r}, {lt!r}))",
         ]
     lines.append("    pass")  # no such field
-    return _compile("\n".join(lines), "check")
+    return _compile("\n".join(lines), name)
 
 
 def check_bounds(obj) -> None:
@@ -337,8 +352,8 @@ class TelemetrySnapshot:
     """
 
     device: DeviceIdentity
-    seq: int
-    device_time_ms: int
+    seq: int = bounded(ge=0)
+    device_time_ms: int = bounded(ge=0)
     app: AppMetrics
     model: ModelMetrics
     energy: EnergyMetrics
@@ -348,12 +363,10 @@ class TelemetrySnapshot:
         self._check_fields()
         self._check_fps_per_watt()
 
-    def validate(self) -> None:
-        """Re-run every check construction ran, the metric groups' own included.
-
-        Catches a snapshot mutated through non-public means, such as a NaN
-        set with ``object.__setattr__``.
-        """
+    # ``validate``, generated below from the same checks, runs them in one
+    # pass and falls back to this on any miss.
+    def _check_groups(self) -> None:
+        """Re-run every check construction ran, the metric groups' own included."""
         self._check_fields()
         for name, _, _ in _GROUPS:
             getattr(self, name).__post_init__()
@@ -362,8 +375,7 @@ class TelemetrySnapshot:
     def _check_fields(self) -> None:
         if not isinstance(self.device, DeviceIdentity):
             raise ValidationError("device", "must be a DeviceIdentity")
-        _as_int("seq", self.seq, ge=0)
-        _as_int("device_time_ms", self.device_time_ms, ge=0)
+        check_bounds(self)
         for name, typ, _ in _GROUPS:
             if not isinstance(getattr(self, name), typ):
                 raise ValidationError(name, f"must be a {typ.__name__}")
@@ -557,6 +569,141 @@ NUMERIC_PATHS = (
     *((key,) for key in _INT_KEYS),
     *((key, name) for key, cls, _ in _GROUPS for name, *_bounds in _bounded_fields(cls)),
 )
+
+
+# --- generated builders and validate -------------------------------------------
+
+def _cross_checks(var: str, cls) -> list:
+    """The statements that run the checks across fields of ``var``, a ``cls``:
+    the snapshot's fps-per-watt check, or a metric group's own ``_check``."""
+    if cls is TelemetrySnapshot:
+        return [f"{var}._check_fps_per_watt()"]
+    if issubclass(cls, _Metrics) and cls._check is not _Metrics._check:
+        return [f"{var}._check()"]
+    return []
+
+
+#: The snapshot's dataclasses by name, as the generated code names them.
+_CLASSES = {cls.__name__: cls for cls in (TelemetrySnapshot, *(hint for _, hint in _SNAPSHOT_FIELDS if is_dataclass(hint)))}
+
+
+def _instance(var: str, cls, values) -> list:
+    """The statements that make ``var`` a ``cls`` whose instance dict holds
+    ``values``, ``(field, expression)`` in field order as the dataclass
+    ``__init__`` leaves it, then run its checks across fields."""
+    items = ", ".join(f"{name!r}: {value}" for name, value in values)
+    return [f"{var} = _new({cls.__name__})", f"_set({var}, '__dict__', {{{items}}})", *_cross_checks(var, cls)]
+
+
+def _leaves(cls, objects=()) -> tuple:
+    """``(name, hint, members)`` per field of ``cls``.  ``members`` is this
+    tree for a metric group not named in ``objects``, whose members stand in
+    for it, and None for a value taken whole."""
+    return tuple(
+        (name, hint, _leaves(hint) if is_dataclass(hint) and issubclass(hint, _Metrics) and name not in objects else None)
+        for name, hint in _typed_fields(cls)
+    )
+
+
+def _value_checks(cls, tree):
+    """The terms that let each value of ``tree`` skip its constructor: a
+    :func:`bounded` value of its exact type within bounds, and a dataclass
+    instance of its exact class.  A string is left to its group's ``_check``."""
+    bounds = {name: row for name, *row in _bounded_fields(cls)}
+    for name, hint, members in tree:
+        if members is not None:
+            yield from _value_checks(hint, members)
+        elif name in bounds:
+            yield _leaf_check(name, *bounds[name])
+        elif is_dataclass(hint):
+            yield f"type({name}) is {hint.__name__}"
+
+
+def _condition(terms, indent: str) -> str:
+    """``terms`` joined by ``and`` in parentheses, one term a line under a statement at ``indent``."""
+    inner = f"\n{indent}    "
+    return f"({inner}{(inner + 'and ').join(terms)}\n{indent})"
+
+
+def _builder(cls, var: str, objects=()):
+    """Generate ``build_<var>(...)``, which returns what ``cls(...)`` returns
+    for the same values, or raises what it raises.
+
+    Its parameters are the fields of ``cls``, with each metric group not
+    named in ``objects`` replaced by its members.  When every value passes
+    its term of :func:`_value_checks`, it makes the objects with their
+    instance dicts in field order and runs each check across fields once.
+    Any other value goes to the dataclass constructors, which raise the
+    error of record or convert an int to a float.
+    """
+    tree = _leaves(cls, objects)
+    params, body = [], []
+
+    def make(var: str, cls, tree) -> str:
+        args = []
+        for name, hint, members in tree:
+            if members is None:
+                params.append(name)
+                args.append(f"{name}={name}")
+            else:
+                args.append(f"{name}={make(name, hint, members)}")
+        body.extend(_instance(var, cls, [(name, name) for name, *_ in tree]))
+        return f"{cls.__name__}({', '.join(args)})"
+
+    constructed = make(var, cls, tree)
+    name = f"build_{var}"
+    source = [
+        f"def {name}({', '.join(params)}):",
+        f"    if not {_condition(_value_checks(cls, tree), '    ')}:",
+        f"        return {constructed}",
+        *(f"    {statement}" for statement in body),
+        f"    return {var}",
+    ]
+    return _compile("\n".join(source), name, **_CLASSES)
+
+
+def _validator():
+    """Generate ``TelemetrySnapshot.validate``: every check construction runs, in one pass.
+
+    It reads each field and each group's bounded members; when each group
+    is of its exact class and each value passes its term of
+    :func:`_value_checks`, as in the builders, it runs only the checks
+    across fields.  On any miss it
+    runs ``_check_groups``, which raises the error of record, or stores an
+    int set in a float field as a float.
+    """
+    tree = _leaves(TelemetrySnapshot)
+    groups = [(name, hint) for name, hint, members in tree if members is not None]
+
+    def read(var: str, names) -> str:
+        return f"{', '.join(names)} = {', '.join(f'{var}.{name}' for name in names)}"
+
+    source = [
+        "def validate(self):",
+        '    """Re-run every check construction ran, the metric groups\' own included.',
+        "",
+        "    Catches a snapshot mutated through non-public means, such as a NaN",
+        "    set with ``object.__setattr__``.",
+        '    """',
+        f"    {read('self', [name for name, *_ in tree])}",
+        f"    if {_condition((f'type({name}) is {hint.__name__}' for name, hint in groups), '    ')}:",
+        *(f"        {read(name, [member for member, *_ in _bounded_fields(hint)])}" for name, hint in groups),
+        f"        if {_condition(_value_checks(TelemetrySnapshot, tree), '        ')}:",
+        *(f"            {statement}" for name, hint in groups for statement in _cross_checks(name, hint)),
+        *(f"            {statement}" for statement in _cross_checks("self", TelemetrySnapshot)),
+        "            return",
+        "    self._check_groups()",
+    ]
+    return _compile("\n".join(source), "validate", **_CLASSES)
+
+
+TelemetrySnapshot.validate = _validator()
+#: ``build_snapshot(device, seq, device_time_ms, <app, model and energy
+#: members>, network)``: a snapshot as the dataclasses build it, its metric
+#: groups but the network passed as their members.
+build_snapshot = _builder(TelemetrySnapshot, "snapshot", objects=("network",))
+#: ``build_network(<its members>)``: a :class:`NetworkMetrics` as the dataclass builds it.
+build_network = _builder(NetworkMetrics, "network")
 
 
 def snapshot_to_wire(s: TelemetrySnapshot) -> dict:
@@ -758,7 +905,7 @@ def _tokens_decoder():
     ``ValueError``.
     """
     tokens, params, lines = [], [], []
-    namespace = {"_new": object.__new__, "_text": _text}
+    namespace = {"_text": _text, **_CLASSES}
 
     def leaf(token: bytes) -> str:
         tokens.append(token)  # in field order, the template's order
@@ -766,10 +913,7 @@ def _tokens_decoder():
         return params[-1]
 
     def instance(var: str, cls, items: list) -> None:
-        namespace[cls.__name__] = cls
-        values = ", ".join(f"{name!r}: {value}" for name, value in items)
-        lines.append(f"    {var} = _new({cls.__name__})")
-        lines.append(f"    _set({var}, '__dict__', {{{values}}})")
+        lines.extend(f"    {statement}" for statement in _instance(var, cls, items))
 
     snapshot_items, floats = [], []
     for name, hint in _SNAPSHOT_FIELDS:
@@ -801,11 +945,9 @@ def _tokens_decoder():
                     items.append((member, f"_text({leaf(_STR_TOKEN)})"))
             lines += [f"    if not ({' and '.join(checks)}):", "        raise ValueError"]
             instance(name, hint, items)
-            if hint._check is not _Metrics._check:
-                lines.append(f"    {name}._check()")
             snapshot_items.append((name, name))
     instance("snapshot", TelemetrySnapshot, snapshot_items)
-    lines += ["    snapshot._check_fps_per_watt()", "    return snapshot"]
+    lines.append("    return snapshot")
     lines.insert(0, f"    {', '.join(floats)} = map(float, ({', '.join(floats)}))")  # one C loop, not a call per field
     builder = _compile(f"def build({', '.join(params)}):\n" + "\n".join(lines), "build", **namespace)
     return _template_pattern(_TEMPLATE.encode(), tokens), builder

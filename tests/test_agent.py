@@ -4,11 +4,13 @@ import random
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from conftest import read_frame
 from edgetelem.agent import (
+    PLACEMENT_TAGS,
     ActionError,
     ActionKind,
     ActionMessage,
@@ -24,10 +26,10 @@ from edgetelem.agent import (
     fetch_model,
 )
 from edgetelem import bus
-from edgetelem.bandwidth import Placement
+from edgetelem.bandwidth import DEFAULT_TRACE_CONFIG, NetTrace, Placement
 from edgetelem.cloud import ModelStore, ModelStoreHttpServer
 from edgetelem.simulator import Platform, PlatformConfig, builtin_profiles, make_model_blob
-from edgetelem.telemetry import DeviceIdentity, decode_snapshot
+from edgetelem.telemetry import DeviceIdentity, decode_snapshot, encode_snapshot
 
 PROFILES = builtin_profiles()
 YOLO = PROFILES["yolov3"]
@@ -274,6 +276,21 @@ class TestApplyAction:
         ids = [decode_snapshot(p).model.model_id for _, p in captured]
         assert ids == ["yolov3", "yolov3@device", "yolov3@edge"]
         assert agent.report().placement == "Edge"
+
+    @pytest.mark.parametrize("placement", [None, Placement.EDGE, Placement.DEVICE], ids=str)
+    def test_tagged_tick_bytes_equal_tagging_a_sampled_snapshot(self, placement):
+        agent, captured, _ = build_agent()
+        agent.placement = placement
+        platform, trace, expected = Platform(), NetTrace(DEFAULT_TRACE_CONFIG), []
+        for _ in range(20):
+            agent.tick()
+            platform.advance(agent.cfg.sample_period_ms)
+            snapshot = platform.sample(agent.cfg.device, trace.tick()[0])
+            if placement is not None:  # the tag set on the finished snapshot, as two replace() calls
+                tagged = snapshot.model.model_id + PLACEMENT_TAGS[placement]
+                snapshot = replace(snapshot, model=replace(snapshot.model, model_id=tagged))
+            expected.append(encode_snapshot(snapshot))
+        assert [payload for _, payload in captured] == expected
 
     def test_report_counts_applied_and_rejected(self):
         agent, _, _ = build_agent()

@@ -277,7 +277,8 @@ class TestLakeStoresValidatedPayload:
         rec, stored = ingest_and_read_line(payload)
         assert stored == self.PREFIX + payload + b"}\n"
         line = stored[:-1]
-        assert cloud._RECORD_RE.fullmatch(line)
+        assert cloud._RECORD_HEAD_RE.match(line).end() == len(self.PREFIX)
+        assert telemetry._SNAPSHOT_RE.fullmatch(line, len(self.PREFIX), len(line) - 1)
         assert decode_record(line) == rec
         assert rec.snapshot == decode_snapshot(payload)
 
@@ -335,8 +336,12 @@ class TestLakeStoresValidatedPayload:
                 calls.append(self.pattern.pattern)
                 return self.pattern.fullmatch(data)
 
+            def match(self, data):
+                calls.append(self.pattern.pattern)
+                return self.pattern.match(data)
+
         monkeypatch.setattr(telemetry, "_SNAPSHOT_RE", Counting(telemetry._SNAPSHOT_RE))
-        monkeypatch.setattr(cloud, "_RECORD_RE", Counting(cloud._RECORD_RE))
+        monkeypatch.setattr(cloud, "_RECORD_HEAD_RE", Counting(cloud._RECORD_HEAD_RE))
         service = make_service(tmp_path)
         for seq in range(3):
             service.ingest(encode_snapshot(make_snapshot(seq=seq)), Transport.PUBSUB)

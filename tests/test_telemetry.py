@@ -1,6 +1,10 @@
+import copy
+import inspect
 import json
 import math
 import random
+import traceback
+from dataclasses import is_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,9 @@ from edgetelem.telemetry import (
     NUMERIC_PATHS,
     AppMetrics,
     DeviceIdentity,
+    EnergyMetrics,
+    ModelMetrics,
+    NetworkMetrics,
     ParseError,
     SchemaError,
     TelemetryError,
@@ -722,7 +729,7 @@ class TestGeneratedDecodeMatchesReference:
             assert outcome(decode_snapshot, raw) == outcome(reference_bytes, raw)
 
     @given(snapshots(), st.data())
-    @settings(max_examples=400)
+    @settings(max_examples=400, deadline=None)
     def test_random_byte_edits(self, snap, data):
         raw = bytearray(encode_snapshot(snap))
         for _ in range(data.draw(st.integers(1, 3))):
@@ -776,7 +783,7 @@ def hostile(size: int) -> dict:
 
 
 class TestGeneratedDecodeIsBounded:
-    @pytest.mark.parametrize("pattern", [telemetry.SNAPSHOT_PATTERN, cloud._RECORD_RE.pattern], ids=["snapshot", "record"])
+    @pytest.mark.parametrize("pattern", [telemetry.SNAPSHOT_PATTERN, cloud._RECORD_HEAD_RE.pattern], ids=["snapshot", "record"])
     def test_patterns_match_a_bounded_length(self, pattern):
         try:
             from re import _parser
@@ -835,3 +842,207 @@ class TestValidateRerunsGroupChecks:
         assert len(calls) == 1
         snap.validate()
         assert len(calls) == 2
+
+
+# --- generated builders and validate against the dataclasses -------------------
+
+
+class SubDevice(DeviceIdentity):
+    pass
+
+
+class SubNetwork(NetworkMetrics):
+    pass
+
+
+def dataclass_snapshot(device, seq, device_time_ms, ee_latency_ms, fps, accel_utilization, mem_throughput_gbps,
+                       cpu_utilization, mem_utilization, model_efficiency, model_id, power_w, temp_c, fps_per_watt,
+                       network):
+    """What ``build_snapshot`` must return or raise: the dataclass constructors'."""
+    return TelemetrySnapshot(
+        device=device,
+        seq=seq,
+        device_time_ms=device_time_ms,
+        app=AppMetrics(ee_latency_ms=ee_latency_ms, fps=fps),
+        model=ModelMetrics(
+            accel_utilization=accel_utilization,
+            mem_throughput_gbps=mem_throughput_gbps,
+            cpu_utilization=cpu_utilization,
+            mem_utilization=mem_utilization,
+            model_efficiency=model_efficiency,
+            model_id=model_id,
+        ),
+        energy=EnergyMetrics(power_w=power_w, temp_c=temp_c, fps_per_watt=fps_per_watt),
+        network=network,
+    )
+
+
+def builder_values(snap: TelemetrySnapshot) -> dict:
+    """The arguments of ``build_snapshot`` that build ``snap``."""
+    return {"device": snap.device, "seq": snap.seq, "device_time_ms": snap.device_time_ms,
+            **vars(snap.app), **vars(snap.model), **vars(snap.energy), "network": snap.network}
+
+
+def shape(obj) -> list:
+    """The instance dict's keys in order, each with its value's type, and the same of a nested dataclass."""
+    return [(key, type(value), shape(value) if is_dataclass(value) else None) for key, value in vars(obj).items()]
+
+
+def built(build, values: dict):
+    """What ``build(**values)`` returns, its repr and its shape, or its exception type and message."""
+    try:
+        made = build(**values)
+    except Exception as e:
+        return type(e), str(e)
+    return made, repr(made), shape(made)
+
+
+def odd_numbers(value, ge=None, gt=None, le=None, lt=None):
+    """``value`` itself, or a value that a number check may take differently."""
+    near = [x for b in (ge, gt, le, lt) if b is not None for x in (b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf))]
+    return st.one_of(
+        st.just(value),
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, *near]),
+        st.sampled_from([Real(value), True, False, None, "1.0", 10**400]),
+        st.integers(-2, 2),
+        st.floats(),
+    )
+
+
+def odd_ints(value):
+    return st.one_of(st.just(value), st.integers(-2, 2**70), st.builds(Count, st.integers(0, 9)),
+                     st.sampled_from([True, 1.0, None]))
+
+
+ODD_MODEL_IDS = st.one_of(MODEL_IDS, st.sampled_from(["", None, 5, b"yolov3"]))
+
+
+def perturbed(data, values: dict, odd: dict) -> dict:
+    """``values`` with one to three of them replaced by a draw from ``odd``, their strategies."""
+    names = data.draw(st.sets(st.sampled_from(sorted(odd)), min_size=1, max_size=3))
+    return {name: data.draw(odd[name]) if name in names else value for name, value in values.items()}
+
+
+def number_strategies(group) -> dict:
+    return {name: odd_numbers(getattr(group, name), *bounds) for name, *bounds in float_bounds(type(group))}
+
+
+def per_group_checks(snap: TelemetrySnapshot) -> None:
+    """The reference of ``validate``: the snapshot's field checks, each group's construction checks, fps per watt."""
+    snap._check_fields()
+    for key in GROUPS:
+        getattr(snap, key).__post_init__()
+    snap._check_fps_per_watt()
+
+
+def checked(check, snap):
+    """The snapshot's repr and shape after ``check(snap)``, or the exception type and message."""
+    try:
+        check(snap)
+    except Exception as e:
+        return type(e), str(e)
+    return repr(snap), shape(snap)
+
+
+class TestGeneratedBuildersMatchTheDataclasses:
+    @given(snapshots(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_build_snapshot(self, snap, data):
+        values = builder_values(snap)
+        odd = {
+            "device": st.sampled_from([snap.device, SubDevice(snap.device.device_id), snap.device.device_id, None]),
+            "seq": odd_ints(snap.seq),
+            "device_time_ms": odd_ints(snap.device_time_ms),
+            "model_id": ODD_MODEL_IDS,
+            "network": st.sampled_from([snap.network, SubNetwork(**vars(snap.network)), vars(snap.network), None]),
+        }
+        for key in ("app", "model", "energy"):
+            odd.update(number_strategies(getattr(snap, key)))
+        values = perturbed(data, values, odd)
+        assert built(telemetry.build_snapshot, values) == built(dataclass_snapshot, values)
+
+    @given(snapshots(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_build_network(self, snap, data):
+        values = perturbed(data, vars(snap.network), number_strategies(snap.network))
+        assert built(telemetry.build_network, values) == built(NetworkMetrics, values)
+
+    def test_valid_values_skip_the_constructors(self, monkeypatch):
+        snap = make_snapshot()
+        values = builder_values(snap)
+
+        def constructed(self):
+            raise AssertionError("a constructor ran")
+
+        monkeypatch.setattr(telemetry._Metrics, "__post_init__", constructed)
+        monkeypatch.setattr(TelemetrySnapshot, "__post_init__", constructed)
+        monkeypatch.setattr(TelemetrySnapshot, "_check_groups", constructed)
+        assert built(telemetry.build_snapshot, values)[1:] == (repr(snap), shape(snap))
+        assert telemetry.build_network(**vars(snap.network)) == snap.network
+        snap.validate()
+
+
+#: A field of the snapshot, or ``(group, member)``, and what may be set there behind its back.
+VALIDATE_MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(["device"]), st.sampled_from([None, "dev0", SubDevice("dev0")])),
+    st.tuples(st.sampled_from(["seq", "device_time_ms"]), odd_ints(0)),
+    st.tuples(st.sampled_from(GROUPS), st.sampled_from([None, GOLDEN.model, GOLDEN.network, SubNetwork(**vars(GOLDEN.network))])),
+    st.tuples(st.just(("model", "model_id")), ODD_MODEL_IDS),
+    *(
+        st.tuples(st.just((key, name)), odd_numbers(getattr(getattr(GOLDEN, key), name), *bounds))
+        for key, cls, _ in telemetry._GROUPS
+        for name, *bounds in float_bounds(cls)
+    ),
+)
+
+
+class TestGeneratedValidateMatchesPerGroupChecks:
+    @given(snapshots(), st.lists(VALIDATE_MUTATIONS, max_size=3))
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_snapshots(self, snap, mutations):
+        # Members first: a later mutation may replace their group.
+        mutations.sort(key=lambda m: isinstance(m[0], str))
+        twins = []
+        for _ in range(2):
+            twin = copy.deepcopy(snap)
+            for path, value in copy.deepcopy(mutations):
+                target = twin if isinstance(path, str) else getattr(twin, path[0])
+                object.__setattr__(target, path if isinstance(path, str) else path[1], value)
+            twins.append(twin)
+        assert checked(TelemetrySnapshot.validate, twins[0]) == checked(per_group_checks, twins[1])
+
+    def test_int_set_in_a_float_field_is_stored_as_a_float(self):
+        snap = make_snapshot()
+        object.__setattr__(snap.network, "dl_mbps", 12)
+        snap.validate()
+        assert type(snap.network.dl_mbps) is float
+        assert encode_snapshot(snap) == encode_snapshot(make_snapshot())
+
+
+class TestGeneratedSourceIsReadable:
+    @pytest.mark.parametrize(
+        "function, head",
+        [
+            (telemetry.snapshot_text, "def snapshot_text(s):"),
+            (telemetry._build_from_tokens, "def build(t0, "),
+            (telemetry.build_snapshot, "def build_snapshot(device, seq, "),
+            (telemetry.build_network, "def build_network(rssi_dbm, "),
+            (TelemetrySnapshot.validate, "def validate(self):"),
+            (telemetry._bounds_checker(AppMetrics), "def check_AppMetrics(self):"),
+        ],
+        ids=lambda x: getattr(x, "__name__", None),
+    )
+    def test_getsource_shows_the_generated_lines(self, function, head):
+        assert function.__code__.co_filename == f"<edgetelem:{function.__name__}>"
+        source = inspect.getsource(function)
+        assert source.startswith(head)
+        compile(source, "<check>", "exec")  # the whole function
+
+    def test_a_traceback_shows_the_failing_generated_line(self):
+        snap = make_snapshot()
+        values = builder_values(snap)
+        values["fps_per_watt"] *= 2
+        with pytest.raises(ValidationError, match="^fps_per_watt: ") as exc:
+            telemetry.build_snapshot(**values)
+        frames = [f for f in traceback.extract_tb(exc.value.__traceback__) if f.filename == "<edgetelem:build_snapshot>"]
+        assert [f.line for f in frames] == ["snapshot._check_fps_per_watt()"]
