@@ -830,22 +830,8 @@ def _recv_some(sock: socket.socket) -> bytes:
 
 
 def _connect(host: str, port: int) -> socket.socket:
-    """A ``TCP_NODELAY`` connection timing out after ``CLIENT_TIMEOUT_S``; a numeric host skips the resolver."""
-    for family in (socket.AF_INET, socket.AF_INET6):
-        try:
-            socket.inet_pton(family, host)
-        except (OSError, ValueError):  # not a literal of this family
-            continue
-        sock = socket.socket(family, socket.SOCK_STREAM)
-        try:
-            sock.settimeout(CLIENT_TIMEOUT_S)
-            sock.connect((host, port))
-        except BaseException:
-            sock.close()
-            raise
-        break
-    else:
-        sock = socket.create_connection((host, port), timeout=CLIENT_TIMEOUT_S)
+    """A ``TCP_NODELAY`` connection to ``host``, a name or an address, timing out after ``CLIENT_TIMEOUT_S``."""
+    sock = socket.create_connection((host, port), timeout=CLIENT_TIMEOUT_S)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return sock
 

@@ -327,9 +327,6 @@ class Comparator(str, Enum):
     GE = "GE"
     LE = "LE"
 
-    def holds(self, value: float, threshold: float) -> bool:
-        return _OPERATORS[self](value, threshold)
-
 
 _OPERATORS = {
     Comparator.GT: operator.gt,

@@ -37,7 +37,6 @@ __all__ = [
     "ThermalConfig",
     "PlatformConfig",
     "Platform",
-    "BUILTIN_MODEL_IDS",
     "BUILTIN_LATENCY_MS",
     "builtin_profiles",
     "make_model_blob",
@@ -117,8 +116,7 @@ _BUILTIN_SPECS = {
     "yolov3": (65.63, 29.4, 1.0, 65_630),
     "ssd_resnet50_fpn": (178.4, 200.0, 0.368, 178_400),
 }
-BUILTIN_MODEL_IDS = tuple(_BUILTIN_SPECS)  # the keys of builtin_profiles(), known without hashing a blob
-BUILTIN_LATENCY_MS = {model_id: spec[1] for model_id, spec in _BUILTIN_SPECS.items()}  # and their base_latency_ms
+BUILTIN_LATENCY_MS = {model_id: spec[1] for model_id, spec in _BUILTIN_SPECS.items()}  # base_latency_ms per model, known without hashing a blob
 
 
 def make_model_blob(model_id: str, size_bytes: int) -> bytes:

@@ -183,23 +183,17 @@ def _bounded_fields(cls) -> tuple:
     return tuple(rows)
 
 
-def _in_bounds(v: str, ge, gt, le, lt) -> str:
-    """The condition that the number named ``v`` is finite and within bounds."""
+def _leaf_check(v: str, typ, optional, ge, gt, le, lt) -> str:
+    """The condition that the value named ``v`` is of the exact type ``typ``
+    and within bounds (a float only if finite), or None in an optional field."""
     bounds = ((">=", ge), (">", gt), ("<=", le), ("<", lt))
-    terms = [f"{v} {op} {bound!r}" for op, bound in bounds if bound is not None]
+    terms = [f"type({v}) is {typ.__name__}", *(f"{v} {op} {bound!r}" for op, bound in bounds if bound is not None)]
     # A bound on each side makes the value finite; every comparison is false for NaN.
     if ge is None and gt is None:
         terms.append(f"{v} > _NINF")
     if le is None and lt is None:
         terms.append(f"{v} < _INF")
-    return " and ".join(terms)
-
-
-def _leaf_check(v: str, typ, optional, ge, gt, le, lt) -> str:
-    """The condition that the value named ``v`` is of the exact type ``typ``
-    and within bounds (a float only if finite), or None in an optional field."""
-    none = f" or {v} is None" if optional else ""
-    return f"type({v}) is {typ.__name__} and {_in_bounds(v, ge, gt, le, lt)}{none}"
+    return " and ".join(terms) + (f" or {v} is None" if optional else "")
 
 
 def _compile(source: str, name: str, **names):
@@ -698,10 +692,11 @@ def _validator():
 
 
 TelemetrySnapshot.validate = _validator()
+_OBJECTS = ("network",)  # the metric groups build_snapshot takes whole, each made by its build_<group>
 #: ``build_snapshot(device, seq, device_time_ms, <app, model and energy
 #: members>, network)``: a snapshot as the dataclasses build it, its metric
 #: groups but the network passed as their members.
-build_snapshot = _builder(TelemetrySnapshot, "snapshot", objects=("network",))
+build_snapshot = _builder(TelemetrySnapshot, "snapshot", objects=_OBJECTS)
 #: ``build_network(<its members>)``: a :class:`NetworkMetrics` as the dataclass builds it.
 build_network = _builder(NetworkMetrics, "network")
 
@@ -787,9 +782,9 @@ def decode_snapshot(data, *, wire: bool = False) -> TelemetrySnapshot | tuple[Te
     Inverse of :func:`encode_snapshot` for all valid snapshots.  Rejects
     unknown keys, wrong types, and any invariant violation, and raises only
     :class:`TelemetryError`.  Bytes that :data:`SNAPSHOT_PATTERN` matches are
-    built from their tokens; any other input, and any whose tokens fail a
-    check, goes through ``json.loads`` and the reference path, which raises
-    the error.
+    built from their tokens by :func:`build_snapshot`; any other input, and
+    any whose tokens fail a check (a builder's own error is never raised),
+    goes through ``json.loads`` and the reference path, which raises the error.
 
     With ``wire=True`` it returns ``(snapshot, payload)``: ``payload`` is the
     input as bytes when the pattern path built the snapshot, so it is one
@@ -899,58 +894,51 @@ def _tokens_decoder():
     The pattern is :func:`snapshot_text`'s template with one token per leaf,
     so it matches a snapshot as that writes it, keys in wire order and no
     whitespace, and captures one token per leaf.  ``build(*tokens)`` converts
-    the tokens with ``float``, ``int`` and strict UTF-8 decoding, runs every
-    check construction runs, and builds the objects with their instance dicts
-    in field order.  A failed check, and a string that is not UTF-8, raise a
-    ``ValueError``.
+    the tokens with ``float``, ``int``, strict UTF-8 decoding and the
+    platform-kind table, and makes the device identity, whose check is the
+    pattern.  It passes the rest to :func:`build_snapshot`, with the network
+    from :func:`build_network`: they run every other check construction runs.
+    A failed check, and a string that is not UTF-8, raise a ``ValueError``.
     """
-    tokens, params, lines = [], [], []
-    namespace = {"_text": _text, **_CLASSES}
+    tokens, params, floats, lines = [], [], [], []
+    namespace = {"_text": _text, "build_snapshot": build_snapshot, "build_network": build_network, **_CLASSES}
 
     def leaf(token: bytes) -> str:
         tokens.append(token)  # in field order, the template's order
         params.append(f"t{len(params)}")
         return params[-1]
 
-    def instance(var: str, cls, items: list) -> None:
-        lines.extend(f"    {statement}" for statement in _instance(var, cls, items))
+    def device_value(typ) -> str:
+        if not issubclass(typ, Enum):  # the device id pattern is the check
+            return leaf(b'"(' + DEVICE_ID_RE.pattern.encode() + b')"') + ".decode()"
+        values = {_str(kind.value)[1:-1].encode(): kind for kind in typ}  # the alternation is the check
+        namespace[f"_{typ.__name__}"] = values
+        return f"_{typ.__name__}[" + leaf(b'"(' + b"|".join(map(re.escape, values)) + b')"') + "]"
 
-    snapshot_items, floats = [], []
-    for name, hint in _SNAPSHOT_FIELDS:
-        if hint is DeviceIdentity:  # its fields sit at the top level
-            items = []
-            for member, typ in _typed_fields(hint):
-                if issubclass(typ, Enum):  # the alternation is the check
-                    values = {_str(kind.value)[1:-1].encode(): kind for kind in typ}
-                    namespace[f"_{typ.__name__}"] = values
-                    t = leaf(b'"(' + b"|".join(map(re.escape, values)) + b')"')
-                    items.append((member, f"_{typ.__name__}[{t}]"))
-                else:  # the device id pattern is the check
-                    t = leaf(b'"(' + DEVICE_ID_RE.pattern.encode() + b')"')
-                    items.append((member, f"{t}.decode()"))
-            instance(name, hint, items)
-            snapshot_items.append((name, name))
-        elif hint is int:
-            snapshot_items.append((name, f"int({leaf(INT_TOKEN)})"))
-        else:
-            bounds = {member: b for member, _, _, *b in _bounded_fields(hint)}
-            items, checks = [], []
-            for member in (f.name for f in fields(hint)):
-                if member in bounds:
-                    t = leaf(_FLOAT_TOKEN)
-                    floats.append(t)
-                    checks.append(_in_bounds(t, *bounds[member]))
-                    items.append((member, t))
-                else:
-                    items.append((member, f"_text({leaf(_STR_TOKEN)})"))
-            lines += [f"    if not ({' and '.join(checks)}):", "        raise ValueError"]
-            instance(name, hint, items)
-            snapshot_items.append((name, name))
-    instance("snapshot", TelemetrySnapshot, snapshot_items)
-    lines.append("    return snapshot")
-    lines.insert(0, f"    {', '.join(floats)} = map(float, ({', '.join(floats)}))")  # one C loop, not a call per field
-    builder = _compile(f"def build({', '.join(params)}):\n" + "\n".join(lines), "build", **namespace)
-    return _template_pattern(_TEMPLATE.encode(), tokens), builder
+    def args(tree) -> list:
+        """The builder's argument per value of ``tree``, in field order."""
+        values = []
+        for name, hint, members in tree:
+            if members is not None:  # a metric group passed as its members
+                values += args(members)
+            elif hint is DeviceIdentity:
+                lines.extend(_instance(name, hint, [(member, device_value(typ)) for member, typ in _typed_fields(hint)]))
+                values.append(name)
+            elif hint is float:
+                floats.append(leaf(_FLOAT_TOKEN))
+                values.append(floats[-1])
+            elif hint is int:
+                values.append(f"int({leaf(INT_TOKEN)})")
+            elif hint is str:
+                values.append(f"_text({leaf(_STR_TOKEN)})")
+            else:  # a metric group passed as an object
+                values.append(f"build_{name}({', '.join(args(_leaves(hint)))})")
+        return values
+
+    returned = f"return build_snapshot({', '.join(args(_leaves(TelemetrySnapshot, _OBJECTS)))})"
+    converted = f"{', '.join(floats)} = map(float, ({', '.join(floats)}))"  # one C loop, not a call per field
+    source = "\n    ".join([f"def build({', '.join(params)}):", converted, *lines, returned])
+    return _template_pattern(_TEMPLATE.encode(), tokens), _compile(source, "build", **namespace)
 
 
 #: The pattern of a compact snapshot with its keys in wire order.

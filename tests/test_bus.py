@@ -1175,18 +1175,6 @@ def _ipv6_loopback() -> bool:
 
 
 class TestHttpClientConnect:
-    @pytest.fixture
-    def no_resolver(self, monkeypatch):
-        def getaddrinfo(*args, **kwargs):
-            raise AssertionError("the resolver was called")
-
-        monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
-
-    def test_numeric_host_skips_the_resolver(self, ingest_server, no_resolver):
-        server, bodies = ingest_server
-        assert http_post_snapshot(server.address, b"{}") == {"record_id": 0}
-        assert bodies == [b"{}"]
-
     def test_host_name_is_resolved(self, ingest_server):
         server, bodies = ingest_server
         assert http_post_snapshot(("localhost", server.address[1]), b"{}") == {"record_id": 0}
@@ -1255,7 +1243,7 @@ class TestHttpClientConnect:
             assert time.monotonic() - start < 1.0
 
     @pytest.mark.skipif(not _ipv6_loopback(), reason="no IPv6 loopback")
-    def test_ipv6_literal(self, no_resolver):
+    def test_ipv6_literal(self):
         reply = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
         with socket.create_server(("::1", 0), family=socket.AF_INET6) as listener:
             listener.settimeout(5.0)

@@ -7,7 +7,6 @@ from edgetelem.simulator import (
     PlatformConfig,
     ThermalConfig,
     BUILTIN_LATENCY_MS,
-    BUILTIN_MODEL_IDS,
     builtin_profiles,
     config_from_dict,
     make_model_blob,
@@ -310,9 +309,6 @@ class TestConfigLoading:
         for profile in builtin_profiles().values():
             blob = make_model_blob(profile.model_id, profile.artifact_size_bytes)
             assert hashlib.sha256(blob).hexdigest() == profile.artifact_digest
-
-    def test_builtin_model_ids_are_the_profile_keys(self):
-        assert BUILTIN_MODEL_IDS == tuple(builtin_profiles())
 
     def test_builtin_latencies_are_the_profiles(self):
         assert BUILTIN_LATENCY_MS == {m: p.base_latency_ms for m, p in builtin_profiles().items()}

@@ -429,7 +429,9 @@ class TestCanonicalDecodeMatchesReference:
     def test_valid_documents_take_the_canonical_path(self, snap):
         match = telemetry._SNAPSHOT_RE.fullmatch(encode_snapshot(snap))
         assert match is not None
-        assert telemetry.snapshot_from_tokens(match.groups()) == snap
+        decoded = telemetry.snapshot_from_tokens(match.groups())
+        assert decoded == snap
+        assert shape(decoded) == shape(snap)  # snapshot_to_wire and the CSV export read vars() in order
 
     @given(snapshots(), st.data())
     @settings(max_examples=150)
@@ -980,6 +982,9 @@ class TestGeneratedBuildersMatchTheDataclasses:
         assert built(telemetry.build_snapshot, values)[1:] == (repr(snap), shape(snap))
         assert telemetry.build_network(**vars(snap.network)) == snap.network
         snap.validate()
+        payload = encode_snapshot(snap)
+        decoded, stored = decode_snapshot(payload, wire=True)
+        assert (repr(decoded), shape(decoded), stored) == (repr(snap), shape(snap), payload)
 
 
 #: A field of the snapshot, or ``(group, member)``, and what may be set there behind its back.
