@@ -1180,6 +1180,14 @@ class TestHttpClientConnect:
         assert http_post_snapshot(("localhost", server.address[1]), b"{}") == {"record_id": 0}
         assert bodies == [b"{}"]
 
+    def test_addresses_and_names_connect_without_nagle(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:  # the kernel completes the handshake unaccepted
+            port = listener.getsockname()[1]
+            for host in ("127.0.0.1", "localhost"):
+                with bus._connect(host, port) as sock:
+                    assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY), host
+                    assert sock.gettimeout() == bus.CLIENT_TIMEOUT_S, host
+
     def test_refused_port_raises_and_closes_the_socket(self, monkeypatch):
         opened = []
 

@@ -730,6 +730,17 @@ class TestGeneratedDecodeMatchesReference:
         for raw in generated:
             assert outcome(decode_snapshot, raw) == outcome(reference_bytes, raw)
 
+    def test_a_network_member_never_names_the_error_of_an_earlier_field(self):
+        # build_network runs as an argument of build_snapshot, so its error comes first; the reference's must win
+        network = [name for name, *_ in float_bounds(NetworkMetrics)]
+        for key in (key for key in FLOAT_KEYS if key not in network):
+            for member in network:
+                raw = replace_value(replace_value(GOLDEN_BYTES, key, b"-1e400"), member, b"1e400")
+                assert telemetry._SNAPSHOT_RE.fullmatch(raw) is not None and not takes_generated_path(raw)
+                result = outcome(decode_snapshot, raw)
+                assert result == outcome(reference_bytes, raw), raw
+                assert result[0] is ValidationError and result[1].startswith(f"{key}:"), result
+
     @given(snapshots(), st.data())
     @settings(max_examples=400, deadline=None)
     def test_random_byte_edits(self, snap, data):
