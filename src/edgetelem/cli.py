@@ -61,10 +61,20 @@ def _setup_logging() -> None:
 
 
 def _parse_address(text: str) -> tuple:
+    """``(host, port)`` of ``HOST:PORT`` or ``[IPV6]:PORT``, the port in 1-65535."""
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
+    if not host or not (port.isascii() and port.isdigit()) or not 0 < int(port) <= 65535:
         raise ValueError(f"address must be HOST:PORT, got {text!r}")
     return host, int(port)
+
+
+def _port(text: str) -> int:
+    """A port to bind, 0 for any free one; any other value is a usage error."""
+    if not (text.isascii() and text.isdigit()) or int(text) > 65535:
+        raise argparse.ArgumentTypeError(f"port must be 0-65535, got {text!r}")
+    return int(text)
 
 
 def _read_json(path: str) -> dict:
@@ -307,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("broker", help="run the pub/sub message broker")
     p.set_defaults(func=cmd_broker)
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=1883)
+    p.add_argument("--port", type=_port, default=1883)
 
     p = sub.add_parser("cloud", help="run the cloud ingest/rules/dispatch service")
     p.set_defaults(func=cmd_cloud)
@@ -316,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lake", default="lake", help="data lake directory")
     p.add_argument("--store", help="model store root (resolves SwapModel digests)")
     p.add_argument("--http-host", default="127.0.0.1")
-    p.add_argument("--http-port", type=int, default=8080)
+    p.add_argument("--http-port", type=_port, default=8080)
 
     p = sub.add_parser("agent", help="run one edge telemetry agent")
     p.set_defaults(func=cmd_agent)
@@ -334,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", required=True)
     p.add_argument("--init", action="store_true", help="populate the store with the built-in models")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8090)
+    p.add_argument("--port", type=_port, default=8090)
 
     p = sub.add_parser("scenario", help="run a scripted end-to-end scenario in-process")
     p.set_defaults(func=cmd_scenario)

@@ -158,7 +158,8 @@ _TAIL_BYTES = 1 << 16  # the first read back from a partition's end when the lak
 
 
 def _append_line(path: str, line: bytes) -> None:
-    # One write per record keeps appends line-atomic on POSIX.
+    # One write per record: only a process killed inside the write, which a
+    # fatal signal can cut short at a page boundary, leaves a torn line.
     fd = os.open(path, _APPEND_FLAGS, 0o644)
     try:
         written = os.write(fd, line)

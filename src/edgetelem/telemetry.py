@@ -205,41 +205,22 @@ def _compile(source: str, name: str, **names):
     """
     filename = f"<edgetelem:{name}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"_INF": math.inf, "_NINF": -math.inf, "_as_float": _as_float, "_as_int": _as_int, "_new": object.__new__, "_set": _set}
+    namespace = {"_INF": math.inf, "_NINF": -math.inf, "_new": object.__new__, "_set": _set}
     namespace.update(names)
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
-
-
-@cache
-def _bounds_checker(cls):
-    """Generate the function that checks the :func:`bounded` fields of a ``cls`` instance.
-
-    Per field, a value of its exact type within bounds (a float only if
-    finite) passes inline, as does None in an optional field; any other value
-    goes to :func:`_as_float` or :func:`_as_int`, which raise the message
-    (the first converts an int to a float).
-    """
-    name = f"check_{cls.__name__}"  # one pseudo-file per class
-    lines = [f"def {name}(self):"]
-    for field_name, *row in _bounded_fields(cls):
-        typ, _, ge, gt, le, lt = row
-        lines += [
-            f"    v = self.{field_name}",
-            f"    if not ({_leaf_check('v', *row)}):",
-            f"        _set(self, {field_name!r}, _as_{typ.__name__}({field_name!r}, v, {ge!r}, {gt!r}, {le!r}, {lt!r}))",
-        ]
-    lines.append("    pass")  # no such field
-    return _compile("\n".join(lines), name)
 
 
 def check_bounds(obj) -> None:
     """Check each :func:`bounded` field of the dataclass ``obj``: a config's ``__post_init__``.
 
     A failure raises :class:`ValidationError` named by the field, and a float
-    field is stored as a float.
+    field is stored as a float.  None passes in an optional field.
     """
-    _bounds_checker(type(obj))(obj)
+    for name, typ, optional, *bounds in _bounded_fields(type(obj)):
+        value = getattr(obj, name)
+        if value is not None or not optional:
+            _set(obj, name, (_as_float if typ is float else _as_int)(name, value, *bounds))
 
 
 class _Metrics:
@@ -309,8 +290,8 @@ class NetworkMetrics(_Metrics):
     rsrq_db: float = bounded(ge=-25.0, le=0.0)
     rsrp_dbm: float = bounded(ge=-140.0, le=-40.0)
     modem_temp_c: float = bounded()
-    dl_mbps: float = bounded(ge=0.0)
-    ul_mbps: float = bounded(ge=0.0)
+    dl_mbps: float = bounded(ge=0.0, le=1e5)  # 100 Gbit/s, far above any radio's rate
+    ul_mbps: float = bounded(ge=0.0, le=1e5)
 
 
 @dataclass(frozen=True)
@@ -722,17 +703,19 @@ def _text_encoder():
 
     Returns its ``%`` template, the one statement of the compact layout, and
     the function.  The template holds every key, escaped here once (a key is
-    a field name, so it holds no ``%``), and a ``%s`` per leaf.  Each leaf is
-    formatted as the C encoder formats it: a float by ``float.__repr__``, an
-    int by ``int.__repr__`` and a string by ``encode_basestring``, the escaper
-    ``_ENCODER`` uses with ``ensure_ascii=False``.
+    a field name, so it holds no ``%``), and a conversion per leaf that
+    formats it as the C encoder does: ``%r`` a float (construction stores a
+    float field as a float, so this is ``float.__repr__``), ``%d`` an int
+    by its value, even of a subclass, and ``%s`` a string escaped by
+    ``encode_basestring``, the escaper ``_ENCODER`` uses with
+    ``ensure_ascii=False``.
     """
-    formats = {float: "_float", int: "_int", str: "_str"}
+    formats = {float: "%r", int: "%d", str: "%s"}
     args = []
 
     def leaf(path: str, typ: type) -> str:
-        args.append(f"{formats[typ]}(s.{path})")  # in template order
-        return "%s"
+        args.append(f"_str(s.{path})" if typ is str else f"s.{path}")  # in template order
+        return formats[typ]
 
     items = []
     for key, path, typ, members in _WIRE_LAYOUT:
@@ -743,7 +726,7 @@ def _text_encoder():
         items.append(f"{_str(key)}:{value}")
     template = "{" + ",".join(items) + "}"
     source = f"def snapshot_text(s):\n    return _TEMPLATE % ({', '.join(args)})"
-    return template, _compile(source, "snapshot_text", _TEMPLATE=template, _float=float.__repr__, _int=int.__repr__, _str=_str)
+    return template, _compile(source, "snapshot_text", _TEMPLATE=template, _str=_str)
 
 
 _TEMPLATE, snapshot_text = _text_encoder()
@@ -883,8 +866,8 @@ def _text(token: bytes) -> str:
 
 def _template_pattern(template: bytes, tokens) -> bytes:
     """The pattern of what ``template % args`` writes: the template's text
-    escaped, and the next of ``tokens`` in place of each ``%s`` or ``%d``."""
-    text = re.split(b"%[ds]", template)
+    escaped, and the next of ``tokens`` in place of each ``%s``, ``%d`` or ``%r``."""
+    text = re.split(b"%[dsr]", template)
     return re.escape(text[0]) + b"".join(token + re.escape(t) for token, t in zip(tokens, text[1:], strict=True))
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import socket
 import string
+from pathlib import Path
 
 from edgetelem import bus
 from edgetelem.telemetry import (
@@ -17,6 +19,15 @@ from edgetelem.telemetry import (
 )
 
 DEVICE_ID_CHARS = string.ascii_letters + string.digits + "_-"
+
+
+def bench_fleet():
+    """``perfbench/fleet.py``, the benchmark's seeded fleet and rules, as a module."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "fleet.py"
+    spec = importlib.util.spec_from_file_location("_bench_fleet", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_snapshot(

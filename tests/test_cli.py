@@ -240,6 +240,51 @@ class TestDeployedRoles:
         assert "usage error: address must be HOST:PORT, got 'nonsense'" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_agent_address_port_beyond_65535_is_refused(self):
+        broker = Broker().start()
+        try:
+            host, port = broker.address
+            wrapped = f"{host}:{port + 65536}"  # the resolver would take it modulo 65536, to the broker
+            result = run_cli("agent", "--broker", wrapped, "--max-ticks", "1")
+        finally:
+            broker.stop()
+        assert result.returncode == 2
+        assert f"usage error: address must be HOST:PORT, got '{wrapped}'" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("address", ["127.0.0.1:0", "h:65536", "h:\u0663", "[]:80"])
+    def test_address_with_a_bad_host_or_port_is_refused(self, address):
+        with pytest.raises(ValueError, match="^address must be HOST:PORT, got "):
+            cli._parse_address(address)
+
+    def test_bracketed_ipv6_address_is_dialled_without_brackets(self, monkeypatch):
+        dialled = []
+
+        def refuse(address, *args, **kwargs):
+            dialled.append(address)
+            raise ConnectionRefusedError(errno.ECONNREFUSED, "Connection refused")
+
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        assert cli._parse_address("[::1]:65535") == ("::1", 65535)
+        assert cli.main(["agent", "--broker", "[::1]:1883", "--max-ticks", "1"]) == 2
+        assert set(dialled) == {("::1", 1883)}
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["broker", "--port", "99999"],
+            ["model-store", "--root", "no-such-store", "--port", "70000"],
+            ["cloud", "--broker", "127.0.0.1:1", "--http-port", "70000"],
+            ["broker", "--port", "-1"],
+        ],
+        ids=["broker", "model-store", "cloud", "negative"],
+    )
+    def test_bind_port_outside_0_to_65535_is_usage_error(self, args):
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert f"error: argument {args[-2]}: port must be 0-65535, got '{args[-1]}'" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_agent_bad_platform_config_exits_config_error(self, tmp_path):
         bad = tmp_path / "platform.json"
         bad.write_text('{"level_ratios": []}')

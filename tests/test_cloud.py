@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_snapshot, random_snapshot
+from conftest import bench_fleet, make_snapshot, random_snapshot
 from oracle_rules import naive_fire_sequence
 from edgetelem.agent import ActionKind
 from edgetelem.bandwidth import BandwidthPredictor, FitError, Placement
@@ -652,6 +652,20 @@ class TestBandwidthRule:
         sent = self._run(tmp_path, ticks=60)
         kinds = [m.placement for m in sent]
         assert kinds == [Placement.DEVICE, Placement.EDGE]
+
+    def test_a_downlink_beyond_any_radio_is_dead_lettered_not_fitted(self, tmp_path):
+        # In bounds, 1e300 Mbps froze the predictor: every later update of its device raised FitError.
+        fleet = bench_fleet()
+        payloads = fleet.generate_payloads(1, 300, 7301)
+        payloads[100], replaced = re.subn(rb'"dl_mbps":[^,]+', b'"dl_mbps":1e+300', payloads[100])
+        assert replaced == 1
+        service = make_service(tmp_path, rules=rules_from_dict(fleet.RULES))
+        for payload in payloads:
+            try:
+                service.ingest(payload, Transport.PUBSUB)
+            except IngestRejected:
+                pass
+        assert (service.feedback_errors, service.dead_letters) == (0, 1)
 
 
 class TestModelStore:

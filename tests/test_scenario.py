@@ -1,11 +1,11 @@
 import hashlib
-import importlib.util
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+from conftest import bench_fleet
 from edgetelem.scenario import (
     FaultSpec,
     ScenarioError,
@@ -324,18 +324,10 @@ def readme_rules_config() -> dict:
     return json.loads(block.group(1))
 
 
-def bench_fleet_rules() -> dict:
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "fleet.py"
-    spec = importlib.util.spec_from_file_location("_bench_fleet", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.RULES
-
-
 def test_documented_and_bundled_configs_load_strictly():
     """README's example, the bundled scenarios and the benchmark's rules all load."""
     assert rules_from_dict(readme_rules_config()).rules[0].rule_id == "r1-fps-cap"
-    assert len(rules_from_dict(bench_fleet_rules()).rules) == 3
+    assert len(rules_from_dict(bench_fleet().RULES).rules) == 3
     paths = sorted(SCENARIO_DIR.glob("*.json"))
     assert paths
     for path in paths:

@@ -1044,7 +1044,6 @@ class TestGeneratedSourceIsReadable:
             (telemetry.build_snapshot, "def build_snapshot(device, seq, "),
             (telemetry.build_network, "def build_network(rssi_dbm, "),
             (TelemetrySnapshot.validate, "def validate(self):"),
-            (telemetry._bounds_checker(AppMetrics), "def check_AppMetrics(self):"),
         ],
         ids=lambda x: getattr(x, "__name__", None),
     )
