@@ -17,14 +17,14 @@ and so is one that would take a subscriber's queue above ``MAX_PEER_QUEUE``
 many of its filters match, and runs each matching subscription's handler once.
 Per publisher, messages arrive in publish order.
 
-Every server is a protocol on :class:`_LoopServer`, one ``selectors`` loop on
-one thread: :class:`Broker` speaks the frames above, and :class:`HttpServer`
-serves the HTTP endpoints (snapshot ingest, the model store, the latency
-probe) as route functions.  :func:`connect` opens a client :class:`Session`;
-:func:`_http_request` is the one HTTP client: it reuses an idle keep-alive
-connection to the same address, used in the last ``CLIENT_TIMEOUT_S``, and
-otherwise opens one.  Both open TCP through :func:`_connect`;
-``CLIENT_TIMEOUT_S`` bounds their waits.
+Every server is a :class:`_Core` protocol, free of I/O, on :class:`_LoopServer`,
+one ``selectors`` loop on one thread: :class:`Broker` speaks the frames above,
+and :class:`HttpServer` serves the HTTP endpoints (snapshot ingest, the model
+store, the latency probe) as route functions.  :func:`connect` opens a client
+:class:`Session`; :func:`_http_request` is the one HTTP client: it reuses an
+idle keep-alive connection to the same address, used in the last
+``CLIENT_TIMEOUT_S``, and otherwise opens one.  Both open TCP through
+:func:`_connect`; ``CLIENT_TIMEOUT_S`` bounds their waits.
 
 Every frame reader (the broker's loop, a session's, which reads the CONNACK
 too, and :func:`decode_frame`) reads a header through :func:`_frame_end` and a
@@ -265,40 +265,64 @@ def decode_frame(data: bytes) -> Frame:
 
 
 class _Peer:
-    """One connection of a :class:`_LoopServer`; ``request`` and ``client_id`` belong to its protocol."""
+    """One connection's protocol state; its socket stays with the :class:`_LoopServer`."""
 
-    __slots__ = ("sock", "inbuf", "out", "deadline", "closing", "writing", "request", "client_id")
+    __slots__ = ("inbuf", "out", "deadline", "closing", "request", "client_id")
 
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
+    def __init__(self, now: float):
         self.inbuf = bytearray()
         self.out = bytearray()
-        self.deadline = time.monotonic() + PEER_TIMEOUT_S
-        self.closing = False  # close once ``out`` has drained
-        self.writing = False  # registered for EVENT_WRITE while ``out`` holds bytes
+        self.deadline = now + PEER_TIMEOUT_S
+        self.closing = False  # close once ``out`` is empty
         self.request = None  # HTTP: the parsed head while its body is read
         self.client_id = ""  # broker: set by the peer's CONNECT
 
 
-class _LoopServer:
-    """One ``selectors`` loop on one thread accepts, reads and writes for every peer.
+class _Core:
+    """A server's protocol, with no socket, selector, thread or clock: a :class:`_LoopServer` passes it ``now``.
 
-    A protocol defines ``_advance(peer)``, called when ``inbuf`` gains bytes
-    or ``out`` drains, and ``_owes(peer)``: whether the peer still owes bytes.
-    A peer gets ``PEER_TIMEOUT_S`` from its connect, from the first byte of a
-    request or frame, and from each byte it takes of ``out``; one that owes
-    bytes past that is closed.  The loop polls every ``SERVE_POLL_S``, which
-    bounds eviction and how long :meth:`stop` waits.
+    :meth:`feed` leaves each peer's bytes to send in ``out``, ``closing`` to close it once ``out`` is empty
+    (``out`` emptied: at once), and ``deadline``: ``PEER_TIMEOUT_S`` after its connect and after a feed
+    that starts or consumes a request or frame or sends bytes.  A protocol defines ``_advance(peer)``,
+    which handles ``inbuf`` and returns the peers whose ``out`` it may have filled (None: ``peer``
+    alone), and ``_owes(peer)``, whether a peer past its deadline has expired.
     """
 
-    _WRITE_EVENTS = selectors.EVENT_READ | selectors.EVENT_WRITE  # while ``out`` holds bytes
+    reads_while_sending = True  # whether the loop reads a peer whose ``out`` waits for the socket
 
-    def __init__(self, host: str, port: int, name: str):
-        self._listener = socket.create_server((host, port), backlog=128)
+    def feed(self, peer: _Peer, now: float, received: bytes = b"", sent: int = 0):
+        """Take ``received`` bytes, or drop the ``sent`` bytes of ``out``; the peers whose ``out`` may have gained bytes."""
+        fresh = sent or not peer.inbuf  # the peer read bytes, or began a request or frame
+        del peer.out[:sent]
+        peer.inbuf += received
+        held = len(peer.inbuf)
+        touched = self._advance(peer) or (peer,)
+        if fresh or len(peer.inbuf) < held:
+            peer.deadline = now + PEER_TIMEOUT_S
+        return touched
+
+    def closed(self, peer: _Peer) -> None:
+        """Forget a peer whose connection the loop closed."""
+
+    def expired(self, peers, now: float) -> list:
+        return [p for p in peers if p.deadline <= now and self._owes(p)]
+
+
+class _LoopServer:
+    """One ``selectors`` loop on one thread makes every socket call of a server and hands its bytes to a :class:`_Core`.
+
+    Every ``SERVE_POLL_S`` it closes the peers the core calls expired: the poll bounds eviction and :meth:`stop`.
+    """
+
+    def __init__(self, core: _Core, host: str, port: int, name: str):
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.create_server((host, port), family=family, backlog=128)
         self._listener.setblocking(False)
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ)
-        self._peers: set = set()
+        self._core = core
+        self._socks: dict = {}  # _Peer -> its socket, for each open connection
+        self._write_events = selectors.EVENT_WRITE | (selectors.EVENT_READ if core.reads_while_sending else 0)
         self._stopping = threading.Event()
         self._thread = threading.Thread(target=self._serve, name=name, daemon=True)
 
@@ -315,7 +339,7 @@ class _LoopServer:
         self._stopping.set()
         if self._thread.ident is not None:
             self._thread.join()
-        for peer in list(self._peers):
+        for peer in list(self._socks):
             self._close(peer)
         self._selector.close()
         self._listener.close()
@@ -331,7 +355,7 @@ class _LoopServer:
             now = time.monotonic()
             if now >= next_sweep:
                 next_sweep = now + SERVE_POLL_S
-                for peer in [p for p in self._peers if p.deadline <= now and self._owes(p)]:
+                for peer in self._core.expired(list(self._socks), now):
                     log.debug("%s peer evicted: no progress in %.1f s", self._thread.name, PEER_TIMEOUT_S)
                     self._close(peer)
 
@@ -346,32 +370,33 @@ class _LoopServer:
                 return
             sock.setblocking(False)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            peer = _Peer(sock)
-            self._peers.add(peer)
+            peer = _Peer(time.monotonic())
+            self._socks[peer] = sock
             self._selector.register(sock, selectors.EVENT_READ, peer)
             self._step(peer, selectors.EVENT_READ)  # a client's first bytes usually follow its connect at once
 
     def _step(self, peer: _Peer, mask: int) -> None:
-        if peer not in self._peers:  # closed while serving an earlier event of this poll
+        if peer not in self._socks:  # closed while serving an earlier event of this poll
             return
         try:
             if mask & selectors.EVENT_WRITE:
                 self._flush(peer)
-            if mask & selectors.EVENT_READ and peer in self._peers:
+            if mask & selectors.EVENT_READ and peer in self._socks:
                 self._read(peer)
         except Exception:  # the loop serves every other peer; drop only this one
             log.exception("%s connection failed", self._thread.name)
-            if peer in self._peers:
+            if peer in self._socks:
                 self._close(peer)
 
     def _close(self, peer: _Peer) -> None:
-        self._peers.discard(peer)
-        self._selector.unregister(peer.sock)
-        peer.sock.close()
+        sock = self._socks.pop(peer)
+        self._selector.unregister(sock)
+        sock.close()
+        self._core.closed(peer)
 
     def _read(self, peer: _Peer) -> None:
         try:
-            data = peer.sock.recv(_RECV_BYTES)
+            data = self._socks[peer].recv(_RECV_BYTES)
         except BlockingIOError:
             return
         except OSError:
@@ -379,54 +404,31 @@ class _LoopServer:
         if not data:
             self._close(peer)
             return
-        if not peer.inbuf:  # a request or frame starts: it has PEER_TIMEOUT_S to arrive whole
-            peer.deadline = time.monotonic() + PEER_TIMEOUT_S
-        peer.inbuf += data
-        self._advance(peer)
+        for target in self._core.feed(peer, time.monotonic(), data):
+            self._flush(target)
 
     def _flush(self, peer: _Peer) -> None:
-        """Send what the socket takes now; wait for EVENT_WRITE while bytes are pending."""
+        """Send ``out`` while the socket takes it; wait for EVENT_WRITE while bytes are pending."""
+        sock = self._socks[peer]
         try:
-            sent = peer.sock.send(peer.out)
+            while peer.out:  # the core may fill ``out`` again as it drains
+                self._core.feed(peer, time.monotonic(), sent=sock.send(peer.out))
         except BlockingIOError:
-            sent = 0
+            pass
         except OSError:
             self._close(peer)
             return
-        if sent:
-            del peer.out[:sent]
-            peer.deadline = time.monotonic() + PEER_TIMEOUT_S
-        if peer.out:
-            if not peer.writing:
-                peer.writing = True
-                self._selector.modify(peer.sock, self._WRITE_EVENTS, peer)
-        elif peer.closing:
+        events = self._write_events if peer.out else selectors.EVENT_READ
+        if peer.closing and not peer.out:
             self._close(peer)
-        elif peer.writing:
-            peer.writing = False
-            self._selector.modify(peer.sock, selectors.EVENT_READ, peer)
-            self._advance(peer)
+        elif self._selector.get_key(sock).events != events:
+            self._selector.modify(sock, events, peer)
 
 
-class Broker(_LoopServer):
-    """Pub/sub broker: a frame protocol on a :class:`_LoopServer` loop.
+class _BrokerCore(_Core):
+    """The frames of :class:`Broker`, without I/O."""
 
-    A peer's first frame must be CONNECT; a duplicate client id gets CONNACK 2
-    and a close.  A peer holds each filter once, at most ``MAX_PEER_FILTERS``
-    of them; a SUBSCRIBE to one more gets SUBACK 1.  A PUBLISH is forwarded as
-    received, once to each peer with a matching subscription however many of
-    its filters match; a topic with ``+`` is dropped.  A connected peer's
-    PUBLISH frames are parsed in place and routed through a table from topic
-    bytes to peers, filled the first time a topic is seen and cleared on
-    SUBSCRIBE, when a subscriber closes and when it reaches
-    ``MAX_CACHED_TOPICS``.  A frame that would take a
-    peer's queue above ``MAX_PEER_QUEUE`` bytes is dropped for that peer and
-    counted in ``dropped``.  Every peer is read whatever its queue holds, so a
-    client that publishes from its receive thread cannot stall the broker.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        super().__init__(host, port, "broker")
+    def __init__(self):
         self._clients: dict = {}  # client_id -> _Peer
         self._subs: dict = {}  # _Peer -> the set of its filters
         self._routes: dict = {}  # topic bytes -> distinct matching peers
@@ -452,8 +454,8 @@ class Broker(_LoopServer):
             targets = tuple(p for p, filters in self._subs.items() if any(topic_matches(f, text) for f in filters))
         return _remember(self._routes, topic, targets)
 
-    def _advance(self, peer: _Peer) -> None:
-        """Handle every complete frame in ``inbuf``, then send what they queued."""
+    def _advance(self, peer: _Peer) -> set:
+        """Handle every complete frame in ``inbuf``; the peers whose ``out`` they touched."""
         buf, start, touched = peer.inbuf, 0, {peer}
         try:
             while len(buf) - start >= 5 and not peer.closing:
@@ -489,25 +491,45 @@ class Broker(_LoopServer):
                         self._push(peer, encode_frame(Frame(kind=FrameKind.SUBACK, code=code)))
                     elif kind == FrameKind.PINGREQ:
                         self._push(peer, encode_frame(Frame(kind=FrameKind.PINGRESP)))
-                    elif kind == FrameKind.DISCONNECT:
-                        self._close(peer)
-                        break
+                    elif kind == FrameKind.DISCONNECT:  # closes at once, as a malformed frame does
+                        peer.out.clear()
+                        peer.closing = True
                 start = end
-        except FrameError as e:
+        except FrameError as e:  # the peer is closed at once, its unsent bytes discarded
             log.debug("broker peer %r dropped: %s", peer.client_id, e)
-            self._close(peer)
-        if start and peer in self._peers:
+            peer.out.clear()
+            peer.closing = True
+        if start:
             del buf[:start]  # once per read, however many frames it held
-            peer.deadline = time.monotonic() + PEER_TIMEOUT_S  # for the frame now under way, if any
-        for target in touched:
-            if target.out and not target.writing and target in self._peers:
-                self._flush(target)
+        return touched
 
-    def _close(self, peer: _Peer) -> None:
-        super()._close(peer)
+    def closed(self, peer: _Peer) -> None:
         self._clients.pop(peer.client_id, None)
         if self._subs.pop(peer, None) is not None:
             self._routes.clear()
+
+
+class Broker(_LoopServer):
+    """Pub/sub broker: the frame protocol of :class:`_BrokerCore` on a :class:`_LoopServer` loop.
+
+    A peer's first frame must be CONNECT; a duplicate client id gets CONNACK 2
+    and a close.  A peer holds each filter once, at most ``MAX_PEER_FILTERS``
+    of them; a SUBSCRIBE to one more gets SUBACK 1.  A PUBLISH is forwarded as
+    received, once to each peer with a matching subscription however many of
+    its filters match; a topic with ``+`` is dropped.  A connected peer's
+    PUBLISH frames are parsed in place and routed through a table from topic
+    bytes to peers, filled the first time a topic is seen and cleared on
+    SUBSCRIBE, when a subscriber closes and when it reaches
+    ``MAX_CACHED_TOPICS``.  A frame that would take a peer's queue above
+    ``MAX_PEER_QUEUE`` bytes is dropped for that peer and counted in
+    ``dropped``.  Every peer is read whatever its queue holds, so a client
+    that publishes from its receive thread cannot stall the broker.
+    """
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
+        super().__init__(_BrokerCore(), host, port, "broker")
+
+    dropped = property(lambda self: self._core.dropped, doc="Frames dropped for a full peer queue.")
 
 
 class Session:
@@ -749,24 +771,12 @@ def _parse_request_head(head: bytes, methods) -> tuple:
     return method, target.decode("latin-1"), int(length), keep_alive, expect_continue
 
 
-class HttpServer(_LoopServer):
-    """HTTP/1.1 as a protocol on a :class:`_LoopServer` loop.
+class _HttpCore(_Core):
+    """The HTTP/1.1 of :class:`HttpServer`, without I/O."""
 
-    ``routes`` maps a method to ``handler(path, body) -> (status, headers,
-    body)``; any other method gets 501.  Handlers run on the loop thread, so
-    one that blocks stalls every connection.  ``Content-Length`` is checked
-    before the body is read (see :func:`_parse_request_head`).  A refused
-    request, ``Connection: close`` and HTTP/1.0 close the connection after the
-    reply; otherwise pipelined requests are answered in order, each read only
-    once no reply is pending.  A head above ``MAX_HTTP_HEAD`` gets 431, and
-    ``Expect: 100-continue`` gets ``100 Continue`` once the length has passed.
-    An idle keep-alive peer owes its next request, so it too has a deadline.
-    """
+    reads_while_sending = False  # the next request waits for the reply before it
 
-    _WRITE_EVENTS = selectors.EVENT_WRITE  # the next request waits for the reply before it
-
-    def __init__(self, routes: dict, host: str, port: int, name: str):
-        super().__init__(host, port, name)
+    def __init__(self, routes: dict):
         self._routes = routes
 
     @staticmethod
@@ -774,30 +784,27 @@ class HttpServer(_LoopServer):
         return True
 
     def _advance(self, peer: _Peer) -> None:
-        """Answer the buffered requests in order while each reply drains at once."""
-        while not peer.out and not peer.closing and self._answer_one(peer):
-            self._flush(peer)
-
-    def _answer_one(self, peer: _Peer) -> bool:
-        """Queue the reply (or ``100 Continue``) the buffer now calls for; False if it needs more bytes."""
+        """Queue the reply (or ``100 Continue``) the buffer calls for, once no reply is pending."""
+        if peer.out or peer.closing:
+            return
         if peer.request is None:
             end = peer.inbuf.find(b"\r\n\r\n")
             if end < 0 and len(peer.inbuf) <= MAX_HTTP_HEAD:
-                return False
+                return
             try:
                 if not 0 <= end <= MAX_HTTP_HEAD:
                     raise _Refused(431, f"request head exceeds {MAX_HTTP_HEAD} bytes")
                 peer.request = _parse_request_head(bytes(peer.inbuf[:end]), self._routes)
             except _Refused as e:  # the unread body must not be parsed as the next request
                 self._queue(peer, _json_reply(e.status, {"error": str(e)}), keep_alive=False)
-                return True
+                return
             del peer.inbuf[: end + 4]
             if peer.request[4] and len(peer.inbuf) < peer.request[2]:
                 peer.out += _CONTINUE
-                return True
+                return
         method, path, length, keep_alive, _ = peer.request
         if len(peer.inbuf) < length:
-            return False
+            return
         body = bytes(peer.inbuf[:length])
         del peer.inbuf[:length]
         peer.request = None
@@ -807,7 +814,6 @@ class HttpServer(_LoopServer):
             log.exception("HTTP route %s %s failed", method, path)
             reply = _json_reply(500, {"error": "internal server error"})
         self._queue(peer, reply, keep_alive)
-        return True
 
     @staticmethod
     def _queue(peer: _Peer, reply: tuple, keep_alive: bool) -> None:
@@ -820,6 +826,24 @@ class HttpServer(_LoopServer):
             peer.closing = True
         peer.out += "\r\n".join(head).encode("latin-1") + b"\r\n\r\n"
         peer.out += body
+
+
+class HttpServer(_LoopServer):
+    """HTTP/1.1, the protocol of :class:`_HttpCore`, on a :class:`_LoopServer` loop.
+
+    ``routes`` maps a method to ``handler(path, body) -> (status, headers,
+    body)``; any other method gets 501.  Handlers run on the loop thread, so
+    one that blocks stalls every connection.  ``Content-Length`` is checked
+    before the body is read (see :func:`_parse_request_head`).  A refused
+    request, ``Connection: close`` and HTTP/1.0 close the connection after the
+    reply; otherwise pipelined requests are answered in order, each read only
+    once no reply is pending.  A head above ``MAX_HTTP_HEAD`` gets 431, and
+    ``Expect: 100-continue`` gets ``100 Continue`` once the length has passed.
+    An idle keep-alive peer owes its next request, so it too has a deadline.
+    """
+
+    def __init__(self, routes: dict, host: str, port: int, name: str):
+        super().__init__(_HttpCore(routes), host, port, name)
 
 
 def _recv_some(sock: socket.socket) -> bytes:

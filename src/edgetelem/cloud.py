@@ -228,17 +228,23 @@ class Lake:
         }
         self._dead_letter(entry)
 
-    def _dead_letter(self, entry: dict) -> None:
+    def _dead_letter(self, entry: dict, unless_last: bool = False) -> None:
         line = json.dumps(entry, separators=(",", ":")).encode("utf-8") + b"\n"
-        _append_line(str(self.root / self.DEAD_LETTER_FILE), line)
+        path = str(self.root / self.DEAD_LETTER_FILE)
+        if unless_last and os.path.exists(path):
+            with open(path, "rb") as fh:  # a recovery killed before its truncate may have written it
+                fh.seek(max(0, fh.seek(0, os.SEEK_END) - len(line) - 1))
+                if fh.read() in (line, b"\n" + line):
+                    return
+        _append_line(path, line)
         self.dead_letters += 1
 
     def recover(self) -> tuple:
         """``(next record id, {device_id: last ingest_time_ms})``, for the lake's one writer to go on from.
 
         Reads each device's newest partitions back to their last whole line.
-        A torn trailing fragment (a crash mid-append) moves to the dead-letter
-        file and is cut off its partition, so the next append starts a line.
+        A torn trailing fragment (a crash mid-append) is dead-lettered once, even
+        by a recovery cut short, and cut off its partition, so the next append starts a line.
         It writes, so a reader of a lake that may be in use must not call it.
         """
         next_id, last_ingest = 0, {}
@@ -271,7 +277,7 @@ class Lake:
             if cut < len(tail):
                 log.warning("moving a torn trailing fragment of %s to the dead-letter file", path)
                 entry = {"partition": f"{path.parent.name}/{path.name}", "offset": start + cut, "error": "torn tail"}
-                self._dead_letter({**entry, "payload_hex": tail[cut:].hex()})
+                self._dead_letter({**entry, "payload_hex": tail[cut:].hex()}, unless_last=True)
                 fh.truncate(start + cut)
         return tail[begin : cut - 1] if cut else None
 

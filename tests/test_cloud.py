@@ -931,6 +931,32 @@ class TestLakeDurability:
         ]
         assert service.lake.torn_lines == 0
 
+    def test_a_torn_tail_is_dead_lettered_once_when_a_recovery_is_cut_short(self, tmp_path, monkeypatch):
+        lake = self._make_lake_with_records(tmp_path, 2)
+        path = next((lake.root / "dev0").glob("*.jsonl"))
+        whole, fragment = path.read_bytes(), b'{"record_id":2,"ingest_'
+        path.write_bytes(whole + fragment)
+        dead_letter = Lake._dead_letter
+
+        class Killed(Exception):
+            pass
+
+        def killed_after_the_append(self, *args, **kwargs):
+            dead_letter(self, *args, **kwargs)
+            raise Killed
+
+        monkeypatch.setattr(Lake, "_dead_letter", killed_after_the_append)
+        with pytest.raises(Killed):
+            make_service(tmp_path)
+        monkeypatch.undo()
+        assert path.read_bytes() == whole + fragment  # stopped between the append and the truncate
+        make_service(tmp_path)
+        assert path.read_bytes() == whole
+        dead = [json.loads(line) for line in (lake.root / "dead_letter.jsonl").read_bytes().splitlines()]
+        assert [(d["partition"], d["offset"], d["payload_hex"]) for d in dead] == [
+            (f"dev0/{path.name}", len(whole), fragment.hex())
+        ]
+
     def _make_lake_with_records(self, tmp_path, n, subdir="lake"):
         clock = LogicalClock()
         service = make_service(tmp_path, subdir=subdir, clock_ms=clock)

@@ -4,7 +4,8 @@ An ingest loop runs in a child process and is killed at seeded points: while
 its service opens the lake, which may cut off a torn tail, and between or
 inside appends.  After each kill the lake is opened again through a
 :class:`CloudService`, which must start, and every device is scanned.
-Record ids must stay dense and each device's ingest times non-decreasing.
+Record ids must stay dense and each device's ingest times non-decreasing, and
+the dead-letter file must hold each torn tail once, in whole lines.
 
 The children are forked from a forkserver that has imported the package, so
 each starts without paying its import and inherits no thread of the test
@@ -13,6 +14,7 @@ imports only the package, the standard library and ``conftest``.
 """
 
 import itertools
+import json
 import multiprocessing
 import multiprocessing.forkserver
 import random
@@ -60,13 +62,19 @@ def random_payloads(rng: random.Random, seqs: dict) -> list:
     return payloads
 
 
-def tear_newest_partition(rng: random.Random, lake: Lake) -> None:
-    """Append a prefix of the newest partition's last line, as a crash mid-append leaves it."""
+def tear_newest_partition(rng: random.Random, lake: Lake, torn: set) -> None:
+    """Append a prefix of the newest partition's last line, as a crash mid-append leaves it.
+
+    ``torn`` holds the ``(path, size)`` of each earlier tear: a partition is
+    torn at an offset once, so no two torn tails are the same bytes in the same place.
+    """
     newest = [paths[-1] for paths in map(lake._partitions, DEVICES) if paths]
     if newest:
         path = rng.choice(newest)
-        last = path.read_bytes().rstrip(b"\n").rpartition(b"\n")[2]
-        if last:
+        data = path.read_bytes()
+        last = data.rstrip(b"\n").rpartition(b"\n")[2]
+        if last and (path, len(data)) not in torn:
+            torn.add((path, len(data)))
             with open(path, "ab") as fh:
                 fh.write(last[: rng.randrange(1, len(last))])
 
@@ -82,6 +90,10 @@ def check_lake(root) -> None:
         assert times == sorted(times), device_id
         ids += device_ids
     assert sorted(ids) == list(range(len(ids)))
+    dead = lake.root / Lake.DEAD_LETTER_FILE
+    entries = [json.loads(line) for line in dead.read_bytes().splitlines()] if dead.exists() else []
+    tails = [(e["partition"], e["offset"], e["payload_hex"]) for e in entries if e.get("error") == "torn tail"]
+    assert len(tails) == len(set(tails)), "a torn tail was dead-lettered twice"
 
 
 def run_and_kill(ctx, rng: random.Random, root, payloads) -> None:
@@ -105,7 +117,7 @@ def run_and_kill(ctx, rng: random.Random, root, payloads) -> None:
 
 def test_sigkilled_ingest_keeps_the_lake_invariants(tmp_path):
     rng = random.Random(2014)
-    seqs = dict.fromkeys(DEVICES, 0)
+    seqs, torn = dict.fromkeys(DEVICES, 0), set()
     ctx = multiprocessing.get_context("forkserver")
     ctx.set_forkserver_preload(["edgetelem.cloud"])
     try:
@@ -113,7 +125,7 @@ def test_sigkilled_ingest_keeps_the_lake_invariants(tmp_path):
             run_and_kill(ctx, rng, tmp_path, random_payloads(rng, seqs))
             check_lake(tmp_path)
             if rng.random() < 0.3:
-                tear_newest_partition(rng, Lake(tmp_path))
+                tear_newest_partition(rng, Lake(tmp_path), torn)
     finally:
         multiprocessing.forkserver._forkserver._stop()
     assert sum(len(Lake(tmp_path).scan(d)) for d in DEVICES) > 2 * KILLS  # the children stored records before their kills
