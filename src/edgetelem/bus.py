@@ -17,9 +17,9 @@ and so is one that would take a subscriber's queue above ``MAX_PEER_QUEUE``
 many of its filters match, and runs each matching subscription's handler once.
 Per publisher, messages arrive in publish order.
 
-Every server is a :class:`_Core` protocol, free of I/O, on :class:`_LoopServer`,
-one ``selectors`` loop on one thread: :class:`Broker` speaks the frames above,
-and :class:`HttpServer` serves the HTTP endpoints (snapshot ingest, the model
+Every server is an I/O-free :class:`_Core` on :class:`_LoopServer`, one
+``selectors`` loop on one thread: :class:`Broker` speaks the frames above, and
+:class:`HttpServer` serves the HTTP endpoints (snapshot ingest, the model
 store, the latency probe) as route functions.  :func:`connect` opens a client
 :class:`Session`; :func:`_http_request` is the one HTTP client: it reuses an
 idle keep-alive connection to the same address, used in the last
@@ -282,24 +282,24 @@ class _Core:
     """A server's protocol, with no socket, selector, thread or clock: a :class:`_LoopServer` passes it ``now``.
 
     :meth:`feed` leaves each peer's bytes to send in ``out``, ``closing`` to close it once ``out`` is empty
-    (``out`` emptied: at once), and ``deadline``: ``PEER_TIMEOUT_S`` after its connect and after a feed
-    that starts or consumes a request or frame or sends bytes.  A protocol defines ``_advance(peer)``,
-    which handles ``inbuf`` and returns the peers whose ``out`` it may have filled (None: ``peer``
-    alone), and ``_owes(peer)``, whether a peer past its deadline has expired.
+    (at once if ``out`` was emptied), and ``deadline``: ``PEER_TIMEOUT_S`` after its connect and after a
+    feed that starts or consumes a request or frame or sends bytes.  A protocol's ``_advance(peer)``
+    handles ``inbuf`` when bytes arrive, and when ``out`` drains unless it reads while sending; it returns
+    the peers whose ``out`` it may have filled (None: ``peer`` alone).  ``_owes(peer)``: whether it can expire.
     """
 
     reads_while_sending = True  # whether the loop reads a peer whose ``out`` waits for the socket
 
     def feed(self, peer: _Peer, now: float, received: bytes = b"", sent: int = 0):
-        """Take ``received`` bytes, or drop the ``sent`` bytes of ``out``; the peers whose ``out`` may have gained bytes."""
+        """Take ``received`` bytes, or drop ``sent`` bytes of ``out``; the peers whose ``out`` may have grown."""
         fresh = sent or not peer.inbuf  # the peer read bytes, or began a request or frame
         del peer.out[:sent]
         peer.inbuf += received
         held = len(peer.inbuf)
-        touched = self._advance(peer) or (peer,)
+        touched = self._advance(peer) if received or not (peer.out or self.reads_while_sending) else None
         if fresh or len(peer.inbuf) < held:
             peer.deadline = now + PEER_TIMEOUT_S
-        return touched
+        return touched or (peer,)
 
     def closed(self, peer: _Peer) -> None:
         """Forget a peer whose connection the loop closed."""
@@ -315,13 +315,14 @@ class _LoopServer:
     """
 
     def __init__(self, core: _Core, host: str, port: int, name: str):
-        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET  # an IPv6 literal
         self._listener = socket.create_server((host, port), family=family, backlog=128)
         self._listener.setblocking(False)
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ)
         self._core = core
         self._socks: dict = {}  # _Peer -> its socket, for each open connection
+        self._writing: set = set()  # the peers registered for EVENT_WRITE: ``out`` waits for the socket
         self._write_events = selectors.EVENT_WRITE | (selectors.EVENT_READ if core.reads_while_sending else 0)
         self._stopping = threading.Event()
         self._thread = threading.Thread(target=self._serve, name=name, daemon=True)
@@ -390,6 +391,7 @@ class _LoopServer:
 
     def _close(self, peer: _Peer) -> None:
         sock = self._socks.pop(peer)
+        self._writing.discard(peer)
         self._selector.unregister(sock)
         sock.close()
         self._core.closed(peer)
@@ -405,24 +407,23 @@ class _LoopServer:
             self._close(peer)
             return
         for target in self._core.feed(peer, time.monotonic(), data):
-            self._flush(target)
+            if target.closing or target.out and target not in self._writing:  # EVENT_WRITE flushes the others
+                self._flush(target)
 
     def _flush(self, peer: _Peer) -> None:
-        """Send ``out`` while the socket takes it; wait for EVENT_WRITE while bytes are pending."""
-        sock = self._socks[peer]
+        """Send what the socket takes now; wait for EVENT_WRITE while bytes are pending."""
         try:
-            while peer.out:  # the core may fill ``out`` again as it drains
-                self._core.feed(peer, time.monotonic(), sent=sock.send(peer.out))
+            self._core.feed(peer, time.monotonic(), sent=self._socks[peer].send(peer.out))
         except BlockingIOError:
             pass
         except OSError:
             self._close(peer)
             return
-        events = self._write_events if peer.out else selectors.EVENT_READ
         if peer.closing and not peer.out:
             self._close(peer)
-        elif self._selector.get_key(sock).events != events:
-            self._selector.modify(sock, events, peer)
+        elif bool(peer.out) != (peer in self._writing):
+            self._writing ^= {peer}
+            self._selector.modify(self._socks[peer], self._write_events if peer.out else selectors.EVENT_READ, peer)
 
 
 class _BrokerCore(_Core):

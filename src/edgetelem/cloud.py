@@ -228,15 +228,9 @@ class Lake:
         }
         self._dead_letter(entry)
 
-    def _dead_letter(self, entry: dict, unless_last: bool = False) -> None:
+    def _dead_letter(self, entry: dict) -> None:
         line = json.dumps(entry, separators=(",", ":")).encode("utf-8") + b"\n"
-        path = str(self.root / self.DEAD_LETTER_FILE)
-        if unless_last and os.path.exists(path):
-            with open(path, "rb") as fh:  # a recovery killed before its truncate may have written it
-                fh.seek(max(0, fh.seek(0, os.SEEK_END) - len(line) - 1))
-                if fh.read() in (line, b"\n" + line):
-                    return
-        _append_line(path, line)
+        _append_line(str(self.root / self.DEAD_LETTER_FILE), line)
         self.dead_letters += 1
 
     def recover(self) -> tuple:
@@ -277,7 +271,12 @@ class Lake:
             if cut < len(tail):
                 log.warning("moving a torn trailing fragment of %s to the dead-letter file", path)
                 entry = {"partition": f"{path.parent.name}/{path.name}", "offset": start + cut, "error": "torn tail"}
-                self._dead_letter({**entry, "payload_hex": tail[cut:].hex()}, unless_last=True)
+                entry["payload_hex"] = tail[cut:].hex()
+                line = json.dumps(entry, separators=(",", ":")).encode("utf-8") + b"\n"
+                with open(self.root / self.DEAD_LETTER_FILE, "a+b") as dl:
+                    dl.seek(max(0, dl.seek(0, os.SEEK_END) - len(line) - 1))
+                    if dl.read() not in (line, b"\n" + line):  # else a recovery killed before its truncate wrote it
+                        self._dead_letter(entry)
                 fh.truncate(start + cut)
         return tail[begin : cut - 1] if cut else None
 

@@ -378,6 +378,44 @@ class TestBrokerWire:
             for closer in (stalled.close, healthy.close, pub.close):
                 closer()
 
+    def test_a_publish_sends_nothing_to_a_peer_that_waits_for_event_write(self):
+        class FakeSocket:
+            def __init__(self, full: bool):
+                self.received, self.sent, self.full = b"", [], full
+
+            def recv(self, _n):
+                data, self.received = self.received, b""
+                return data
+
+            def send(self, data):
+                self.sent.append(bytes(data))
+                if self.full:
+                    raise BlockingIOError
+                return len(data)
+
+        broker = Broker()  # not started: the test calls the loop's read itself
+        peers = {name: bus._Peer(0.0) for name in ("pub", "ready", "waiting")}
+        socks = {name: FakeSocket(full=name == "waiting") for name in peers}
+        try:
+            for name, peer in peers.items():
+                hello = encode_frame(Frame(kind=FrameKind.CONNECT, client_id=name))
+                if name != "pub":
+                    hello += encode_frame(Frame(kind=FrameKind.SUBSCRIBE, topic="t/+"))
+                broker._core.feed(peer, 0.0, hello)
+                peer.out.clear()
+                broker._socks[peer] = socks[name]
+            peers["waiting"].out += b"half-sent"
+            broker._writing.add(peers["waiting"])
+            publish = encode_frame(Frame(kind=FrameKind.PUBLISH, topic="t/x", payload=b"p"))
+            socks["pub"].received = publish
+            broker._read(peers["pub"])
+            assert socks["ready"].sent == [publish]
+            assert socks["waiting"].sent == []  # no try at a full socket: its EVENT_WRITE sends
+            assert peers["waiting"].out == b"half-sent" + publish
+        finally:
+            broker._socks.clear()
+            broker.stop()
+
     def test_connected_peers_start_no_threads(self, broker):
         before = threading.active_count()
         peers = [raw_connect(broker.address, f"idle{i}") for i in range(32)]

@@ -4,8 +4,9 @@ An ingest loop runs in a child process and is killed at seeded points: while
 its service opens the lake, which may cut off a torn tail, and between or
 inside appends.  After each kill the lake is opened again through a
 :class:`CloudService`, which must start, and every device is scanned.
-Record ids must stay dense and each device's ingest times non-decreasing, and
-the dead-letter file must hold each torn tail once, in whole lines.
+Record ids must stay dense and each device's ingest times non-decreasing.
+The dead-letter file must stay whole lines and hold every torn tail, one the
+test appended or one a kill left, and each no more times than it was torn.
 
 The children are forked from a forkserver that has imported the package, so
 each starts without paying its import and inherits no thread of the test
@@ -13,6 +14,7 @@ process.  A child imports this module to find its target, so the module
 imports only the package, the standard library and ``conftest``.
 """
 
+import collections
 import itertools
 import json
 import multiprocessing
@@ -62,24 +64,30 @@ def random_payloads(rng: random.Random, seqs: dict) -> list:
     return payloads
 
 
-def tear_newest_partition(rng: random.Random, lake: Lake, torn: set) -> None:
-    """Append a prefix of the newest partition's last line, as a crash mid-append leaves it.
-
-    ``torn`` holds the ``(path, size)`` of each earlier tear: a partition is
-    torn at an offset once, so no two torn tails are the same bytes in the same place.
-    """
+def tear_newest_partition(rng: random.Random, lake: Lake) -> None:
+    """Append a prefix of the newest partition's last line, as a crash mid-append leaves it."""
     newest = [paths[-1] for paths in map(lake._partitions, DEVICES) if paths]
     if newest:
         path = rng.choice(newest)
-        data = path.read_bytes()
-        last = data.rstrip(b"\n").rpartition(b"\n")[2]
-        if last and (path, len(data)) not in torn:
-            torn.add((path, len(data)))
+        last = path.read_bytes().rstrip(b"\n").rpartition(b"\n")[2]
+        if last:
             with open(path, "ab") as fh:
                 fh.write(last[: rng.randrange(1, len(last))])
 
 
-def check_lake(root) -> None:
+def torn_tails(root) -> list:
+    """The ``(partition, offset, payload_hex)`` of each partition's torn trailing fragment."""
+    tails = []
+    for path in sorted(root.glob("*/*.jsonl")):
+        data = path.read_bytes()
+        cut = data.rfind(b"\n") + 1
+        if cut < len(data):
+            tails.append((f"{path.parent.name}/{path.name}", cut, data[cut:].hex()))
+    return tails
+
+
+def check_lake(root, tears: list) -> None:
+    """``tears``: every torn tail the lake has held, once per tear."""
     lake = CloudService(Lake(root)).lake  # the service starts, and cuts off a torn tail
     ids = []
     for device_id in DEVICES:
@@ -93,7 +101,8 @@ def check_lake(root) -> None:
     dead = lake.root / Lake.DEAD_LETTER_FILE
     entries = [json.loads(line) for line in dead.read_bytes().splitlines()] if dead.exists() else []
     tails = [(e["partition"], e["offset"], e["payload_hex"]) for e in entries if e.get("error") == "torn tail"]
-    assert len(tails) == len(set(tails)), "a torn tail was dead-lettered twice"
+    assert set(tails) == set(tears), "a torn tail was lost, or one never torn was dead-lettered"
+    assert not collections.Counter(tails) - collections.Counter(tears), "a torn tail was dead-lettered twice"
 
 
 def run_and_kill(ctx, rng: random.Random, root, payloads) -> None:
@@ -117,15 +126,18 @@ def run_and_kill(ctx, rng: random.Random, root, payloads) -> None:
 
 def test_sigkilled_ingest_keeps_the_lake_invariants(tmp_path):
     rng = random.Random(2014)
-    seqs, torn = dict.fromkeys(DEVICES, 0), set()
+    seqs, tears, torn = dict.fromkeys(DEVICES, 0), [], []
     ctx = multiprocessing.get_context("forkserver")
     ctx.set_forkserver_preload(["edgetelem.cloud"])
     try:
         for _ in range(KILLS):
             run_and_kill(ctx, rng, tmp_path, random_payloads(rng, seqs))
-            check_lake(tmp_path)
+            tears += torn + [tail for tail in torn_tails(tmp_path) if tail not in torn]  # and the kill's tear
+            check_lake(tmp_path, tears)
+            torn = []
             if rng.random() < 0.3:
-                tear_newest_partition(rng, Lake(tmp_path), torn)
+                tear_newest_partition(rng, Lake(tmp_path))
+                torn = torn_tails(tmp_path)
     finally:
         multiprocessing.forkserver._forkserver._stop()
     assert sum(len(Lake(tmp_path).scan(d)) for d in DEVICES) > 2 * KILLS  # the children stored records before their kills
