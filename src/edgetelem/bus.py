@@ -281,25 +281,30 @@ class _Peer:
 class _Core:
     """A server's protocol, with no socket, selector, thread or clock: a :class:`_LoopServer` passes it ``now``.
 
-    :meth:`feed` leaves each peer's bytes to send in ``out``, ``closing`` to close it once ``out`` is empty
-    (at once if ``out`` was emptied), and ``deadline``: ``PEER_TIMEOUT_S`` after its connect and after a
-    feed that starts or consumes a request or frame or sends bytes.  A protocol's ``_advance(peer)``
-    handles ``inbuf`` when bytes arrive, and when ``out`` drains unless it reads while sending; it returns
-    the peers whose ``out`` it may have filled (None: ``peer`` alone).  ``_owes(peer)``: whether it can expire.
+    :meth:`received` and :meth:`sent` leave each peer's bytes to send in ``out``, ``closing`` to close it once
+    ``out`` is empty (at once if ``out`` was emptied), and ``deadline``: ``PEER_TIMEOUT_S`` after its connect,
+    a call that starts or consumes a request or frame, and one that sends bytes.  A protocol's ``_advance(peer)``
+    handles ``inbuf`` and returns the peers whose ``out`` it may have filled (None: ``peer`` alone); ``_owes(peer)``
+    says whether a peer past its deadline expires.
     """
 
     reads_while_sending = True  # whether the loop reads a peer whose ``out`` waits for the socket
 
-    def feed(self, peer: _Peer, now: float, received: bytes = b"", sent: int = 0):
-        """Take ``received`` bytes, or drop ``sent`` bytes of ``out``; the peers whose ``out`` may have grown."""
-        fresh = sent or not peer.inbuf  # the peer read bytes, or began a request or frame
-        del peer.out[:sent]
-        peer.inbuf += received
-        held = len(peer.inbuf)
-        touched = self._advance(peer) if received or not (peer.out or self.reads_while_sending) else None
-        if fresh or len(peer.inbuf) < held:
+    def received(self, peer: _Peer, now: float, data: bytes):
+        """Take the bytes ``peer`` sent; the peers whose ``out`` may have grown."""
+        held = len(peer.inbuf)  # 0: a request or frame begins
+        peer.inbuf += data
+        touched = self._advance(peer) or (peer,)
+        if not held or len(peer.inbuf) < held + len(data):
             peer.deadline = now + PEER_TIMEOUT_S
-        return touched or (peer,)
+        return touched
+
+    def sent(self, peer: _Peer, now: float, n: int) -> None:
+        """Drop the ``n`` bytes of ``out`` the peer's socket took."""
+        del peer.out[:n]
+        peer.deadline = now + PEER_TIMEOUT_S
+        if not (peer.out or self.reads_while_sending):  # the next request, once its reply has gone
+            self._advance(peer)
 
     def closed(self, peer: _Peer) -> None:
         """Forget a peer whose connection the loop closed."""
@@ -406,14 +411,14 @@ class _LoopServer:
         if not data:
             self._close(peer)
             return
-        for target in self._core.feed(peer, time.monotonic(), data):
+        for target in self._core.received(peer, time.monotonic(), data):
             if target.closing or target.out and target not in self._writing:  # EVENT_WRITE flushes the others
                 self._flush(target)
 
     def _flush(self, peer: _Peer) -> None:
         """Send what the socket takes now; wait for EVENT_WRITE while bytes are pending."""
         try:
-            self._core.feed(peer, time.monotonic(), sent=self._socks[peer].send(peer.out))
+            self._core.sent(peer, time.monotonic(), self._socks[peer].send(peer.out))
         except BlockingIOError:
             pass
         except OSError:

@@ -401,7 +401,7 @@ class TestBrokerWire:
                 hello = encode_frame(Frame(kind=FrameKind.CONNECT, client_id=name))
                 if name != "pub":
                     hello += encode_frame(Frame(kind=FrameKind.SUBSCRIBE, topic="t/+"))
-                broker._core.feed(peer, 0.0, hello)
+                broker._core.received(peer, 0.0, hello)
                 peer.out.clear()
                 broker._socks[peer] = socks[name]
             peers["waiting"].out += b"half-sent"

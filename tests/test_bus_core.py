@@ -43,7 +43,7 @@ class FakeLoop:
         """The bytes ``peer`` sent arrive at the server."""
         if peer.out and not self.core.reads_while_sending:
             raise AssertionError("the loop reads no peer whose reply is pending")
-        for target in self.core.feed(peer, self.now, data):
+        for target in self.core.received(peer, self.now, data):
             self.flush(target)
 
     def read(self, peer, window=None) -> None:
@@ -58,7 +58,7 @@ class FakeLoop:
                 self.window[peer] -= n
             self.received[peer] += peer.out[:n]
             self.taken_at[peer] = self.now
-            self.core.feed(peer, self.now, sent=n)
+            self.core.sent(peer, self.now, n)
         if peer.closing and not peer.out:
             self.close(peer)
 
