@@ -17,9 +17,9 @@ and so is one that would take a subscriber's queue above ``MAX_PEER_QUEUE``
 many of its filters match, and runs each matching subscription's handler once.
 Per publisher, messages arrive in publish order.
 
-Every server is an I/O-free :class:`_Core` on :class:`_LoopServer`, one
-``selectors`` loop on one thread: :class:`Broker` speaks the frames above, and
-:class:`HttpServer` serves the HTTP endpoints (snapshot ingest, the model
+Every server is a :class:`_Core` protocol, free of I/O, on :class:`_LoopServer`,
+one ``selectors`` loop on one thread: :class:`Broker` speaks the frames above,
+and :class:`HttpServer` serves the HTTP endpoints (snapshot ingest, the model
 store, the latency probe) as route functions.  :func:`connect` opens a client
 :class:`Session`; :func:`_http_request` is the one HTTP client: it reuses an
 idle keep-alive connection to the same address, used in the last
@@ -320,7 +320,7 @@ class _LoopServer:
     """
 
     def __init__(self, core: _Core, host: str, port: int, name: str):
-        family = socket.AF_INET6 if ":" in host else socket.AF_INET  # an IPv6 literal
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
         self._listener = socket.create_server((host, port), family=family, backlog=128)
         self._listener.setblocking(False)
         self._selector = selectors.DefaultSelector()
